@@ -494,7 +494,7 @@ fn solver_fps(benches: &[BenchFps]) -> Vec<(String, String, Option<String>)> {
 }
 
 // ---------------------------------------------------------------------
-// serve / client / serve-bench
+// serve / client
 // ---------------------------------------------------------------------
 
 /// `ruf95 serve`: bind and run the daemon until a shutdown request.
@@ -539,83 +539,6 @@ pub fn cmd_client(cx: &crate::Ctx) -> Result<(), String> {
             .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         println!("{}", resp.to_value().render());
     }
-    Ok(())
-}
-
-/// `ruf95 serve-bench`: measure cold vs warm vs restored latency and
-/// socket query throughput; write `BENCH_pr6.json`. With `--queries`,
-/// measure the demand-driven query path instead and write
-/// `BENCH_pr7.json`: cold first-query latency (demand vs
-/// exhaustive-then-lookup), steady-state socket throughput, in-budget
-/// fraction, and the materialization fingerprint cross-check. With
-/// `--summaries`, measure the per-solver summary-seeded warm-edit
-/// path and the wave-parallel extraction thread scaling, and write
-/// `BENCH_pr8.json` (fingerprint-cross-checked on every edit).
-pub fn cmd_serve_bench(cx: &crate::Ctx) -> Result<(), String> {
-    let iters: u64 = cx.flags.get_parsed("iters", 200)?;
-    if cx.flags.has("summaries") {
-        let out = cx.flags.get("out").unwrap_or("BENCH_pr8.json");
-        let edits: usize = cx.flags.get_parsed("edits", 3)?;
-        let result = serve::bench::run_summaries(edits)?;
-        let json = result.to_json();
-        std::fs::write(out, &json).map_err(|e| format!("{out}: {e}"))?;
-        print!("{json}");
-        let spectrum = result
-            .solvers
-            .iter()
-            .map(|s| format!("{} {:.1}x", s.analysis, s.median_speedup))
-            .collect::<Vec<_>>()
-            .join(", ");
-        eprintln!(
-            "wrote {out}: median warm-edit speedup {spectrum}; \
-             {} fingerprint mismatches",
-            result.fingerprint_mismatches
-        );
-        if result.fingerprint_mismatches > 0 {
-            return Err(format!(
-                "{} seeded resumes diverged from fresh solves",
-                result.fingerprint_mismatches
-            ));
-        }
-        return Ok(());
-    }
-    if cx.flags.has("queries") {
-        let out = cx.flags.get("out").unwrap_or("BENCH_pr7.json");
-        let result = serve::bench::run_queries(iters)?;
-        let json = result.to_json();
-        std::fs::write(out, &json).map_err(|e| format!("{out}: {e}"))?;
-        print!("{json}");
-        eprintln!(
-            "wrote {out}: demand first query {:.1}x faster than exhaustive, \
-             {:.0} queries/s, {:.1}% in budget",
-            result.cold_speedup,
-            result.query_rps,
-            result.in_budget_fraction * 100.0
-        );
-        return Ok(());
-    }
-    let out = cx.flags.get("out").unwrap_or("BENCH_pr6.json");
-    let store_flag = cx.flags.get("store").map(std::path::PathBuf::from);
-    let tmp;
-    let store_dir = match &store_flag {
-        Some(d) => d.as_path(),
-        None => {
-            tmp = std::env::temp_dir().join(format!("ruf95-serve-bench-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&tmp);
-            tmp.as_path()
-        }
-    };
-    let result = serve::bench::run(store_dir, iters)?;
-    if store_flag.is_none() {
-        let _ = std::fs::remove_dir_all(store_dir);
-    }
-    let json = result.to_json();
-    std::fs::write(out, &json).map_err(|e| format!("{out}: {e}"))?;
-    print!("{json}");
-    eprintln!(
-        "wrote {out}: warm replay {:.1}x faster than cold solve, {:.0} queries/s over the socket",
-        result.warm_speedup, result.query_rps
-    );
     Ok(())
 }
 

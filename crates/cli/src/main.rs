@@ -15,10 +15,12 @@ use alias::{Analysis, AnalysisError, CsConfig};
 use std::process::ExitCode;
 
 mod dispatch;
+mod paper;
 
 /// One entry in the subcommand table. `value_flags` lists the flags
-/// that consume the following argument; everything else starting with
-/// `--` is a boolean switch.
+/// that consume the following argument; every other `--flag` named in
+/// `flag_help` is a boolean switch, and any flag named in neither is
+/// rejected.
 pub(crate) struct Command {
     name: &'static str,
     /// Argument synopsis after the command name, for usage lines.
@@ -274,18 +276,13 @@ const COMMANDS: &[Command] = &[
         run: dispatch::cmd_client,
     },
     Command {
-        name: "serve-bench",
-        synopsis: "[--queries] [--iters N] [--store DIR] [--out FILE]",
-        about: "measure cold/warm/restored latency and socket throughput",
-        flag_help: &[
-            "--queries    benchmark demand-driven queries instead (BENCH_pr7.json)",
-            "--iters N    socket query iterations (default 200)",
-            "--store DIR  store directory for the restart leg (default: temp)",
-            "--out FILE   output path (default BENCH_pr6.json)",
-        ],
-        value_flags: &["iters", "store", "out"],
+        name: "paper",
+        synopsis: "<experiment | all>",
+        about: "regenerate the paper's tables and figures (DESIGN §2 order)",
+        flag_help: &[],
+        value_flags: &[],
         needs_source: false,
-        run: dispatch::cmd_serve_bench,
+        run: paper::cmd_paper,
     },
     Command {
         name: "list",
@@ -316,7 +313,15 @@ pub(crate) struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], value_flags: &[&str]) -> Result<Flags, String> {
+    fn parse(args: &[String], command: &Command) -> Result<Flags, String> {
+        let value_flags = command.value_flags;
+        let known = |name: &str| {
+            value_flags.contains(&name)
+                || command.flag_help.iter().any(|line| {
+                    line.split_whitespace()
+                        .any(|word| word.strip_prefix("--") == Some(name))
+                })
+        };
         let mut flags = Flags {
             positional: Vec::new(),
             switches: Vec::new(),
@@ -327,6 +332,13 @@ impl Flags {
                 flags.positional.push(arg.clone());
                 continue;
             };
+            let key = name.split_once('=').map_or(name, |(key, _)| key);
+            if !known(key) {
+                return Err(format!(
+                    "unknown flag `--{key}` for `{}` (see `ruf95 {} --help`)",
+                    command.name, command.name
+                ));
+            }
             if let Some((key, value)) = name.split_once('=') {
                 flags
                     .switches
@@ -457,7 +469,7 @@ fn main() -> ExitCode {
         command_help(command);
         return ExitCode::SUCCESS;
     }
-    let flags = match Flags::parse(rest, command.value_flags) {
+    let flags = match Flags::parse(rest, command) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");

@@ -140,3 +140,27 @@ fn threaded_fuzz_and_litmus_check_pass_end_to_end() {
     assert!(ok, "litmus check failed: {out}\n{err}");
     assert!(out.contains("data-race") || out.contains("race"), "{out}");
 }
+
+#[test]
+fn unknown_flags_are_rejected_with_exit_2() {
+    for args in [
+        &["fuzz", "--seed", "5", "--seeds", "2"][..],
+        &["refs", "bench:span", "--bogus"],
+        &["paper", "fig2", "--json"],
+        &["analyze", "bench:span", "--connect=nowhere", "--jsn"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ruf95"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+    // Flags named only in `value_flags`, such as campaign's test hook,
+    // still parse; so does the `--flag=value` form.
+    let (_, err, ok) = ruf95(&["campaign", "--panic-seed", "x"]);
+    assert!(!ok && err.contains("--panic-seed: invalid value"), "{err}");
+    let (out, err, ok) = ruf95(&["stats", "--seeds=2", "--threads=1"]);
+    assert!(ok && out.contains("functions:"), "{err}");
+}

@@ -18,7 +18,6 @@
 //! report fingerprint, and diagnostic byte is identical. The harness
 //! in `tests/serve.rs` drives this across a 100-step edit chain.
 
-pub mod bench;
 pub mod daemon;
 pub mod service;
 pub mod store;

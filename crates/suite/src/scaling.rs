@@ -112,8 +112,8 @@ pub fn diamond(depth: usize, seed: u64) -> ScaledProgram {
     }
 }
 
-/// The standard scaling sweep the `report` binary runs with
-/// `--scaling`: three chain sizes and three diamond sizes.
+/// The standard scaling sweep: three chain sizes and three diamond
+/// sizes.
 pub fn standard_suite(seed: u64) -> Vec<ScaledProgram> {
     let mut v = Vec::new();
     for depth in [32, 64, 128] {

@@ -3,9 +3,12 @@
 //! dereference (easy to construct, as the paper admits), and one in the
 //! style of the benchmark suite where all the extra precision lands on
 //! dead store pairs and no dereference improves — the paper's headline.
+//! `ruf95 paper headline` checks that headline on all thirteen suite
+//! programs.
 //!
 //! ```sh
 //! cargo run --example precision_compare
+//! cargo run --release -p ruf95 -- paper headline
 //! ```
 
 use alias::stats::{compare_at_indirect_refs, spurious_row};
@@ -67,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report("suite-style program (the paper's headline: a tie)", CS_TIES)?;
     println!(
         "The paper's result: on all thirteen benchmark programs, the second\n\
-         pattern dominates — run `cargo run -p bench-harness --bin headline`."
+         pattern dominates — run `cargo run --release -p ruf95 -- paper headline`."
     );
     Ok(())
 }

@@ -93,19 +93,27 @@ fn two_hundred_seeded_edits_match_from_scratch() {
 /// Multi-step edit chains threaded through one `SummaryCache`, with
 /// the full five-solver stack: every step of every solver is verified,
 /// so a stale summary absorbed at step k — in *any* solver's
-/// vocabulary — would be caught at step k+1.
+/// vocabulary — would be caught at step k+1. The inputs are the 13
+/// paper programs plus the six chain/diamond programs of the scaling
+/// sweep, whose deep call graphs are where summary seeding does most.
 #[test]
 fn edit_chains_stay_equivalent_at_every_step_for_all_five_solvers() {
     let e = Engine::new().threads(1);
-    for (bi, b) in suite::benchmarks().iter().enumerate() {
+    let benches = suite::benchmarks();
+    let scaling = suite::scaling::standard_suite(1995);
+    let programs = benches
+        .iter()
+        .map(|b| (b.name.to_string(), b.source.to_string()))
+        .chain(scaling.into_iter().map(|p| (p.name, p.source)));
+    for (bi, (name, source)) in programs.enumerate() {
         let mut cache = e.cache();
-        e.analyze_incremental_with(&mut cache, &[job(b.name, b.source)])
+        e.analyze_incremental_with(&mut cache, &[job(&name, &source)])
             .expect("cold step");
-        for (si, step) in edit_chain(b.source, 0xC0FFEE ^ bi as u64, 4)
+        for (si, step) in edit_chain(&source, 0xC0FFEE ^ bi as u64, 4)
             .iter()
             .enumerate()
         {
-            let jobs = vec![job(b.name, &step.source)];
+            let jobs = vec![job(&name, &step.source)];
             let inc = e
                 .analyze_incremental_with(&mut cache, &jobs)
                 .expect("chain step");
@@ -115,7 +123,7 @@ fn edit_chains_stay_equivalent_at_every_step_for_all_five_solvers() {
                 "the chain must drive the whole solver spectrum"
             );
             let fresh = e.run(&jobs).expect("fresh");
-            let label = format!("{} chain step {si} ({})", b.name, step.edit.description);
+            let label = format!("{name} chain step {si} ({})", step.edit.description);
             assert_equivalent(&inc, &fresh, &label);
         }
     }

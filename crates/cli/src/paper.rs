@@ -764,13 +764,8 @@ fn heapnaming(_: &mut Inputs) -> Result<(), String> {
             }
         }
         cells.push(match (spurs[0], spurs[1]) {
-            (Some(a), Some(b)) => {
-                if b >= a {
-                    "yes".to_string()
-                } else {
-                    "no".to_string()
-                }
-            }
+            (Some(a), Some(b)) if b > a => "yes".to_string(),
+            (Some(_), Some(_)) => "no".to_string(),
             _ => "CS infeasible".to_string(),
         });
         rows.push(cells);

@@ -278,7 +278,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "paper",
         synopsis: "<experiment | all>",
-        about: "regenerate the paper's tables and figures (DESIGN §2 order)",
+        about: "the paper's tables and figures in DESIGN §2 order (no argument lists them)",
         flag_help: &[],
         value_flags: &[],
         needs_source: false,

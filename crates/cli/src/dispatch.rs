@@ -138,7 +138,7 @@ pub fn cmd_analyze(cx: &crate::Ctx) -> Result<(), String> {
         .send(&req)
         .map_err(|m| render_service_err(m, &jobs))?;
     if json {
-        println!("{}", resp.to_value().render());
+        println!("{}", resp.to_value().render_pretty());
         return Ok(());
     }
     match resp {
@@ -216,7 +216,7 @@ pub fn cmd_query(cx: &crate::Ctx) -> Result<(), String> {
         job: (!exhaustive).then(|| jobs[0].clone()),
     })?;
     if cx.flags.has("json") {
-        println!("{}", resp.to_value().render());
+        println!("{}", resp.to_value().render_pretty());
         return Ok(());
     }
     match resp {
@@ -302,16 +302,9 @@ pub fn cmd_check(cx: &crate::Ctx) -> Result<(), String> {
         return Err("unexpected response to check".into());
     };
     if json {
-        let diags: Vec<String> = benches
-            .iter()
-            .map(|b| format!("    {}: {}", crate::jstr(&b.name), b.diags.render()))
-            .collect();
-        let report = report.map(|r| r.render()).unwrap_or_else(|| "null".into());
-        println!(
-            "{{\n  \"report\": {},\n  \"diagnostics\": {{\n{}\n  }}\n}}",
-            report,
-            diags.join(",\n")
-        );
+        let diags = Value::obj(benches.iter().map(|b| (b.name.as_str(), b.diags.clone())));
+        let doc = Value::obj([("report", report.into()), ("diagnostics", diags)]);
+        println!("{}", doc.render_pretty());
     } else {
         for b in &benches {
             println!("== {} ==", b.name);
@@ -443,12 +436,11 @@ pub fn cmd_incremental(cx: &crate::Ctx) -> Result<(), String> {
             mismatches += 1;
         }
         if json {
-            rows.push(format!(
-                "  {{\"edit\": {}, \"matches_fresh\": {}, \"report\": {}}}",
-                crate::jstr(desc),
-                matches,
-                report.map(|r| r.render()).unwrap_or_else(|| "null".into())
-            ));
+            rows.push(Value::obj([
+                ("edit", desc.as_str().into()),
+                ("matches_fresh", matches.into()),
+                ("report", report.into()),
+            ]));
             continue;
         }
         println!("\nstep {}/{}: {}", i + 1, steps.len(), desc);
@@ -471,7 +463,7 @@ pub fn cmd_incremental(cx: &crate::Ctx) -> Result<(), String> {
         );
     }
     if json {
-        println!("[\n{}\n]", rows.join(",\n"));
+        println!("{}", Value::Arr(rows).render_pretty());
     }
     if mismatches == 0 {
         Ok(())
@@ -592,7 +584,7 @@ pub fn cmd_campaign(cx: &crate::Ctx) -> Result<(), String> {
         println!("quarantine: {}", outcome.quarantine_dir.display());
     }
     if cx.flags.has("json") {
-        print!("{}", report.to_json());
+        println!("{}", report.to_value().render_pretty());
     }
     let bad = report.violations_total > 0 || !report.quarantine.is_empty();
     if bad {

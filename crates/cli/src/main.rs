@@ -12,6 +12,7 @@
 use alias::modref::mod_ref;
 use alias::stats::compare_at_indirect_refs;
 use alias::{Analysis, AnalysisError, CsConfig};
+use proto::json::Value;
 use std::process::ExitCode;
 
 mod dispatch;
@@ -623,32 +624,23 @@ fn cmd_spectrum(name: &str, source: &str, json: bool) -> Result<(), AnalysisErro
     };
 
     if json {
-        // {"report": <EngineReport>, "refs": [{site, kind, bases:{...}}]}
-        let mut refs = Vec::new();
-        for (node, is_write) in b.graph.indirect_mem_ops() {
-            let bases: Vec<String> = ORDER
-                .iter()
-                .map(|a| {
-                    format!(
-                        "\"{a}\": {}",
-                        base_count(a, node)
-                            .map(|n| n.to_string())
-                            .unwrap_or_else(|| "null".into())
-                    )
-                })
-                .collect();
-            refs.push(format!(
-                "    {{\"site\": \"{}\", \"kind\": \"{}\", \"bases\": {{{}}}}}",
-                site_line(&b.graph, &file, node),
-                if is_write { "write" } else { "read" },
-                bases.join(", ")
-            ));
-        }
-        println!(
-            "{{\n  \"report\": {},\n  \"refs\": [\n{}\n  ]\n}}",
-            run.report.to_json().trim_end(),
-            refs.join(",\n")
-        );
+        let refs = b
+            .graph
+            .indirect_mem_ops()
+            .into_iter()
+            .map(|(node, is_write)| {
+                Value::obj([
+                    ("site", site_line(&b.graph, &file, node).into()),
+                    ("kind", if is_write { "write" } else { "read" }.into()),
+                    (
+                        "bases",
+                        Value::obj(ORDER.iter().map(|&a| (a, base_count(a, node).into()))),
+                    ),
+                ])
+            })
+            .collect();
+        let doc = Value::obj([("report", run.report.to_value()), ("refs", refs)]);
+        println!("{}", doc.render_pretty());
         return Ok(());
     }
 
@@ -699,7 +691,7 @@ fn cmd_fuzz(cx: &Ctx) -> Result<(), String> {
     };
     let report = engine::fuzz::fuzz(&cfg);
     if cx.flags.has("json") {
-        println!("{}", report.to_json());
+        println!("{}", report.to_value().render_pretty());
     } else {
         println!("{}", report.summary());
         for v in &report.violations {
@@ -742,15 +734,9 @@ fn cmd_stats(cx: &Ctx) -> Result<(), String> {
     };
     let s = engine::stats::collect(&cfg);
     if cx.flags.has("json") {
-        println!("{}", s.to_json());
+        println!("{}", s.to_value().render_pretty());
     } else {
         print!("{}", s.summary());
     }
     Ok(())
-}
-
-/// Minimal JSON string literal for the `incremental --json` envelope
-/// (edit descriptions contain no control characters).
-pub(crate) fn jstr(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }

@@ -536,7 +536,7 @@ fn cost(inputs: &mut Inputs) -> Result<(), String> {
     println!(
         "(paper, with the same optimizations: ~1.1x the flow-ins, up to 100x\n\
          the flow-outs, 2-3 orders of magnitude slower on the largest inputs;\n\
-         run the `ablation` binary to see the unoptimized blowup)"
+         run `ruf95 paper ablation` to see the unoptimized blowup)"
     );
     Ok(())
 }

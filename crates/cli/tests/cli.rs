@@ -164,3 +164,35 @@ fn unknown_flags_are_rejected_with_exit_2() {
     let (out, err, ok) = ruf95(&["stats", "--seeds=2", "--threads=1"]);
     assert!(ok && out.contains("functions:"), "{err}");
 }
+
+#[test]
+fn every_json_output_parses_even_with_a_hostile_file_name() {
+    let dir = std::env::temp_dir().join("ruf95-cli-json-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("we\"ird\tname.c");
+    std::fs::write(
+        &path,
+        "int g;\nint h;\n\
+         int *pick(int *a, int *b, int c) { if (c) { return a; } return b; }\n\
+         void store(int **slot, int *v) { *slot = v; }\n\
+         int main(void) {\n  int *p;\n  int *q;\n  int x;\n  p = pick(&g, &h, 1);\n  \
+         store(&q, p);\n  x = *q;\n  *p = x + 1;\n  return *q;\n}\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    for args in [
+        &["spectrum", file, "--json"][..],
+        &["check", file, "--json"],
+        &["analyze", file, "--json"],
+        &["incremental", file, "--edits", "2", "--json"],
+        &["fuzz", "--seeds", "3", "--threads", "1", "--json"],
+        &["stats", "--seeds", "3", "--threads", "1", "--json"],
+    ] {
+        let (out, err, ok) = ruf95(args);
+        assert!(ok, "{args:?}: {err}");
+        if let Err(e) = proto::json::Value::parse(&out) {
+            panic!("{args:?}: stdout is not JSON ({e}):\n{out}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

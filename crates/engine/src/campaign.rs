@@ -14,9 +14,9 @@
 //! going.
 //!
 //! **Checksummed journal.** After every chunk the campaign rewrites
-//! `journal.ruf95` in its state directory using the same atomic
-//! write/versioned-header/FNV-checksum idiom as `serve::store`
-//! (temp-file + rename, `ruf95-campaign v1 <fnv64>` header). A killed
+//! `journal.ruf95` in its state directory in the [`crate::envelope`]
+//! format it shares with `serve::store` (temp-file + rename,
+//! `ruf95-campaign v1 <fnv64>` header). A killed
 //! campaign resumes exactly at the next chunk, and a resumed campaign's
 //! final report is byte-identical to an uninterrupted run because the
 //! canonical report is a pure fold over journaled per-chunk results —
@@ -38,6 +38,7 @@
 //! per-property violation counts, the quarantine ledger, and the dedup
 //! ratio those three streams achieve at corpus scale.
 
+use crate::envelope::{self, Load};
 use crate::fuzz::{self, FuzzConfig, JobOutcome};
 use crate::pool;
 use crate::shrink::shrink;
@@ -48,7 +49,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -215,13 +215,9 @@ struct Journal {
     chunks: Vec<ChunkRecord>,
 }
 
-/// How loading the journal went (the `serve::store` idiom: hostile or
-/// stale bytes degrade to a recorded fresh start, never a panic).
-enum JournalLoad {
-    Missing,
-    Loaded(Journal),
-    Rejected(String),
-}
+/// How loading the journal went: hostile or stale bytes degrade to a
+/// recorded fresh start, never a panic.
+type JournalLoad = Load<Journal>;
 
 /// One deduplicated violation group in the final report.
 #[derive(Debug, Clone)]
@@ -502,7 +498,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, CampaignError> {
     }
     let report = if complete {
         let r = build_report(cfg, &journal);
-        let rendered = r.to_json();
+        let rendered = r.to_value().render_pretty() + "\n";
         atomic_write(&report_path, rendered.as_bytes())?;
         if let Some(out) = &cfg.report_out {
             atomic_write(out, rendered.as_bytes())?;
@@ -732,148 +728,87 @@ fn config_key(cfg: &CampaignConfig) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Journal persistence (the `serve::store` idiom: versioned checksummed
-// header line + single-line JSON payload, atomic rename).
+// Journal persistence (the `crate::envelope` format shared with
+// `serve::store`).
 // ---------------------------------------------------------------------
 
 fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| CampaignError::Io(format!("{}: {e}", path.display()));
-    {
-        let mut f = fs::File::create(&tmp).map_err(io)?;
-        f.write_all(bytes).map_err(io)?;
-        f.sync_all().map_err(io)?;
-    }
-    fs::rename(&tmp, path).map_err(io)
+    envelope::write_atomic(path, bytes)
+        .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
 }
 
 fn save_journal(path: &Path, journal: &Journal) -> Result<(), CampaignError> {
-    let payload = journal_to_value(journal).render();
-    let header = format!(
-        "{JOURNAL_MAGIC} v{JOURNAL_VERSION} {}",
-        fp_hex(alias::fingerprint::fnv64(payload.as_bytes()))
-    );
-    atomic_write(path, format!("{header}\n{payload}\n").as_bytes())
+    envelope::save(
+        path,
+        JOURNAL_MAGIC,
+        JOURNAL_VERSION,
+        &journal_to_value(journal),
+    )
+    .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
 }
 
 fn load_journal(path: &Path) -> JournalLoad {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return JournalLoad::Missing,
-        Err(e) => return JournalLoad::Rejected(format!("unreadable: {e}")),
-    };
-    let Some((header, rest)) = text.split_once('\n') else {
-        return JournalLoad::Rejected("missing header line".into());
-    };
-    let fields: Vec<&str> = header.split(' ').collect();
-    if fields.len() != 3 || fields[0] != JOURNAL_MAGIC {
-        return JournalLoad::Rejected("bad header".into());
-    }
-    if fields[1] != format!("v{JOURNAL_VERSION}") {
-        return JournalLoad::Rejected(format!("version {} (want v{JOURNAL_VERSION})", fields[1]));
-    }
-    let Some(want) = parse_fp_hex(fields[2]) else {
-        return JournalLoad::Rejected("bad checksum field".into());
-    };
-    let payload = rest.strip_suffix('\n').unwrap_or(rest);
-    if alias::fingerprint::fnv64(payload.as_bytes()) != want {
-        return JournalLoad::Rejected("checksum mismatch".into());
-    }
-    let value = match Value::parse(payload) {
-        Ok(v) => v,
-        Err(e) => return JournalLoad::Rejected(format!("payload: {e}")),
-    };
-    match journal_from_value(&value) {
-        Some(j) => JournalLoad::Loaded(j),
-        None => JournalLoad::Rejected("payload schema mismatch".into()),
-    }
-}
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn vu(n: u64) -> Value {
-    Value::Int(n as i64)
-}
-
-fn hex_arr(fps: &[u64]) -> Value {
-    Value::Arr(fps.iter().map(|&f| Value::Str(fp_hex(f))).collect())
+    envelope::load(path, JOURNAL_MAGIC, JOURNAL_VERSION, |v| {
+        journal_from_value(&v)
+    })
 }
 
 fn journal_to_value(j: &Journal) -> Value {
-    obj(vec![
-        ("config", Value::Str(j.config_key.clone())),
-        (
-            "chunks",
-            Value::Arr(j.chunks.iter().map(chunk_to_value).collect()),
-        ),
+    Value::obj([
+        ("config", j.config_key.as_str().into()),
+        ("chunks", j.chunks.iter().map(chunk_to_value).collect()),
     ])
 }
 
 fn chunk_to_value(c: &ChunkRecord) -> Value {
-    obj(vec![
-        ("i", vu(c.index)),
-        ("clean", vu(c.clean)),
-        ("degraded", vu(c.degraded)),
-        ("over_budget", vu(c.over_budget)),
-        ("crashed", vu(c.crashed)),
-        ("demand_q", vu(c.demand_queries)),
-        ("demand_h", vu(c.demand_hits)),
-        ("diag_total", vu(c.diag_total)),
-        ("diag_keys", hex_arr(&c.diag_keys)),
-        ("func_total", vu(c.func_total)),
-        ("func_fps", hex_arr(&c.func_fps)),
+    let hex = |fps: &[u64]| fps.iter().map(|&f| fp_hex(f)).collect();
+    Value::obj([
+        ("i", c.index.into()),
+        ("clean", c.clean.into()),
+        ("degraded", c.degraded.into()),
+        ("over_budget", c.over_budget.into()),
+        ("crashed", c.crashed.into()),
+        ("demand_q", c.demand_queries.into()),
+        ("demand_h", c.demand_hits.into()),
+        ("diag_total", c.diag_total.into()),
+        ("diag_keys", hex(&c.diag_keys)),
+        ("func_total", c.func_total.into()),
+        ("func_fps", hex(&c.func_fps)),
         (
             "violations",
-            Value::Arr(
-                c.violations
-                    .iter()
-                    .map(|v| {
-                        obj(vec![
-                            ("seed", vu(v.seed)),
-                            ("kind", Value::Str(v.kind.clone())),
-                            ("solver", Value::Str(v.solver.clone())),
-                            ("detail", Value::Str(v.detail.clone())),
-                            ("source", Value::Str(v.source.clone())),
-                            (
-                                "minimized",
-                                match &v.minimized {
-                                    Some(m) => Value::Str(m.clone()),
-                                    None => Value::Null,
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            c.violations
+                .iter()
+                .map(|v| {
+                    Value::obj([
+                        ("seed", v.seed.into()),
+                        ("kind", v.kind.as_str().into()),
+                        ("solver", v.solver.as_str().into()),
+                        ("detail", v.detail.as_str().into()),
+                        ("source", v.source.as_str().into()),
+                        ("minimized", v.minimized.as_deref().into()),
+                    ])
+                })
+                .collect(),
         ),
         (
             "quarantine",
-            Value::Arr(
-                c.quarantine
-                    .iter()
-                    .map(|q| {
-                        obj(vec![
-                            ("seed", vu(q.seed)),
-                            ("outcome", Value::Str(q.outcome.clone())),
-                            ("detail", Value::Str(q.detail.clone())),
-                            ("repro", Value::Str(q.repro.clone())),
-                            ("shrunk", Value::Bool(q.shrunk)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            c.quarantine
+                .iter()
+                .map(|q| {
+                    Value::obj([
+                        ("seed", q.seed.into()),
+                        ("outcome", q.outcome.as_str().into()),
+                        ("detail", q.detail.as_str().into()),
+                        ("repro", q.repro.as_str().into()),
+                        ("shrunk", q.shrunk.into()),
+                    ])
+                })
+                .collect(),
         ),
-        ("overruns", vu(c.overruns)),
+        ("overruns", c.overruns.into()),
         (
             "solver_us",
-            Value::Obj(
-                c.solver_us
-                    .iter()
-                    .map(|(k, v)| (k.clone(), vu(*v)))
-                    .collect(),
-            ),
+            Value::obj(c.solver_us.iter().map(|(k, &v)| (k.as_str(), v.into()))),
         ),
         ("wall_ms", Value::Float(c.wall_ms)),
     ])
@@ -1039,115 +974,75 @@ fn build_report(cfg: &CampaignConfig, journal: &Journal) -> CampaignReport {
 }
 
 impl CampaignReport {
-    /// Canonical JSON rendering: deterministic, grep-friendly (CI
-    /// asserts on `"soundness": 0` and `"quarantined": 0`), and free of
-    /// wall-clock data so kill/resume runs stay byte-identical.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        s.push_str(&format!("  \"start_seed\": {},\n", self.start_seed));
-        s.push_str(&format!("  \"clean\": {},\n", self.clean));
-        s.push_str(&format!("  \"degraded\": {},\n", self.degraded));
-        s.push_str(&format!("  \"over_budget\": {},\n", self.over_budget));
-        s.push_str(&format!("  \"crashed\": {},\n", self.crashed));
-        s.push_str(&format!("  \"quarantined\": {},\n", self.quarantine.len()));
-        s.push_str(&format!("  \"demand_queries\": {},\n", self.demand_queries));
-        s.push_str(&format!("  \"demand_hits\": {},\n", self.demand_hits));
-        s.push_str(&format!(
-            "  \"violations_total\": {},\n",
-            self.violations_total
-        ));
-        s.push_str("  \"violations_by_property\": {\n");
-        for (i, (prop, n)) in self.by_property.iter().enumerate() {
-            let comma = if i + 1 < self.by_property.len() {
-                ","
-            } else {
-                ""
-            };
-            s.push_str(&format!("    \"{prop}\": {n}{comma}\n"));
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {");
-            s.push_str(&format!("\"fingerprint\": \"{}\", ", c.fingerprint));
-            s.push_str(&format!("\"kind\": \"{}\", ", esc(&c.kind)));
-            s.push_str(&format!("\"solver\": \"{}\", ", esc(&c.solver)));
-            s.push_str(&format!("\"count\": {}, ", c.count));
-            s.push_str(&format!(
-                "\"seeds\": [{}], ",
-                c.seeds
+    /// Canonical JSON form: deterministic and free of wall-clock data,
+    /// so kill/resume runs render byte-identical files. CI greps the
+    /// pretty rendering for `"soundness": 0` and `"quarantined": 0`.
+    pub fn to_value(&self) -> Value {
+        let raw_unique =
+            |raw: u64, unique: u64| Value::obj([("raw", raw.into()), ("unique", unique.into())]);
+        Value::obj([
+            ("seeds", self.seeds.into()),
+            ("start_seed", self.start_seed.into()),
+            ("clean", self.clean.into()),
+            ("degraded", self.degraded.into()),
+            ("over_budget", self.over_budget.into()),
+            ("crashed", self.crashed.into()),
+            ("quarantined", self.quarantine.len().into()),
+            ("demand_queries", self.demand_queries.into()),
+            ("demand_hits", self.demand_hits.into()),
+            ("violations_total", self.violations_total.into()),
+            (
+                "violations_by_property",
+                Value::obj(
+                    self.by_property
+                        .iter()
+                        .map(|(p, n)| (p.as_str(), (*n).into())),
+                ),
+            ),
+            (
+                "cases",
+                self.cases
                     .iter()
-                    .map(|x| x.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            s.push_str(&format!("\"detail\": \"{}\", ", esc(&c.detail)));
-            match &c.minimized {
-                Some(m) => s.push_str(&format!("\"minimized\": \"{}\"", esc(m))),
-                None => s.push_str("\"minimized\": null"),
-            }
-            s.push('}');
-        }
-        if !self.cases.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-        s.push_str("  \"quarantine\": [");
-        for (i, q) in self.quarantine.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {");
-            s.push_str(&format!("\"seed\": {}, ", q.seed));
-            s.push_str(&format!("\"outcome\": \"{}\", ", esc(&q.outcome)));
-            s.push_str(&format!("\"detail\": \"{}\", ", esc(&q.detail)));
-            s.push_str(&format!("\"shrunk\": {}, ", q.shrunk));
-            s.push_str(&format!("\"file\": \"{}\"", esc(&q.file)));
-            s.push('}');
-        }
-        if !self.quarantine.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-        s.push_str("  \"dedup\": {\n");
-        s.push_str(&format!(
-            "    \"diagnostics\": {{\"raw\": {}, \"unique\": {}}},\n",
-            self.diag_total, self.diag_unique
-        ));
-        s.push_str(&format!(
-            "    \"functions\": {{\"raw\": {}, \"unique\": {}}},\n",
-            self.func_total, self.func_unique
-        ));
-        s.push_str(&format!("    \"violation_cases\": {},\n", self.cases.len()));
-        s.push_str(&format!("    \"ratio\": \"{}\"\n", self.dedup_ratio));
-        s.push_str("  },\n");
-        s.push_str(&format!("  \"dedup_ratio\": \"{}\"\n", self.dedup_ratio));
-        s.push_str("}\n");
-        s
+                    .map(|c| {
+                        Value::obj([
+                            ("fingerprint", c.fingerprint.as_str().into()),
+                            ("kind", c.kind.as_str().into()),
+                            ("solver", c.solver.as_str().into()),
+                            ("count", c.count.into()),
+                            ("seeds", c.seeds.iter().copied().collect()),
+                            ("detail", c.detail.as_str().into()),
+                            ("minimized", c.minimized.as_deref().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "quarantine",
+                self.quarantine
+                    .iter()
+                    .map(|q| {
+                        Value::obj([
+                            ("seed", q.seed.into()),
+                            ("outcome", q.outcome.as_str().into()),
+                            ("detail", q.detail.as_str().into()),
+                            ("shrunk", q.shrunk.into()),
+                            ("file", q.file.as_str().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "dedup",
+                Value::obj([
+                    ("diagnostics", raw_unique(self.diag_total, self.diag_unique)),
+                    ("functions", raw_unique(self.func_total, self.func_unique)),
+                    ("violation_cases", self.cases.len().into()),
+                    ("ratio", self.dedup_ratio.as_str().into()),
+                ]),
+            ),
+            ("dedup_ratio", self.dedup_ratio.as_str().into()),
+        ])
     }
-}
-
-/// JSON string escaping (shared shape with `fuzz::esc`, local to keep
-/// the modules independent).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use crate::report::CheckMetrics;
 use crate::{BenchOutput, EngineRun};
 use checker::harness::{oracle_races, oracle_run};
 use checker::{label_with_races, refuted_fault, refuted_race, CheckKind, LabeledDiagnostic};
+use proto::json::Value;
 use std::collections::HashMap;
 
 /// One benchmark's oracle-labeled diagnostics, one row per solver.
@@ -169,47 +170,34 @@ pub fn render_diagnostics(b: &BenchOutput, checks: &BenchChecks, analysis: &str)
     out
 }
 
-/// JSON rendering of labeled diagnostics for `ruf95 check --json`:
-/// an array of objects, one per diagnostic of the chosen solver — or of
-/// every solver when `analysis` is `"all"` (each object names its
-/// solver in `"analysis"`).
-pub fn diagnostics_json(b: &BenchOutput, checks: &BenchChecks, analysis: &str) -> String {
+/// Labeled diagnostics for `ruf95 check --json`: an array of objects,
+/// one per diagnostic of the chosen solver — or of every solver when
+/// `analysis` is `"all"` (each object names its solver in
+/// `"analysis"`).
+pub fn diagnostics_value(b: &BenchOutput, checks: &BenchChecks, analysis: &str) -> Value {
     let file = cfront::SourceFile::new(&b.name, &b.source);
-    let jstr = |s: &str| {
-        format!(
-            "\"{}\"",
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        )
-    };
-    let items: Vec<String> = checks
+    checks
         .rows
         .iter()
         .filter(|r| analysis == "all" || r.solver == analysis)
         .flat_map(|row| row.labeled.iter())
         .map(|l| {
             let lc = file.line_col(l.diag.span.start);
-            format!(
-                "{{\"kind\": {}, \"severity\": {}, \"analysis\": {}, \"line\": {}, \
-                 \"col\": {}, \"message\": {}, \"label\": {}, \"witness\": [{}]}}",
-                jstr(l.diag.kind.name()),
-                jstr(l.diag.severity.label()),
-                jstr(&l.diag.analysis),
-                lc.line,
-                lc.col,
-                jstr(&l.diag.message),
-                jstr(l.label.name()),
-                l.diag
-                    .witness
-                    .iter()
-                    .map(|w| jstr(w))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
+            Value::obj([
+                ("kind", l.diag.kind.name().into()),
+                ("severity", l.diag.severity.label().into()),
+                ("analysis", l.diag.analysis.as_str().into()),
+                ("line", u64::from(lc.line).into()),
+                ("col", u64::from(lc.col).into()),
+                ("message", l.diag.message.as_str().into()),
+                ("label", l.label.name().into()),
+                (
+                    "witness",
+                    l.diag.witness.iter().map(String::as_str).collect(),
+                ),
+            ])
         })
-        .collect();
-    format!("[{}]", items.join(", "))
+        .collect()
 }
 
 /// Re-checks the false-positive monotonicity claim on finished rows:
@@ -315,7 +303,14 @@ mod tests {
             let m = s.checks.as_ref().expect("checks attached");
             assert!(!m.refuted);
         }
-        assert!(run.report.to_json().contains("\"checks\": {\"diags\""));
+        let doc = Value::parse(&run.report.to_value().render_pretty()).unwrap();
+        let solvers = doc.get("benchmarks").and_then(Value::as_arr).unwrap()[0]
+            .get("solvers")
+            .and_then(Value::as_arr)
+            .unwrap();
+        assert!(solvers
+            .iter()
+            .all(|s| s.get("checks").and_then(|c| c.get("diags")).is_some()));
 
         // Unchanged source: the second pass answers from cache.
         let mut run2 = e.run(&Job::named(&["span"])).unwrap();

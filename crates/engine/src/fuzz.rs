@@ -51,6 +51,7 @@ use crate::pool;
 use crate::shrink::shrink;
 use alias::solver::{Solution, SolutionBox};
 use alias::{AnalysisError, Fault, Propagation, SolverKind, SolverSpec};
+use proto::json::Value;
 use std::time::{Duration, Instant};
 use suite::generator::{generate, GenConfig};
 use vdg::build::{lower, BuildOptions};
@@ -256,43 +257,36 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
-    /// Hand-rolled JSON rendering (the workspace is dependency-free).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        s.push_str(&format!("  \"clean\": {},\n", self.clean));
-        s.push_str(&format!("  \"degraded\": {},\n", self.degraded));
-        s.push_str(&format!("  \"over_budget\": {},\n", self.over_budget));
-        s.push_str(&format!("  \"overruns\": {},\n", self.overruns));
-        s.push_str(&format!("  \"demand_queries\": {},\n", self.demand_queries));
-        s.push_str(&format!("  \"demand_hits\": {},\n", self.demand_hits));
-        s.push_str(&format!(
-            "  \"wall_ms\": {:.3},\n",
-            self.wall.as_secs_f64() * 1e3
-        ));
-        s.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {");
-            s.push_str(&format!("\"seed\": {}, ", v.seed));
-            s.push_str(&format!("\"kind\": \"{}\", ", esc(&v.kind)));
-            s.push_str(&format!("\"solver\": \"{}\", ", esc(&v.solver)));
-            s.push_str(&format!("\"detail\": \"{}\", ", esc(&v.detail)));
-            s.push_str(&format!("\"source\": \"{}\", ", esc(&v.source)));
-            match &v.minimized {
-                Some(m) => s.push_str(&format!("\"minimized\": \"{}\"", esc(m))),
-                None => s.push_str("\"minimized\": null"),
-            }
-            s.push('}');
-        }
-        if !self.violations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+    /// The report as a JSON document; `wall_ms` is rounded to the
+    /// microsecond.
+    pub fn to_value(&self) -> Value {
+        let wall_ms = (self.wall.as_secs_f64() * 1e6).round() / 1e3;
+        Value::obj([
+            ("seeds", self.seeds.into()),
+            ("clean", self.clean.into()),
+            ("degraded", self.degraded.into()),
+            ("over_budget", self.over_budget.into()),
+            ("overruns", self.overruns.into()),
+            ("demand_queries", self.demand_queries.into()),
+            ("demand_hits", self.demand_hits.into()),
+            ("wall_ms", Value::Float(wall_ms)),
+            (
+                "violations",
+                self.violations
+                    .iter()
+                    .map(|v| {
+                        Value::obj([
+                            ("seed", v.seed.into()),
+                            ("kind", v.kind.as_str().into()),
+                            ("solver", v.solver.as_str().into()),
+                            ("detail", v.detail.as_str().into()),
+                            ("source", v.source.as_str().into()),
+                            ("minimized", v.minimized.as_deref().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ])
     }
 
     /// One-paragraph human summary.
@@ -311,22 +305,6 @@ impl FuzzReport {
             self.demand_queries,
         )
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A property failure before shrinking attaches the repro.
@@ -1010,7 +988,7 @@ mod tests {
                 .map(|v| format!("{} {} {}", v.kind, v.solver, v.detail))
                 .collect::<Vec<_>>()
         );
-        let json = r.to_json();
+        let json = r.to_value().render_pretty();
         assert!(json.contains("\"seeds\": 8"));
         assert!(json.contains("\"violations\": []"));
         assert!(r.demand_queries > 0, "demand property never fired");

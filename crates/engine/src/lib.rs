@@ -31,7 +31,7 @@
 //!     .unwrap();
 //! assert_eq!(run.benches.len(), 1);
 //! assert!(run.benches[0].cs().is_some());
-//! println!("{}", run.report.to_json());
+//! println!("{}", run.report.to_value().render_pretty());
 //! ```
 
 #![warn(missing_docs)]
@@ -39,6 +39,7 @@
 pub mod campaign;
 pub mod check;
 pub mod compose;
+pub mod envelope;
 pub mod fuzz;
 pub mod incremental;
 pub mod pool;
@@ -52,9 +53,7 @@ pub use campaign::{
 pub use check::{BenchChecks, CheckCache};
 pub use fuzz::{FuzzConfig, FuzzReport, FuzzViolation, JobOutcome, PlantedFault};
 pub use incremental::{FreshReason, SolveMode, SummaryCache};
-pub use report::{
-    BenchmarkReport, CheckMetrics, EngineReport, IncrementalStats, ServeStats, SolverMetrics,
-};
+pub use report::{BenchmarkReport, CheckMetrics, EngineReport, IncrementalStats, SolverMetrics};
 
 use alias::ci::CiResult;
 use alias::cs::CsResult;

@@ -1,11 +1,9 @@
 //! Structured per-stage metrics for an engine run, serializable to JSON.
 //!
-//! The JSON schema (documented in `DESIGN.md` §"The engine") is stable
-//! and hand-rolled — the workspace is dependency-free by design, and the
-//! report is flat enough that a serializer library would be the only
-//! reason to stop being so. All durations are reported twice: as
-//! `*_ns` integer nanoseconds (exact) and implicitly via the
-//! benchmark's stage order. A *fingerprint* is the rendering of the
+//! [`EngineReport::to_value`] builds the report as a
+//! [`proto::json::Value`]; its schema is documented in `DESIGN.md` §6
+//! "JSON metrics schema". Durations are `*_ns` integer nanoseconds.
+//! A *fingerprint* is the compact rendering of the
 //! [`EngineReport::canonical`] form of the report — the same document
 //! with every fingerprint-exempt field scrubbed — so two runs can be
 //! compared for semantic equality regardless of scheduling, thread
@@ -15,6 +13,8 @@
 //! …) must be scrubbed there, and nowhere else, or it would silently
 //! perturb fingerprints.
 
+use proto::json::Value;
+use proto::ServeInfo;
 use std::time::Duration;
 
 /// Metrics for one solver on one benchmark.
@@ -76,20 +76,14 @@ pub struct CheckMetrics {
 }
 
 impl CheckMetrics {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"diags\": [{}], \"true_positives\": {}, \"false_positives\": {}, \
-             \"unreachable\": {}, \"refuted\": {}}}",
-            self.diags
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.true_positives,
-            self.false_positives,
-            self.unreachable,
-            self.refuted
-        )
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("diags", self.diags.iter().copied().collect()),
+            ("true_positives", self.true_positives.into()),
+            ("false_positives", self.false_positives.into()),
+            ("unreachable", self.unreachable.into()),
+            ("refuted", self.refuted.into()),
+        ])
     }
 }
 
@@ -135,32 +129,6 @@ pub struct BenchmarkReport {
     pub solvers: Vec<SolverMetrics>,
 }
 
-/// Serving-side counters the `ruf95 serve` daemon attaches to reports
-/// it returns over the wire: how fast the request was handled and how
-/// much of it came from the session cache. Pure work description —
-/// [`EngineReport::canonical`] scrubs the whole block.
-#[derive(Debug, Clone, Default)]
-pub struct ServeStats {
-    /// Wall time the service spent handling the request, microseconds.
-    pub latency_us: u64,
-    /// Benchmarks replayed verbatim from the session cache.
-    pub benches_replayed: usize,
-    /// Individual solver solutions replayed from cache.
-    pub solutions_replayed: usize,
-    /// Whether the request warm-started its session from the disk
-    /// store.
-    pub restored: bool,
-    /// Queries answered from the demand-solved region.
-    pub demand_hits: u64,
-    /// Queries answered from the exhaustive fallback solution.
-    pub demand_fallbacks: u64,
-    /// Demand queries that exhausted a slice or step budget.
-    pub demand_budget_exhausted: u64,
-    /// Microseconds the session has spent restoring from the disk
-    /// store (initial load plus lazy per-bench decode), cumulative.
-    pub restore_us: u64,
-}
-
 /// The full result of an engine run.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
@@ -174,21 +142,17 @@ pub struct EngineReport {
     /// the timings, these describe the work done rather than the
     /// solution, so the fingerprint nulls them.
     pub incremental: Option<IncrementalStats>,
-    /// Serving counters, attached only by the `ruf95 serve` daemon.
-    /// Work description like `incremental`; fingerprint-exempt.
-    pub serve: Option<ServeStats>,
+    /// Serving counters — the response's own [`ServeInfo`] — attached
+    /// only by the `ruf95 serve` service to analyze reports. Work
+    /// description like `incremental`; fingerprint-exempt.
+    pub serve: Option<ServeInfo>,
 }
 
 impl EngineReport {
-    /// Serializes the report to a self-contained JSON document.
-    pub fn to_json(&self) -> String {
-        self.render()
-    }
-
     /// The timing-free canonical form: identical across runs whenever
     /// the analysis *results* are identical, whatever the parallelism.
     pub fn fingerprint(&self) -> String {
-        self.canonical().render()
+        self.canonical().to_value().render()
     }
 
     /// Scrubs every fingerprint-exempt field — the one place in the
@@ -199,7 +163,7 @@ impl EngineReport {
     /// counters (`dedup_hits`, `delta_batches`, `deliveries_saved`) —
     /// a seeded resume reaches the same fixpoint with less work — the
     /// incremental `mode` strings and cache counters, and the daemon's
-    /// [`ServeStats`]. Everything else — sizes, pair counts, checker
+    /// [`ServeInfo`]. Everything else — sizes, pair counts, checker
     /// diagnostics, errors — is solution-derived and must survive.
     ///
     /// Adding a field to the report? If it can differ between two runs
@@ -237,124 +201,60 @@ impl EngineReport {
             .sum()
     }
 
-    /// Renders exactly what the struct holds — no field is scrubbed
-    /// here. Exemption decisions all live in [`EngineReport::canonical`].
-    fn render(&self) -> String {
-        let ns = |d: Duration| d.as_nanos();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let inc = match &self.incremental {
-            Some(s) => format!(
-                "{{\"benches_replayed\": {}, \"benches_seeded\": {}, \"benches_fresh\": {}, \
-                 \"funcs_reused\": {}, \"funcs_dirty\": {}, \"solutions_replayed\": {}, \
-                 \"solutions_resumed\": {}}}",
-                s.benches_replayed,
-                s.benches_seeded,
-                s.benches_fresh,
-                s.funcs_reused,
-                s.funcs_dirty,
-                s.solutions_replayed,
-                s.solutions_resumed
-            ),
-            None => "null".into(),
+    /// The report as a JSON document, exactly as the struct holds it —
+    /// no field is scrubbed here. Exemption decisions all live in
+    /// [`EngineReport::canonical`].
+    pub fn to_value(&self) -> Value {
+        let ns = |d: Duration| Value::from(d.as_nanos() as u64);
+        let incremental = self.incremental.as_ref().map(|s| {
+            Value::obj([
+                ("benches_replayed", s.benches_replayed.into()),
+                ("benches_seeded", s.benches_seeded.into()),
+                ("benches_fresh", s.benches_fresh.into()),
+                ("funcs_reused", s.funcs_reused.into()),
+                ("funcs_dirty", s.funcs_dirty.into()),
+                ("solutions_replayed", s.solutions_replayed.into()),
+                ("solutions_resumed", s.solutions_resumed.into()),
+            ])
+        });
+        let solver = |s: &SolverMetrics| {
+            Value::obj([
+                ("analysis", s.analysis.as_str().into()),
+                ("wall_ns", ns(s.wall)),
+                ("pairs", s.pairs.into()),
+                ("flow_ins", s.flow_ins.into()),
+                ("flow_outs", s.flow_outs.into()),
+                ("dedup_hits", s.dedup_hits.into()),
+                ("delta_batches", s.delta_batches.into()),
+                ("deliveries_saved", s.deliveries_saved.into()),
+                ("mode", s.mode.as_deref().into()),
+                ("error", s.error.as_deref().into()),
+                (
+                    "checks",
+                    s.checks.as_ref().map(CheckMetrics::to_value).into(),
+                ),
+            ])
         };
-        let serve = match &self.serve {
-            Some(s) => format!(
-                "{{\"latency_us\": {}, \"benches_replayed\": {}, \
-                 \"solutions_replayed\": {}, \"restored\": {}, \
-                 \"demand_hits\": {}, \"demand_fallbacks\": {}, \
-                 \"demand_budget_exhausted\": {}, \"restore_us\": {}}}",
-                s.latency_us,
-                s.benches_replayed,
-                s.solutions_replayed,
-                s.restored,
-                s.demand_hits,
-                s.demand_fallbacks,
-                s.demand_budget_exhausted,
-                s.restore_us
-            ),
-            None => "null".into(),
+        let bench = |b: &BenchmarkReport| {
+            Value::obj([
+                ("name", b.name.as_str().into()),
+                ("lines", b.lines.into()),
+                ("nodes", b.nodes.into()),
+                ("outputs", b.outputs.into()),
+                ("indirect_refs", b.indirect_refs.into()),
+                ("frontend_ns", ns(b.frontend)),
+                ("lowering_ns", ns(b.lowering)),
+                ("solvers", b.solvers.iter().map(solver).collect()),
+            ])
         };
-        out.push_str(&format!(
-            "  \"threads\": {},\n  \"total_wall_ns\": {},\n  \"incremental\": {},\n  \
-             \"serve\": {},\n  \"benchmarks\": [\n",
-            self.threads,
-            ns(self.total_wall),
-            inc,
-            serve
-        ));
-        for (i, b) in self.benchmarks.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"lines\": {}, \"nodes\": {}, \"outputs\": {}, \
-                 \"indirect_refs\": {}, \"frontend_ns\": {}, \"lowering_ns\": {}, \
-                 \"solvers\": [\n",
-                json_str(&b.name),
-                b.lines,
-                b.nodes,
-                b.outputs,
-                b.indirect_refs,
-                ns(b.frontend),
-                ns(b.lowering)
-            ));
-            for (j, s) in b.solvers.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"analysis\": {}, \"wall_ns\": {}, \"pairs\": {}, \
-                     \"flow_ins\": {}, \"flow_outs\": {}, \"dedup_hits\": {}, \
-                     \"delta_batches\": {}, \"deliveries_saved\": {}, \
-                     \"mode\": {}, \"error\": {}, \"checks\": {}}}{}\n",
-                    json_str(&s.analysis),
-                    ns(s.wall),
-                    json_opt(s.pairs.map(|v| v.to_string())),
-                    json_opt(s.flow_ins.map(|v| v.to_string())),
-                    json_opt(s.flow_outs.map(|v| v.to_string())),
-                    json_opt(s.dedup_hits.map(|v| v.to_string())),
-                    json_opt(s.delta_batches.map(|v| v.to_string())),
-                    json_opt(s.deliveries_saved.map(|v| v.to_string())),
-                    json_opt_str(s.mode.as_deref()),
-                    json_opt_str(s.error.as_deref()),
-                    json_opt(s.checks.as_ref().map(CheckMetrics::to_json)),
-                    if j + 1 < b.solvers.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.benchmarks.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Value::obj([
+            ("threads", self.threads.into()),
+            ("total_wall_ns", ns(self.total_wall)),
+            ("incremental", incremental.into()),
+            ("serve", self.serve.as_ref().map(ServeInfo::to_value).into()),
+            ("benchmarks", self.benchmarks.iter().map(bench).collect()),
+        ])
     }
-}
-
-/// JSON string literal with the escapes the report can actually contain.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_opt(v: Option<String>) -> String {
-    v.unwrap_or_else(|| "null".into())
-}
-
-fn json_opt_str(v: Option<&str>) -> String {
-    v.map(json_str).unwrap_or_else(|| "null".into())
 }
 
 #[cfg(test)]
@@ -414,7 +314,7 @@ mod tests {
                 funcs_dirty: 1,
                 ..IncrementalStats::default()
             }),
-            serve: Some(ServeStats {
+            serve: Some(ServeInfo {
                 latency_us: 740,
                 benches_replayed: 1,
                 solutions_replayed: 5,
@@ -423,13 +323,31 @@ mod tests {
                 demand_fallbacks: 1,
                 demand_budget_exhausted: 0,
                 restore_us: 120,
+                ..ServeInfo::default()
             }),
         }
     }
 
+    fn to_json(r: &EngineReport) -> String {
+        r.to_value().render_pretty()
+    }
+
+    /// The fingerprint document, parsed back.
+    fn fp_doc(r: &EngineReport) -> Value {
+        Value::parse(&r.fingerprint()).expect("fingerprint is JSON")
+    }
+
+    fn first_solver(doc: &Value) -> &Value {
+        &doc.get("benchmarks").unwrap().as_arr().unwrap()[0]
+            .get("solvers")
+            .unwrap()
+            .as_arr()
+            .unwrap()[0]
+    }
+
     #[test]
     fn json_has_all_fields_and_nulls() {
-        let j = sample().to_json();
+        let j = to_json(&sample());
         for needle in [
             "\"threads\": 4",
             "\"name\": \"span\"",
@@ -442,16 +360,41 @@ mod tests {
             "\"deliveries_saved\": 4300",
             "\"mode\": \"seeded(dirty=1/5)\"",
             "\"funcs_reused\": 4",
-            "\"serve\": {\"latency_us\": 740, \"benches_replayed\": 1, \
-             \"solutions_replayed\": 5, \"restored\": true, \
-             \"demand_hits\": 2, \"demand_fallbacks\": 1, \
-             \"demand_budget_exhausted\": 0, \"restore_us\": 120}",
-            "\"checks\": {\"diags\": [1, 0, 2, 0, 0, 3, 1], \"true_positives\": 4, \
-             \"false_positives\": 1, \"unreachable\": 1, \"refuted\": false}",
             "\"checks\": null",
         ] {
             assert!(j.contains(needle), "missing {needle} in\n{j}");
         }
+        let doc = Value::parse(&j).expect("report is JSON");
+        let serve = doc.get("serve").expect("serve block");
+        for (key, want) in [
+            ("latency_us", 740),
+            ("benches_replayed", 1),
+            ("solutions_replayed", 5),
+            ("demand_hits", 2),
+            ("demand_fallbacks", 1),
+            ("demand_budget_exhausted", 0),
+            ("restore_us", 120),
+        ] {
+            assert_eq!(serve.get(key).and_then(Value::as_i64), Some(want), "{key}");
+        }
+        assert_eq!(serve.get("restored"), Some(&Value::Bool(true)));
+        let checks = first_solver(&doc).get("checks").expect("checks block");
+        let diags: Vec<i64> = checks
+            .get("diags")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(Value::as_i64)
+            .collect();
+        assert_eq!(diags, [1, 0, 2, 0, 0, 3, 1]);
+        for (key, want) in [
+            ("true_positives", 4),
+            ("false_positives", 1),
+            ("unreachable", 1),
+        ] {
+            assert_eq!(checks.get(key).and_then(Value::as_i64), Some(want), "{key}");
+        }
+        assert_eq!(checks.get("refuted"), Some(&Value::Bool(false)));
     }
 
     #[test]
@@ -467,28 +410,29 @@ mod tests {
         b.benchmarks[0].solvers[0].dedup_hits = Some(9000);
         // ...same fingerprint, as long as the solutions agree.
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert!(!a.fingerprint().contains("\"dedup_hits\": 1"));
+        let doc = fp_doc(&a);
+        assert_eq!(first_solver(&doc).get("dedup_hits"), Some(&Value::Null));
         // Work-description fields are nulled too: an incremental run and
         // a plain run that computed the same fixpoint must agree.
-        assert!(a.fingerprint().contains("\"mode\": null"));
-        assert!(a.fingerprint().contains("\"incremental\": null"));
-        assert_ne!(a.to_json(), b.to_json());
+        assert_eq!(first_solver(&doc).get("mode"), Some(&Value::Null));
+        assert_eq!(doc.get("incremental"), Some(&Value::Null));
+        assert_ne!(to_json(&a), to_json(&b));
     }
 
     #[test]
     fn fingerprint_scrubs_serve_stats() {
         let mut a = sample();
         let mut b = sample();
-        a.serve = Some(ServeStats {
+        a.serve = Some(ServeInfo {
             latency_us: 3,
-            ..ServeStats::default()
+            ..ServeInfo::default()
         });
         b.serve = None;
         // A warm daemon answer and a plain in-process run of the same
         // solutions must fingerprint identically.
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert!(a.fingerprint().contains("\"serve\": null"));
-        assert_ne!(a.to_json(), b.to_json());
+        assert_eq!(fp_doc(&a).get("serve"), Some(&Value::Null));
+        assert_ne!(to_json(&a), to_json(&b));
     }
 
     #[test]
@@ -497,8 +441,8 @@ mod tests {
         let c = r.canonical();
         // Rendering the canonical form directly IS the fingerprint:
         // no second scrubbing pass hides an exemption elsewhere.
-        assert_eq!(c.to_json(), r.fingerprint());
-        assert_eq!(c.canonical().to_json(), r.fingerprint());
+        assert_eq!(c.to_value().render(), r.fingerprint());
+        assert_eq!(c.canonical().to_value().render(), r.fingerprint());
     }
 
     #[test]
@@ -511,11 +455,20 @@ mod tests {
         a.benchmarks[0].solvers[0].wall = Duration::from_secs(2);
         b.threads = 16;
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.to_json(), b.to_json());
+        assert_ne!(to_json(&a), to_json(&b));
     }
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let mut r = sample();
+        r.benchmarks[0].name = "a\"b\\c\n\td".into();
+        for text in [to_json(&r), r.fingerprint()] {
+            let doc = Value::parse(&text).expect("escaped output parses");
+            let name = &doc.get("benchmarks").unwrap().as_arr().unwrap()[0];
+            assert_eq!(
+                name.get("name").and_then(Value::as_str),
+                Some("a\"b\\c\n\td")
+            );
+        }
     }
 }

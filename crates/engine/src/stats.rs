@@ -19,6 +19,8 @@
 
 use crate::pool;
 use alias::SolverSpec;
+use proto::fp_hex;
+use proto::json::Value;
 use std::collections::BTreeMap;
 use suite::generator::{generate, GenConfig};
 use vdg::build::{lower, BuildOptions};
@@ -109,28 +111,34 @@ impl CorpusStats {
         out
     }
 
-    /// The report as a small JSON object (same hand-rolled style as the
-    /// campaign report; fingerprints render as hex strings).
-    pub fn to_json(&self) -> String {
-        let top: Vec<String> = self
-            .func_top
-            .iter()
-            .map(|(fp, n)| format!("{{\"fingerprint\": \"{fp:016x}\", \"count\": {n}}}"))
-            .collect();
-        format!(
-            "{{\n  \"programs\": {},\n  \"skipped\": {},\n  \"func_total\": {},\n  \
-             \"func_unique\": {},\n  \"func_dedup_ratio\": \"{}\",\n  \"diag_total\": {},\n  \
-             \"diag_unique\": {},\n  \"diag_dedup_ratio\": \"{}\",\n  \"func_top\": [{}]\n}}",
-            self.programs,
-            self.skipped,
-            self.func_total,
-            self.func_unique,
-            Self::ratio(self.func_total, self.func_unique),
-            self.diag_total,
-            self.diag_unique,
-            Self::ratio(self.diag_total, self.diag_unique),
-            top.join(", ")
-        )
+    /// The report as a JSON document; fingerprints render as hex
+    /// strings.
+    pub fn to_value(&self) -> Value {
+        Value::obj([
+            ("programs", self.programs.into()),
+            ("skipped", self.skipped.into()),
+            ("func_total", self.func_total.into()),
+            ("func_unique", self.func_unique.into()),
+            (
+                "func_dedup_ratio",
+                Self::ratio(self.func_total, self.func_unique).into(),
+            ),
+            ("diag_total", self.diag_total.into()),
+            ("diag_unique", self.diag_unique.into()),
+            (
+                "diag_dedup_ratio",
+                Self::ratio(self.diag_total, self.diag_unique).into(),
+            ),
+            (
+                "func_top",
+                self.func_top
+                    .iter()
+                    .map(|&(fp, n)| {
+                        Value::obj([("fingerprint", fp_hex(fp).into()), ("count", n.into())])
+                    })
+                    .collect(),
+            ),
+        ])
     }
 }
 
@@ -221,7 +229,7 @@ mod tests {
             s.func_total
         );
         assert!(s.diag_unique <= s.diag_total);
-        let json = s.to_json();
+        let json = s.to_value().render_pretty();
         assert!(json.contains("\"func_unique\""));
         assert!(json.contains("\"func_dedup_ratio\""));
         assert!(s.summary().contains("unique"));
@@ -240,6 +248,6 @@ mod tests {
         // 13 paper programs + 7 litmus programs on top of the seeds.
         assert_eq!(a.programs, 4 + 13 + 7);
         assert_eq!(a.skipped, 0, "every bundled program compiles");
-        assert_eq!(a.to_json(), b.to_json(), "scans are deterministic");
+        assert_eq!(a.to_value(), b.to_value(), "scans are deterministic");
     }
 }

@@ -1,11 +1,14 @@
 //! A minimal JSON value, parser, and writer.
 //!
-//! The workspace is dependency-free by design; every component so far
-//! only *emits* JSON (hand-rolled in `engine::report` and the CLI), but
-//! the daemon protocol needs to read it back. This module is the one
-//! parser in the tree: a strict recursive-descent reader over a
-//! [`Value`] tree plus a canonical writer, sized for protocol frames
-//! and store files rather than arbitrary documents.
+//! The workspace is dependency-free by design, and this module is its
+//! only JSON implementation: every document the workspace reads or
+//! writes — protocol frames, store and journal payloads, fingerprints,
+//! reports — is a [`Value`] tree. The parser is a strict
+//! recursive-descent reader. There are two writers:
+//! [`Value::render`] (compact, one line) for frames, persisted payloads
+//! and fingerprints, and [`Value::render_pretty`] (two-space indent)
+//! for documents written to stdout or report files. Documents are built
+//! with [`Value::obj`] and the `From` conversions below.
 //!
 //! Integers parse into `Int(i64)` when they fit and fall back to
 //! `Float(f64)` otherwise. 64-bit fingerprints never ride as JSON
@@ -80,18 +83,34 @@ impl Value {
     /// Renders the value as compact JSON (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(64);
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Renders the value as indented JSON: two spaces per level, `": "`
+    /// between key and value, empty arrays and objects as `[]`/`{}`.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::with_capacity(256);
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// Writes compact JSON when `indent` is `None`, else pretty JSON
+    /// whose current nesting level is `indent`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|l| l + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Int(i) => out.push_str(&i.to_string()),
             Value::Float(f) => {
                 if f.is_finite() {
-                    out.push_str(&format!("{f}"));
+                    let text = f.to_string();
+                    out.push_str(&text);
+                    // Keep the float a float when it reads back.
+                    if !text.contains('.') {
+                        out.push_str(".0");
+                    }
                 } else {
                     // JSON has no NaN/Inf; the writer degrades to null
                     // rather than emitting an unparsable token.
@@ -105,7 +124,11 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    newline(out, inner);
+                    v.write(out, inner);
+                }
+                if !items.is_empty() {
+                    newline(out, indent);
                 }
                 out.push(']');
             }
@@ -115,9 +138,13 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
+                    newline(out, inner);
                     write_json_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
+                }
+                if !fields.is_empty() {
+                    newline(out, indent);
                 }
                 out.push('}');
             }
@@ -190,11 +217,71 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Convenience optional-string constructor (`None` → `null`).
-    pub fn opt_str(s: Option<&str>) -> Value {
-        match s {
-            Some(s) => Value::str(s),
-            None => Value::Null,
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<i64> for Value {
+    fn from(i: i64) -> Value {
+        Value::Int(i)
+    }
+}
+
+/// Counts beyond `i64::MAX` become `Float`, exactly what parsing their
+/// decimal text yields.
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        i64::try_from(n).map_or(Value::Float(n as f64), Value::Int)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::from(n as u64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+/// `None` becomes `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Starts a new line at nesting `level` in pretty output; a no-op in
+/// compact output (`None`).
+fn newline(out: &mut String, level: Option<usize>) {
+    if let Some(level) = level {
+        out.push('\n');
+        for _ in 0..level {
+            out.push_str("  ");
         }
     }
 }
@@ -452,11 +539,23 @@ mod tests {
             "[1,2,[3]]",
             "{\"a\":1,\"b\":[true,null],\"c\":{\"d\":\"e\"}}",
             "\"he\\\"llo\\n\\u00e9\"",
+            "1.0",
+            "-0.25",
+            "1e300",
+            "[[],{},[{}]]",
+            "{\"we\\\"ird\\tname\":[1,{\"x\":[]}],\"e\":{}}",
         ] {
             let v = Value::parse(src).unwrap();
             let again = Value::parse(&v.render()).unwrap();
             assert_eq!(v, again, "{src}");
+            let pretty = Value::parse(&v.render_pretty()).unwrap();
+            assert_eq!(v, pretty, "{src}");
         }
+        let doc = Value::parse("{\"a\":[1,[]],\"b\":{},\"c\":{\"d\":null}}").unwrap();
+        assert_eq!(
+            doc.render_pretty(),
+            "{\n  \"a\": [\n    1,\n    []\n  ],\n  \"b\": {},\n  \"c\": {\n    \"d\": null\n  }\n}"
+        );
     }
 
     #[test]

@@ -113,10 +113,10 @@ pub struct JobSpec {
 
 impl JobSpec {
     fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("name".into(), Value::str(&self.name)),
-            ("source".into(), Value::str(&self.source)),
-            ("input".into(), Value::str(bytes_hex(&self.input))),
+        Value::obj([
+            ("name", self.name.as_str().into()),
+            ("source", self.source.as_str().into()),
+            ("input", bytes_hex(&self.input).into()),
         ])
     }
 
@@ -272,21 +272,20 @@ impl Request {
                     fields.push(("job".into(), job.to_value()));
                 }
                 let q = match query {
-                    QueryKind::MayAlias { a, b } => Value::Obj(vec![
-                        ("kind".into(), Value::str("may_alias")),
-                        ("a".into(), Value::Int(*a as i64)),
-                        ("b".into(), Value::Int(*b as i64)),
+                    QueryKind::MayAlias { a, b } => Value::obj([
+                        ("kind", "may_alias".into()),
+                        ("a", (*a).into()),
+                        ("b", (*b).into()),
                     ]),
-                    QueryKind::ReferentsAt { site } => Value::Obj(vec![
-                        ("kind".into(), Value::str("referents_at")),
-                        ("site".into(), Value::Int(*site as i64)),
-                    ]),
+                    QueryKind::ReferentsAt { site } => {
+                        Value::obj([("kind", "referents_at".into()), ("site", (*site).into())])
+                    }
                 };
                 fields.push(("query".into(), q));
             }
             Request::Stats | Request::Shutdown => {}
             Request::Evict { project } => {
-                fields.push(("project".into(), Value::opt_str(project.as_deref())));
+                fields.push(("project".into(), project.as_deref().into()));
             }
         }
         Value::Obj(fields)
@@ -422,38 +421,25 @@ pub struct ServeInfo {
 }
 
 impl ServeInfo {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("latency_us".into(), Value::Int(self.latency_us as i64)),
+    /// The wire form: the `"serve"` field of an `analyzed` response and
+    /// of the engine report the service attaches to it.
+    pub fn to_value(&self) -> Value {
+        Value::obj([
+            ("latency_us", self.latency_us.into()),
+            ("benches_replayed", self.benches_replayed.into()),
+            ("benches_seeded", self.benches_seeded.into()),
+            ("benches_fresh", self.benches_fresh.into()),
+            ("solutions_replayed", self.solutions_replayed.into()),
+            ("funcs_reused", self.funcs_reused.into()),
+            ("funcs_dirty", self.funcs_dirty.into()),
+            ("restored", self.restored.into()),
+            ("demand_hits", self.demand_hits.into()),
+            ("demand_fallbacks", self.demand_fallbacks.into()),
             (
-                "benches_replayed".into(),
-                Value::Int(self.benches_replayed as i64),
+                "demand_budget_exhausted",
+                self.demand_budget_exhausted.into(),
             ),
-            (
-                "benches_seeded".into(),
-                Value::Int(self.benches_seeded as i64),
-            ),
-            (
-                "benches_fresh".into(),
-                Value::Int(self.benches_fresh as i64),
-            ),
-            (
-                "solutions_replayed".into(),
-                Value::Int(self.solutions_replayed as i64),
-            ),
-            ("funcs_reused".into(), Value::Int(self.funcs_reused as i64)),
-            ("funcs_dirty".into(), Value::Int(self.funcs_dirty as i64)),
-            ("restored".into(), Value::Bool(self.restored)),
-            ("demand_hits".into(), Value::Int(self.demand_hits as i64)),
-            (
-                "demand_fallbacks".into(),
-                Value::Int(self.demand_fallbacks as i64),
-            ),
-            (
-                "demand_budget_exhausted".into(),
-                Value::Int(self.demand_budget_exhausted as i64),
-            ),
-            ("restore_us".into(), Value::Int(self.restore_us as i64)),
+            ("restore_us", self.restore_us.into()),
         ])
     }
 
@@ -526,11 +512,11 @@ pub struct SiteInfo {
 
 impl SiteInfo {
     fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("index".into(), Value::Int(self.index as i64)),
-            ("line".into(), Value::Int(self.line as i64)),
-            ("col".into(), Value::Int(self.col as i64)),
-            ("kind".into(), Value::str(&self.kind)),
+        Value::obj([
+            ("index", self.index.into()),
+            ("line", u64::from(self.line).into()),
+            ("col", u64::from(self.col).into()),
+            ("kind", self.kind.as_str().into()),
         ])
     }
 
@@ -661,6 +647,7 @@ pub enum Response {
 impl Response {
     /// Encodes the response as a JSON value.
     pub fn to_value(&self) -> Value {
+        let strs = |items: &[String]| items.iter().map(String::as_str).collect();
         match self {
             Response::Analyzed {
                 project,
@@ -668,59 +655,32 @@ impl Response {
                 report_fp,
                 report,
                 serve,
-            } => Value::Obj(vec![
-                ("type".into(), Value::str("analyzed")),
-                ("project".into(), Value::str(project)),
-                (
-                    "benches".into(),
-                    Value::Arr(
-                        benches
-                            .iter()
-                            .map(|b| {
-                                Value::Obj(vec![
-                                    ("name".into(), Value::str(&b.name)),
-                                    ("source_fp".into(), Value::str(&b.source_fp)),
-                                    ("graph_fp".into(), Value::str(&b.graph_fp)),
-                                    (
-                                        "solvers".into(),
-                                        Value::Arr(
-                                            b.solvers
-                                                .iter()
-                                                .map(|s| {
-                                                    Value::Obj(vec![
-                                                        (
-                                                            "analysis".into(),
-                                                            Value::str(&s.analysis),
-                                                        ),
-                                                        (
-                                                            "fp".into(),
-                                                            Value::opt_str(s.fp.as_deref()),
-                                                        ),
-                                                        (
-                                                            "mode".into(),
-                                                            Value::opt_str(s.mode.as_deref()),
-                                                        ),
-                                                        (
-                                                            "pairs".into(),
-                                                            match s.pairs {
-                                                                Some(p) => Value::Int(p as i64),
-                                                                None => Value::Null,
-                                                            },
-                                                        ),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("report_fp".into(), Value::str(report_fp)),
-                ("report".into(), report.clone().unwrap_or(Value::Null)),
-                ("serve".into(), serve.to_value()),
-            ]),
+            } => {
+                let solver = |s: &SolverFp| {
+                    Value::obj([
+                        ("analysis", s.analysis.as_str().into()),
+                        ("fp", s.fp.as_deref().into()),
+                        ("mode", s.mode.as_deref().into()),
+                        ("pairs", s.pairs.into()),
+                    ])
+                };
+                let bench = |b: &BenchFps| {
+                    Value::obj([
+                        ("name", b.name.as_str().into()),
+                        ("source_fp", b.source_fp.as_str().into()),
+                        ("graph_fp", b.graph_fp.as_str().into()),
+                        ("solvers", b.solvers.iter().map(solver).collect()),
+                    ])
+                };
+                Value::obj([
+                    ("type", "analyzed".into()),
+                    ("project", project.as_str().into()),
+                    ("benches", benches.iter().map(bench).collect()),
+                    ("report_fp", report_fp.as_str().into()),
+                    ("report", report.clone().into()),
+                    ("serve", serve.to_value()),
+                ])
+            }
             Response::Checked {
                 project,
                 benches,
@@ -728,74 +688,36 @@ impl Response {
                 monotone_violation,
                 refuted,
                 report,
-            } => Value::Obj(vec![
-                ("type".into(), Value::str("checked")),
-                ("project".into(), Value::str(project)),
-                (
-                    "benches".into(),
-                    Value::Arr(
-                        benches
-                            .iter()
-                            .map(|b| {
-                                Value::Obj(vec![
-                                    ("name".into(), Value::str(&b.name)),
-                                    ("table".into(), Value::str(&b.table)),
-                                    ("rendered".into(), Value::str(&b.rendered)),
-                                    ("diags".into(), b.diags.clone()),
-                                    (
-                                        "solvers".into(),
-                                        Value::Arr(
-                                            b.solvers
-                                                .iter()
-                                                .map(|s| {
-                                                    Value::Obj(vec![
-                                                        (
-                                                            "analysis".into(),
-                                                            Value::str(&s.analysis),
-                                                        ),
-                                                        (
-                                                            "diags".into(),
-                                                            Value::Arr(
-                                                                s.diags
-                                                                    .iter()
-                                                                    .map(|&d| Value::Int(d as i64))
-                                                                    .collect(),
-                                                            ),
-                                                        ),
-                                                        (
-                                                            "true_positives".into(),
-                                                            Value::Int(s.true_positives as i64),
-                                                        ),
-                                                        (
-                                                            "false_positives".into(),
-                                                            Value::Int(s.false_positives as i64),
-                                                        ),
-                                                        (
-                                                            "unreachable".into(),
-                                                            Value::Int(s.unreachable as i64),
-                                                        ),
-                                                        ("refuted".into(), Value::Bool(s.refuted)),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("check_fp".into(), Value::str(check_fp)),
-                (
-                    "monotone_violation".into(),
-                    Value::opt_str(monotone_violation.as_deref()),
-                ),
-                (
-                    "refuted".into(),
-                    Value::Arr(refuted.iter().map(Value::str).collect()),
-                ),
-                ("report".into(), report.clone().unwrap_or(Value::Null)),
-            ]),
+            } => {
+                let solver = |s: &SolverCheck| {
+                    Value::obj([
+                        ("analysis", s.analysis.as_str().into()),
+                        ("diags", s.diags.iter().copied().collect()),
+                        ("true_positives", s.true_positives.into()),
+                        ("false_positives", s.false_positives.into()),
+                        ("unreachable", s.unreachable.into()),
+                        ("refuted", s.refuted.into()),
+                    ])
+                };
+                let bench = |b: &BenchCheckInfo| {
+                    Value::obj([
+                        ("name", b.name.as_str().into()),
+                        ("table", b.table.as_str().into()),
+                        ("rendered", b.rendered.as_str().into()),
+                        ("diags", b.diags.clone()),
+                        ("solvers", b.solvers.iter().map(solver).collect()),
+                    ])
+                };
+                Value::obj([
+                    ("type", "checked".into()),
+                    ("project", project.as_str().into()),
+                    ("benches", benches.iter().map(bench).collect()),
+                    ("check_fp", check_fp.as_str().into()),
+                    ("monotone_violation", monotone_violation.as_deref().into()),
+                    ("refuted", strs(refuted)),
+                    ("report", report.clone().into()),
+                ])
+            }
             Response::QueryResult {
                 bench,
                 analysis,
@@ -808,31 +730,25 @@ impl Response {
                         witnesses,
                         a,
                         b,
-                    } => Value::Obj(vec![
-                        ("kind".into(), Value::str("may_alias")),
-                        ("may_alias".into(), Value::Bool(*may_alias)),
-                        (
-                            "witnesses".into(),
-                            Value::Arr(witnesses.iter().map(Value::str).collect()),
-                        ),
-                        ("a".into(), a.to_value()),
-                        ("b".into(), b.to_value()),
+                    } => Value::obj([
+                        ("kind", "may_alias".into()),
+                        ("may_alias", (*may_alias).into()),
+                        ("witnesses", strs(witnesses)),
+                        ("a", a.to_value()),
+                        ("b", b.to_value()),
                     ]),
-                    QueryAnswer::Referents { site, referents } => Value::Obj(vec![
-                        ("kind".into(), Value::str("referents_at")),
-                        ("site".into(), site.to_value()),
-                        (
-                            "referents".into(),
-                            Value::Arr(referents.iter().map(Value::str).collect()),
-                        ),
+                    QueryAnswer::Referents { site, referents } => Value::obj([
+                        ("kind", "referents_at".into()),
+                        ("site", site.to_value()),
+                        ("referents", strs(referents)),
                     ]),
                 };
-                Value::Obj(vec![
-                    ("type".into(), Value::str("query_result")),
-                    ("bench".into(), Value::str(bench)),
-                    ("analysis".into(), Value::str(analysis)),
-                    ("answer".into(), ans),
-                    ("demand".into(), Value::Bool(*demand)),
+                Value::obj([
+                    ("type", "query_result".into()),
+                    ("bench", bench.as_str().into()),
+                    ("analysis", analysis.as_str().into()),
+                    ("answer", ans),
+                    ("demand", (*demand).into()),
                 ])
             }
             Response::Stats {
@@ -841,50 +757,35 @@ impl Response {
                 evictions,
                 mem_budget,
                 projects,
-            } => Value::Obj(vec![
-                ("type".into(), Value::str("stats")),
-                ("uptime_ms".into(), Value::Int(*uptime_ms as i64)),
-                (
-                    "requests".into(),
-                    Value::Obj(
-                        requests
-                            .iter()
-                            .map(|(k, n)| (k.clone(), Value::Int(*n as i64)))
-                            .collect(),
+            } => {
+                let project = |p: &ProjectStats| {
+                    Value::obj([
+                        ("name", p.name.as_str().into()),
+                        ("benches", p.benches.into()),
+                        ("approx_bytes", p.approx_bytes.into()),
+                        ("idle_ms", p.idle_ms.into()),
+                        ("demand_hits", p.demand_hits.into()),
+                        ("demand_fallbacks", p.demand_fallbacks.into()),
+                        ("restore_us", p.restore_us.into()),
+                    ])
+                };
+                Value::obj([
+                    ("type", "stats".into()),
+                    ("uptime_ms", (*uptime_ms).into()),
+                    (
+                        "requests",
+                        Value::obj(requests.iter().map(|(k, n)| (k.as_str(), (*n).into()))),
                     ),
-                ),
-                ("evictions".into(), Value::Int(*evictions as i64)),
-                ("mem_budget".into(), Value::Int(*mem_budget as i64)),
-                (
-                    "projects".into(),
-                    Value::Arr(
-                        projects
-                            .iter()
-                            .map(|p| {
-                                Value::Obj(vec![
-                                    ("name".into(), Value::str(&p.name)),
-                                    ("benches".into(), Value::Int(p.benches as i64)),
-                                    ("approx_bytes".into(), Value::Int(p.approx_bytes as i64)),
-                                    ("idle_ms".into(), Value::Int(p.idle_ms as i64)),
-                                    ("demand_hits".into(), Value::Int(p.demand_hits as i64)),
-                                    (
-                                        "demand_fallbacks".into(),
-                                        Value::Int(p.demand_fallbacks as i64),
-                                    ),
-                                    ("restore_us".into(), Value::Int(p.restore_us as i64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Ok => Value::Obj(vec![("type".into(), Value::str("ok"))]),
-            Response::ShuttingDown => {
-                Value::Obj(vec![("type".into(), Value::str("shutting_down"))])
+                    ("evictions", (*evictions).into()),
+                    ("mem_budget", (*mem_budget).into()),
+                    ("projects", projects.iter().map(project).collect()),
+                ])
             }
-            Response::Error { message } => Value::Obj(vec![
-                ("type".into(), Value::str("error")),
-                ("message".into(), Value::str(message)),
+            Response::Ok => Value::obj([("type", "ok".into())]),
+            Response::ShuttingDown => Value::obj([("type", "shutting_down".into())]),
+            Response::Error { message } => Value::obj([
+                ("type", "error".into()),
+                ("message", message.as_str().into()),
             ]),
         }
     }

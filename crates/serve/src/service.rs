@@ -25,9 +25,8 @@ use crate::store::{LoadOutcome, Store, StoredBench, StoredProject, StoredSummari
 use alias::fingerprint::{fnv64, stable_base_key, Fnv64, GraphIndex};
 use alias::solver::solution_fingerprint;
 use alias::{DemandConfig, DemandSolution};
-use engine::check::{diagnostics_json, fp_monotone_violation, render_diagnostics, BenchChecks};
+use engine::check::{diagnostics_value, fp_monotone_violation, render_diagnostics, BenchChecks};
 use engine::{BenchOutput, CheckCache, EngineRun, Job, SummaryCache};
-use proto::json::Value;
 use proto::{
     fp_hex, BenchCheckInfo, BenchFps, JobSpec, ProjectStats, QueryAnswer, QueryKind, Request,
     Response, ServeInfo, SiteInfo, SolverCheck, SolverFp,
@@ -301,9 +300,7 @@ impl Service {
                 project: project.to_string(),
                 benches,
                 report_fp: fp_hex(fnv64(run.report.fingerprint().as_bytes())),
-                report: want_report
-                    .then(|| Value::parse(&run.report.to_json()).ok())
-                    .flatten(),
+                report: want_report.then(|| run.report.to_value()),
                 serve: ServeInfo {
                     latency_us: t0.elapsed().as_micros() as u64,
                     benches_fresh: run.benches.len() as u64,
@@ -328,16 +325,7 @@ impl Service {
         serve.demand_fallbacks = session.demand_fallbacks;
         serve.demand_budget_exhausted = session.demand_budget_exhausted;
         serve.restore_us = session.restore_us;
-        run.report.serve = Some(engine::ServeStats {
-            latency_us: serve.latency_us,
-            benches_replayed: serve.benches_replayed as usize,
-            solutions_replayed: serve.solutions_replayed as usize,
-            restored,
-            demand_hits: session.demand_hits,
-            demand_fallbacks: session.demand_fallbacks,
-            demand_budget_exhausted: session.demand_budget_exhausted,
-            restore_us: session.restore_us,
-        });
+        run.report.serve = Some(serve.clone());
         // (source_fp, graph_fp) per bench, from the cache when it has
         // the entry (it was just computed there).
         let keys: Vec<(u64, u64)> = run
@@ -418,9 +406,7 @@ impl Service {
             session.dirty = true;
         }
         let report_fp = fp_hex(fnv64(run.report.fingerprint().as_bytes()));
-        let report = want_report
-            .then(|| Value::parse(&run.report.to_json()).ok())
-            .flatten();
+        let report = want_report.then(|| run.report.to_value());
         for b in run.benches {
             // The solved output supersedes any demand-query state (and
             // answers future queries by lookup).
@@ -475,8 +461,7 @@ impl Service {
                 name: b.name.clone(),
                 table: checker::render_table(&bc.rows),
                 rendered: render_diagnostics(b, bc, analysis),
-                diags: Value::parse(&diagnostics_json(b, bc, analysis))
-                    .unwrap_or(Value::Arr(Vec::new())),
+                diags: diagnostics_value(b, bc, analysis),
                 solvers: bc
                     .rows
                     .iter()
@@ -513,9 +498,7 @@ impl Service {
             .map(|(b, _)| b.name.clone())
             .collect();
         let monotone_violation = fp_monotone_violation(&checks);
-        let report = want_report
-            .then(|| Value::parse(&run.report.to_json()).ok())
-            .flatten();
+        let report = want_report.then(|| run.report.to_value());
         let check_fp = fp_hex(combined.finish());
         for b in run.benches {
             session.demand.remove(&b.name);
@@ -1003,7 +986,7 @@ pub fn check_fingerprint(b: &BenchOutput, bc: &BenchChecks) -> u64 {
     let mut h = Fnv64::new();
     for row in &bc.rows {
         h.write_str(&row.solver);
-        h.write_str(&diagnostics_json(b, bc, &row.solver));
+        h.write_str(&diagnostics_value(b, bc, &row.solver).render());
     }
     h.finish()
 }

@@ -1,6 +1,7 @@
 //! Versioned, checksummed disk store for per-project analysis state.
 //!
-//! One file per project, `<dir>/<project>.json`:
+//! One file per project, `<dir>/<project>.json`, in the
+//! [`engine::envelope`] format:
 //!
 //! ```text
 //! ruf95-store v2 <fnv64-of-payload, 16 hex digits>
@@ -26,17 +27,20 @@
 //! is rejected wholesale rather than half-decoded. Nothing in this
 //! module panics on hostile input.
 
-use alias::fingerprint::{fnv64, StableOp, StablePair, StablePath};
+use alias::fingerprint::{StableOp, StablePair, StablePath};
 use alias::summary::{
     FuncFacts, FunctionSummary, MemOpPruning, SolverSummaries, StableAssum, StableCtx,
     SteensConstraint, Vocab,
 };
+use engine::envelope::{self, Load};
 use proto::json::Value;
 use proto::{bytes_hex, fp_hex, parse_bytes_hex, parse_fp_hex};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Header magic, first field of every project file.
+const STORE_MAGIC: &str = "ruf95-store";
 
 /// Store format version; bumped on any payload schema change. `v2`
 /// replaced the CI-only summary map with one versioned
@@ -131,23 +135,11 @@ pub struct StoredProject {
     pub benches: Vec<StoredBench>,
 }
 
-/// Result of loading a project file.
-#[derive(Debug)]
-pub enum LoadOutcome {
-    /// No file on disk — a genuinely new project.
-    Missing,
-    /// The project's state, verified and decoded.
-    Loaded(StoredProject),
-    /// The file exists but is unusable (truncated, corrupt, malformed,
-    /// or written by a different store version — including pre-v2
-    /// CI-only files). The service treats this exactly like
-    /// [`LoadOutcome::Missing`] — cold start — and the next save
-    /// overwrites the bad file.
-    Rejected {
-        /// Why the file was rejected.
-        reason: String,
-    },
-}
+/// Result of loading a project file. A rejected file — truncated,
+/// corrupt, malformed, or written by a different store version,
+/// including pre-v2 CI-only files — is treated exactly like a missing
+/// one: cold start, and the next save overwrites the bad file.
+pub type LoadOutcome = Load<StoredProject>;
 
 /// Directory-backed store, one file per project.
 pub struct Store {
@@ -174,60 +166,12 @@ impl Store {
     /// Loads and verifies one project's state. Never panics: every
     /// failure mode becomes a [`LoadOutcome`] variant.
     pub fn load(&self, project: &str) -> LoadOutcome {
-        let path = self.path_of(project);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Missing,
-            Err(e) => {
-                return LoadOutcome::Rejected {
-                    reason: format!("unreadable: {e}"),
-                }
-            }
-        };
-        let Some((header, payload)) = text.split_once('\n') else {
-            return LoadOutcome::Rejected {
-                reason: "truncated: no payload line".into(),
-            };
-        };
-        let fields: Vec<&str> = header.split(' ').collect();
-        if fields.len() != 3 || fields[0] != "ruf95-store" {
-            return LoadOutcome::Rejected {
-                reason: format!("bad header {header:?}"),
-            };
-        }
-        if fields[1] != format!("v{STORE_VERSION}") {
-            return LoadOutcome::Rejected {
-                reason: format!(
-                    "version mismatch: file is {}, store is v{STORE_VERSION}",
-                    fields[1]
-                ),
-            };
-        }
-        let Some(expected) = parse_fp_hex(fields[2]) else {
-            return LoadOutcome::Rejected {
-                reason: format!("bad checksum field {:?}", fields[2]),
-            };
-        };
-        let payload = payload.trim_end_matches('\n');
-        if fnv64(payload.as_bytes()) != expected {
-            return LoadOutcome::Rejected {
-                reason: "checksum mismatch (corrupt or truncated payload)".into(),
-            };
-        }
-        let value = match Value::parse(payload) {
-            Ok(v) => v,
-            Err(e) => {
-                return LoadOutcome::Rejected {
-                    reason: format!("malformed payload: {e}"),
-                }
-            }
-        };
-        match decode_project(value) {
-            Some(p) => LoadOutcome::Loaded(p),
-            None => LoadOutcome::Rejected {
-                reason: "incomplete payload (schema drift within v2?)".into(),
-            },
-        }
+        envelope::load(
+            &self.path_of(project),
+            STORE_MAGIC,
+            STORE_VERSION,
+            decode_project,
+        )
     }
 
     /// Persists one project's state, atomically (write temp + rename)
@@ -237,20 +181,12 @@ impl Store {
     ///
     /// Propagates the underlying I/O error.
     pub fn save(&self, project: &str, state: &StoredProject) -> std::io::Result<()> {
-        let payload = encode_project(state).render();
-        let header = format!(
-            "ruf95-store v{STORE_VERSION} {}",
-            fp_hex(fnv64(payload.as_bytes()))
-        );
-        let path = self.path_of(project);
-        let tmp = self.dir.join(format!("{project}.json.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{header}")?;
-            writeln!(f, "{payload}")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)
+        envelope::save(
+            &self.path_of(project),
+            STORE_MAGIC,
+            STORE_VERSION,
+            &encode_project(state),
+        )
     }
 
     /// Project names with a file in the store, sorted.
@@ -281,7 +217,7 @@ impl Store {
 
 fn encode_path(p: &StablePath) -> Value {
     Value::Obj(vec![
-        ("b".into(), Value::opt_str(p.base.as_deref())),
+        ("b".into(), p.base.as_deref().into()),
         (
             "o".into(),
             Value::Arr(
@@ -710,62 +646,41 @@ fn decode_summaries(v: &Value) -> HashMap<String, Arc<SolverSummaries>> {
 }
 
 fn encode_project(p: &StoredProject) -> Value {
-    Value::Obj(vec![
-        ("spec_key".into(), Value::str(&p.spec_key)),
-        (
-            "benches".into(),
-            Value::Arr(
-                p.benches
-                    .iter()
-                    .map(|b| {
-                        let summaries = match &b.summaries {
-                            StoredSummaries::Ready(m) => {
-                                let mut names: Vec<&String> = m.keys().collect();
-                                names.sort();
-                                Value::Obj(
-                                    names
-                                        .iter()
-                                        .map(|n| ((*n).clone(), encode_payload(&m[*n])))
-                                        .collect(),
-                                )
-                            }
-                            // Never-touched raw form: re-emit verbatim
-                            // (it round-tripped the checksum at load).
-                            StoredSummaries::Raw(v) => v.clone(),
-                        };
-                        Value::Obj(vec![
-                            ("name".into(), Value::str(&b.name)),
-                            ("source".into(), Value::str(&b.source)),
-                            ("input".into(), Value::str(bytes_hex(&b.input))),
-                            ("source_fp".into(), Value::str(fp_hex(b.source_fp))),
-                            ("graph_fp".into(), Value::str(fp_hex(b.graph_fp))),
-                            (
-                                "solutions".into(),
-                                Value::Arr(
-                                    b.solution_fps
-                                        .iter()
-                                        .map(|(a, fp)| {
-                                            Value::Obj(vec![
-                                                ("analysis".into(), Value::str(a)),
-                                                (
-                                                    "fp".into(),
-                                                    Value::opt_str(fp.map(fp_hex).as_deref()),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("summaries".into(), summaries),
-                            (
-                                "check_fp".into(),
-                                Value::opt_str(b.check_fp.map(fp_hex).as_deref()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+    let bench = |b: &StoredBench| {
+        let summaries = match &b.summaries {
+            StoredSummaries::Ready(m) => {
+                let mut names: Vec<&String> = m.keys().collect();
+                names.sort();
+                Value::obj(names.iter().map(|n| (n.as_str(), encode_payload(&m[*n]))))
+            }
+            // Never-touched raw form: re-emit verbatim (it round-tripped
+            // the checksum at load).
+            StoredSummaries::Raw(v) => v.clone(),
+        };
+        let solutions = b
+            .solution_fps
+            .iter()
+            .map(|(a, fp)| {
+                Value::obj([
+                    ("analysis", a.as_str().into()),
+                    ("fp", fp.map(fp_hex).into()),
+                ])
+            })
+            .collect();
+        Value::obj([
+            ("name", b.name.as_str().into()),
+            ("source", b.source.as_str().into()),
+            ("input", bytes_hex(&b.input).into()),
+            ("source_fp", fp_hex(b.source_fp).into()),
+            ("graph_fp", fp_hex(b.graph_fp).into()),
+            ("solutions", solutions),
+            ("summaries", summaries),
+            ("check_fp", b.check_fp.map(fp_hex).into()),
+        ])
+    };
+    Value::obj([
+        ("spec_key", p.spec_key.as_str().into()),
+        ("benches", p.benches.iter().map(bench).collect()),
     ])
 }
 
@@ -828,6 +743,7 @@ fn decode_bench(b: Value) -> Option<StoredBench> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alias::fingerprint::fnv64;
 
     fn pair(base: &str, referent: &str) -> StablePair {
         StablePair {
@@ -1035,7 +951,7 @@ mod tests {
         );
         std::fs::write(store.path_of("old"), text).unwrap();
         match store.load("old") {
-            LoadOutcome::Rejected { reason } => {
+            LoadOutcome::Rejected(reason) => {
                 assert!(reason.contains("version mismatch"), "{reason}");
             }
             other => panic!("v1 file must be rejected, got {other:?}"),

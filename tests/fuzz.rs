@@ -128,7 +128,7 @@ fn step_budget_exhaustion_is_a_typed_outcome() {
         r.over_budget, 3,
         "every step-starved seed must be typed over-budget"
     );
-    assert!(r.to_json().contains("\"over_budget\": 3"));
+    assert!(r.to_value().render_pretty().contains("\"over_budget\": 3"));
     assert!(r.summary().contains("over step budget"));
 
     // Interpreter step starvation is the same typed outcome.

@@ -8,19 +8,22 @@
 //! the analysis stage. One oracle run per benchmark labels every
 //! solver's diagnostics (the run is solver-independent ground truth).
 //!
-//! For incremental runs, [`CheckCache`] keys cached diagnostic rows by
-//! the exact source text: a benchmark the edit did not touch replays its
-//! rows verbatim, and only the dirty benchmarks re-run the checkers and
-//! the oracle. Graph-level replay is *not* enough to reuse diagnostics —
-//! a whitespace-only edit moves spans — so the cache is keyed strictly
-//! by source hash.
+//! For incremental runs, [`EngineRun::run_checks_cached`] memoizes each
+//! benchmark's rows, and their [`check_fingerprint`], in its
+//! [`SummaryCache`] entry, keyed by source hash and interpreter input: a
+//! benchmark the edit did not touch replays its rows verbatim, and only
+//! the dirty benchmarks re-run the checkers and the oracle. Graph-level
+//! replay is *not* enough to reuse diagnostics — a whitespace-only edit
+//! moves spans — and neither is the source alone: the oracle's labels
+//! depend on the input the program reads.
 
+use crate::incremental::EntryChecks;
 use crate::report::CheckMetrics;
-use crate::{BenchOutput, EngineRun};
+use crate::{BenchOutput, EngineRun, SummaryCache};
+use alias::fingerprint::{fnv64, Fnv64};
 use checker::harness::{oracle_races, oracle_run};
 use checker::{label_with_races, refuted_fault, refuted_race, CheckKind, LabeledDiagnostic};
 use proto::json::Value;
-use std::collections::HashMap;
 
 /// One benchmark's oracle-labeled diagnostics, one row per solver.
 #[derive(Clone)]
@@ -41,19 +44,11 @@ impl BenchChecks {
     }
 }
 
-/// Source-keyed cache of check rows for incremental runs.
-#[derive(Default)]
-pub struct CheckCache {
-    entries: HashMap<String, (u64, Vec<checker::PrecisionRow>)>,
-    /// Benchmarks answered from cache by the last
-    /// [`EngineRun::run_checks_cached`] call.
-    pub replayed: usize,
-}
-
-fn check_bench(b: &BenchOutput) -> Vec<checker::PrecisionRow> {
+fn check_bench(b: &BenchOutput) -> BenchChecks {
     let rec = oracle_run(&b.program, &b.input);
     let obs = oracle_races(&b.program, &b.input);
-    b.solutions
+    let rows = b
+        .solutions
         .iter()
         .map(|s| {
             let (labeled, refuted, race): (Vec<LabeledDiagnostic>, _, _) =
@@ -77,7 +72,11 @@ fn check_bench(b: &BenchOutput) -> Vec<checker::PrecisionRow> {
                 counts,
             }
         })
-        .collect()
+        .collect();
+    BenchChecks {
+        name: b.name.clone(),
+        rows,
+    }
 }
 
 fn metrics_of(row: &checker::PrecisionRow) -> CheckMetrics {
@@ -96,45 +95,69 @@ impl EngineRun {
     /// benchmark, attaches [`CheckMetrics`] rows to the report, and
     /// returns the labeled diagnostics for rendering.
     pub fn run_checks(&mut self) -> Vec<BenchChecks> {
-        let mut cache = CheckCache::default();
-        self.run_checks_cached(&mut cache)
+        let checks = self.benches.iter().map(check_bench).collect();
+        self.attach_checks(checks)
     }
 
-    /// Like [`EngineRun::run_checks`], but replays cached rows for
-    /// benchmarks whose source text is unchanged since `cache` last saw
-    /// them — the check-mode analogue of incremental solution replay.
-    pub fn run_checks_cached(&mut self, cache: &mut CheckCache) -> Vec<BenchChecks> {
-        cache.replayed = 0;
-        let mut out = Vec::with_capacity(self.benches.len());
-        for (bi, b) in self.benches.iter().enumerate() {
-            let hash = alias::fingerprint::fnv64(b.source.as_bytes());
-            let rows = match cache.entries.get(&b.name) {
-                Some((h, rows)) if *h == hash => {
-                    cache.replayed += 1;
-                    rows.clone()
-                }
-                _ => {
-                    let rows = check_bench(b);
-                    cache.entries.insert(b.name.clone(), (hash, rows.clone()));
-                    rows
-                }
-            };
-            for row in &rows {
-                if let Some(m) = self.report.benchmarks[bi]
-                    .solvers
-                    .iter_mut()
-                    .find(|s| s.analysis == row.solver)
-                {
+    /// Like [`EngineRun::run_checks`], but replays the rows memoized in
+    /// `cache` for benchmarks whose source text and input are unchanged
+    /// since they were last checked — the check-mode analogue of
+    /// incremental solution replay — and memoizes the rest, with their
+    /// [`check_fingerprint`], in the benchmarks' entries.
+    pub fn run_checks_cached(&mut self, cache: &mut SummaryCache) -> Vec<BenchChecks> {
+        let checks = self.benches.iter().map(|b| cache.checks(b)).collect();
+        self.attach_checks(checks)
+    }
+
+    fn attach_checks(&mut self, checks: Vec<BenchChecks>) -> Vec<BenchChecks> {
+        for (report, bc) in self.report.benchmarks.iter_mut().zip(&checks) {
+            for row in &bc.rows {
+                if let Some(m) = report.solvers.iter_mut().find(|s| s.analysis == row.solver) {
                     m.checks = Some(metrics_of(row));
                 }
             }
-            out.push(BenchChecks {
+        }
+        checks
+    }
+}
+
+impl SummaryCache {
+    /// `b`'s check rows, replayed from its entry when they were labelled
+    /// under the same source and input, else run and memoized there.
+    fn checks(&mut self, b: &BenchOutput) -> BenchChecks {
+        let source_hash = fnv64(b.source.as_bytes());
+        let memo = self.get(&b.name).and_then(|e| e.checks.as_ref());
+        if let Some(rows) = memo
+            .filter(|c| c.source_hash == source_hash && c.input == b.input)
+            .and_then(|c| c.rows.clone())
+        {
+            return BenchChecks {
                 name: b.name.clone(),
                 rows,
+            };
+        }
+        let bc = check_bench(b);
+        if let Some(e) = self.entry_mut(&b.name) {
+            e.checks = Some(EntryChecks {
+                source_hash,
+                input: b.input.clone(),
+                rows: Some(bc.rows.clone()),
+                fp: check_fingerprint(b, &bc),
             });
         }
-        out
+        bc
     }
+}
+
+/// FNV-64 over one benchmark's diagnostics under every solver — the
+/// byte-identity currency for check results across daemon restarts.
+pub fn check_fingerprint(b: &BenchOutput, bc: &BenchChecks) -> u64 {
+    let mut h = Fnv64::new();
+    for row in &bc.rows {
+        h.write_str(&row.solver);
+        h.write_str(&diagnostics_value(b, bc, &row.solver).render());
+    }
+    h.finish()
 }
 
 /// Renders one benchmark's diagnostics (under `analysis`) with source
@@ -289,12 +312,12 @@ mod tests {
     #[test]
     fn check_rows_attach_to_report_and_replay_from_cache() {
         let e = Engine::new().threads(2);
-        let mut run = e.run(&Job::named(&["span"])).unwrap();
-        let mut cache = CheckCache::default();
+        let mut cache = e.cache();
+        let jobs = Job::named(&["span"]);
+        let mut run = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
         let checks = run.run_checks_cached(&mut cache);
         assert_eq!(checks.len(), 1);
         assert_eq!(checks[0].rows.len(), 5);
-        assert_eq!(cache.replayed, 0);
         assert!(
             !checks[0].any_refuted(),
             "span must have no oracle-refuted diagnostics"
@@ -311,12 +334,15 @@ mod tests {
         assert!(solvers
             .iter()
             .all(|s| s.get("checks").and_then(|c| c.get("diags")).is_some()));
+        let fp = check_fingerprint(&run.benches[0], &checks[0]);
+        assert_eq!(cache.get("span").and_then(|e| e.check_fp()), Some(fp));
 
-        // Unchanged source: the second pass answers from cache.
-        let mut run2 = e.run(&Job::named(&["span"])).unwrap();
+        // Unchanged source and input: the second pass replays the rows
+        // memoized in the entry.
+        let mut run2 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
         let again = run2.run_checks_cached(&mut cache);
-        assert_eq!(cache.replayed, 1);
         assert_eq!(again[0].rows[0].counts, checks[0].rows[0].counts);
+        assert_eq!(cache.get("span").and_then(|e| e.check_fp()), Some(fp));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::report::IncrementalStats;
 use crate::{compose, pool, BenchOutput, Engine, EngineReport, EngineRun, Job, Solved};
 use alias::ci::CiResult;
 use alias::fingerprint::{fnv64, GraphIndex};
-use alias::solver::SolutionBox;
+use alias::solver::{solution_fingerprint, Solution, SolutionBox};
 use alias::summary::{ResumeStats, SolverSummaries};
 use alias::{AnalysisError, Fault, HeapNaming};
 use std::collections::HashMap;
@@ -184,22 +184,31 @@ impl SolveMode {
     }
 }
 
-/// What [`SummaryCache::summaries_of`] hands a persistent store: the
-/// source hash and graph fingerprint one benchmark's summaries were
-/// extracted under, plus the per-solver summary maps themselves.
-pub type StoredSummaries = (u64, u64, HashMap<String, Arc<SolverSummaries>>);
+/// One solver's memoized fingerprints: `(analysis, canonical solution
+/// fingerprint, pair count)`, `None` where the solve failed (or, in an
+/// entry restored from a store, where the pair count was not kept).
+pub type SolverFps = (String, Option<u64>, Option<u64>);
 
-/// One benchmark's memoized artifacts from a previous run.
-struct ProgramEntry {
-    source_hash: u64,
-    graph_fp: u64,
+/// One benchmark's record in a [`SummaryCache`]: the job it was last
+/// analyzed for, its memoized summaries and solutions, and the
+/// fingerprints and check rows derived from them.
+pub struct ProgramEntry {
+    /// The job's source text.
+    pub source: String,
+    /// The job's interpreter input. The analysis ignores it; only the
+    /// checker oracle runs on it.
+    pub input: Vec<u8>,
+    /// FNV-64 of `source`.
+    pub source_hash: u64,
+    /// VDG content fingerprint.
+    pub graph_fp: u64,
     /// Memoized per-solver summaries by [`Solver::name`]. Matching
     /// stays content-addressed — a summary seeds a next-graph function
     /// only when its recorded fingerprint (which hashes the name and
     /// full VDG shape) matches — but the planners also need the
     /// *unmatched* summaries, to invalidate the callees of edited and
     /// deleted functions.
-    summaries: HashMap<String, Arc<SolverSummaries>>,
+    pub summaries: HashMap<String, Arc<SolverSummaries>>,
     /// In-memory artifacts, present for entries absorbed from a live
     /// run. `None` for entries restored from a disk store, which carry
     /// only the summaries: a restored entry cannot replay at tiers 1–2
@@ -207,6 +216,67 @@ struct ProgramEntry {
     /// solver's tier-3 resume, which with an unchanged graph re-solves
     /// an empty dirty cone instead of the whole program.
     arts: Option<EntryArtifacts>,
+    /// Per-solver fingerprints in the run's solver order, filled on
+    /// first use ([`SummaryCache::fingerprinted`]) and kept across
+    /// tier-1 and tier-2 replays: a replayed solution is the one
+    /// fingerprinted before. A tier-3 re-solve clears it.
+    pub fps: Option<Vec<SolverFps>>,
+    /// The oracle-labelled check rows (see [`crate::check`]).
+    pub(crate) checks: Option<EntryChecks>,
+}
+
+/// The check memo of a [`ProgramEntry`]. It is valid only while the
+/// entry's source hash and input are the ones the rows were labelled
+/// under: the oracle runs the program on that input.
+pub(crate) struct EntryChecks {
+    pub(crate) source_hash: u64,
+    pub(crate) input: Vec<u8>,
+    /// Per-solver rows; `None` in an entry restored from a store, which
+    /// keeps only the fingerprint.
+    pub(crate) rows: Option<Vec<checker::PrecisionRow>>,
+    /// [`crate::check::check_fingerprint`] of the rows.
+    pub(crate) fp: u64,
+}
+
+impl ProgramEntry {
+    /// The diagnostics fingerprint of the entry's current source and
+    /// input, when a check labelled them.
+    pub fn check_fp(&self) -> Option<u64> {
+        self.checks
+            .as_ref()
+            .filter(|c| c.source_hash == self.source_hash && c.input == self.input)
+            .map(|c| c.fp)
+    }
+
+    /// The lowered graph, in an entry absorbed from a live run.
+    pub fn graph(&self) -> Option<&Graph> {
+        self.arts.as_ref().map(|a| a.graph.as_ref())
+    }
+
+    /// The cached solution of `analysis`, in an entry absorbed from a
+    /// live run whose solve succeeded.
+    pub fn solution(&self, analysis: &str) -> Option<&dyn Solution> {
+        self.arts
+            .as_ref()?
+            .solutions
+            .get(analysis)
+            .map(|s| s.as_ref())
+    }
+}
+
+/// Fingerprints every solution of `b`, in its solver order.
+pub fn solution_fps(b: &BenchOutput) -> Vec<SolverFps> {
+    b.solutions
+        .iter()
+        .map(|s| {
+            let sol = s.solution.as_deref();
+            (
+                s.analysis.clone(),
+                sol.map(|sol| solution_fingerprint(sol, &b.graph)),
+                sol.and_then(|sol| sol.pairs()).map(|p| p as u64),
+            )
+        })
+        .collect()
 }
 
 /// The replay-grade artifacts of a [`ProgramEntry`]: everything tiers
@@ -248,11 +318,26 @@ impl SummaryCache {
         &self.spec_key
     }
 
-    /// Benchmark names with cached artifacts, sorted.
-    pub fn bench_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.entries.keys().cloned().collect();
-        names.sort();
-        names
+    /// One benchmark's entry.
+    pub fn get(&self, name: &str) -> Option<&ProgramEntry> {
+        self.entries.get(name)
+    }
+
+    /// Every entry, by benchmark name, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &ProgramEntry)> {
+        self.entries.iter()
+    }
+
+    pub(crate) fn entry_mut(&mut self, name: &str) -> Option<&mut ProgramEntry> {
+        self.entries.get_mut(name)
+    }
+
+    /// `b`'s entry, with its solution fingerprint memo filled from `b`
+    /// on first use. `None` when `b` was not run through this cache.
+    pub fn fingerprinted(&mut self, b: &BenchOutput) -> Option<&ProgramEntry> {
+        let e = self.entries.get_mut(&b.name)?;
+        e.fps.get_or_insert_with(|| solution_fps(b));
+        Some(e)
     }
 
     /// Order-of-magnitude estimate of this cache's resident memory, in
@@ -288,43 +373,47 @@ impl SummaryCache {
             .sum()
     }
 
-    /// Seeds the cache with per-solver summaries restored from a
-    /// persistent store, keyed to the `source_hash`/`graph_fp` they
-    /// were extracted under. The entry carries no programs or
-    /// solutions, so the next analyze of the benchmark cannot replay
-    /// at tiers 1–2; instead it recompiles and — when the lowered
-    /// graph's fingerprint still matches function-for-function — seeds
-    /// every solver's tier-3 resume from the restored summaries,
+    /// Seeds the cache with `job`'s state restored from a persistent
+    /// store: the per-solver summaries extracted under `graph_fp`, the
+    /// `(analysis, fingerprint)` of each solution, and the check
+    /// fingerprint of `job`'s source and input. The entry carries no
+    /// programs or solutions, so the next analyze of the benchmark
+    /// cannot replay at tiers 1–2; instead it recompiles and — when the
+    /// lowered graph's fingerprint still matches function-for-function —
+    /// seeds every solver's tier-3 resume from the restored summaries,
     /// re-solving an empty dirty cone. The subset-seeding argument
     /// makes the result bit-identical to a from-scratch solve either
     /// way, so a corrupt or stale store can cost time but never
     /// correctness.
     pub fn seed_restored(
         &mut self,
-        name: &str,
-        source_hash: u64,
+        job: Job,
         graph_fp: u64,
         summaries: HashMap<String, Arc<SolverSummaries>>,
+        solution_fps: Vec<(String, Option<u64>)>,
+        check_fp: Option<u64>,
     ) {
+        let source_hash = fnv64(job.source.as_bytes());
+        let checks = check_fp.map(|fp| EntryChecks {
+            source_hash,
+            input: job.input.clone(),
+            rows: None,
+            fp,
+        });
+        let fps = solution_fps.into_iter().map(|(a, fp)| (a, fp, None));
         self.entries.insert(
-            name.to_string(),
+            job.name,
             ProgramEntry {
+                source: job.source,
+                input: job.input,
                 source_hash,
                 graph_fp,
                 summaries,
                 arts: None,
+                fps: Some(fps.collect()),
+                checks,
             },
         );
-    }
-
-    /// The memoized summaries of one benchmark, with the source hash
-    /// and graph fingerprint they were extracted under — everything a
-    /// persistent store needs to rebuild the entry via
-    /// [`SummaryCache::seed_restored`].
-    pub fn summaries_of(&self, name: &str) -> Option<StoredSummaries> {
-        self.entries
-            .get(name)
-            .map(|e| (e.source_hash, e.graph_fp, e.summaries.clone()))
     }
 
     /// Memoizes every benchmark of `run`: per-solver summaries are
@@ -370,9 +459,14 @@ impl SummaryCache {
                     .map(|sol| (s.analysis.clone(), sol.clone_box()))
             })
             .collect();
+        // Check rows survive a re-solve: they are keyed by source and
+        // input, which a restored entry's first analyze leaves as is.
+        let checks = self.entries.remove(&b.name).and_then(|e| e.checks);
         self.entries.insert(
             b.name.clone(),
             ProgramEntry {
+                source: b.source.clone(),
+                input: b.input.clone(),
                 source_hash: fnv64(b.source.as_bytes()),
                 graph_fp: index.graph_fp,
                 summaries,
@@ -382,6 +476,8 @@ impl SummaryCache {
                     ci: Arc::clone(&b.ci),
                     solutions,
                 }),
+                fps: None,
+                checks,
             },
         );
     }
@@ -766,6 +862,11 @@ impl Engine {
                     solutions: Vec::new(),
                 };
                 self.replay_solutions(cache, &mut out, stats);
+                let e = cache
+                    .entries
+                    .get_mut(&job.name)
+                    .expect("matched in stage 1");
+                e.input.clone_from(&job.input);
                 Ok((out, None))
             }
             IncPrep::ReplayGraph {
@@ -793,12 +894,15 @@ impl Engine {
                 // Re-key the entry to the new source text so the next
                 // step of an edit chain replays at tier 1. Equal graph
                 // fingerprints mean id-for-id isomorphism, so the cached
-                // summaries, CI result, and solutions all remain exact —
-                // no re-extraction or re-cloning needed.
+                // summaries, CI result, solutions and their fingerprints
+                // all remain exact — no re-extraction or re-cloning
+                // needed.
                 let e = cache
                     .entries
                     .get_mut(&job.name)
                     .expect("matched in stage 1");
+                e.source.clone_from(&job.source);
+                e.input.clone_from(&job.input);
                 e.source_hash = fnv64(job.source.as_bytes());
                 let a = e.arts.as_mut().expect("tier 2 requires artifacts");
                 a.program = Arc::clone(&out.program);
@@ -911,7 +1015,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alias::solver::solution_fingerprint;
 
     const A: &str = "int g1; int g2; int *gp;\n\
          int *id(int *p) { return p; }\n\
@@ -1067,10 +1170,19 @@ mod tests {
         let mut cache = e.cache();
         let jobs = vec![job("t", A)];
         e.analyze_incremental_with(&mut cache, &jobs).unwrap();
-        let (sh, gfp, sums) = cache.summaries_of("t").expect("absorbed");
-        assert!(sums.len() >= 5, "all five vocabularies extracted");
+        let entry = cache.get("t").expect("absorbed");
+        assert!(
+            entry.summaries.len() >= 5,
+            "all five vocabularies extracted"
+        );
         let mut cache2 = e.cache();
-        cache2.seed_restored("t", sh, gfp, sums);
+        cache2.seed_restored(
+            job("t", A),
+            entry.graph_fp,
+            entry.summaries.clone(),
+            vec![],
+            None,
+        );
         let r = e.analyze_incremental_with(&mut cache2, &jobs).unwrap();
         for s in &r.benches[0].solutions {
             assert!(

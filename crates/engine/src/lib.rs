@@ -50,9 +50,9 @@ pub mod stats;
 pub use campaign::{
     CampaignCase, CampaignConfig, CampaignError, CampaignOutcome, CampaignReport, QuarantineCase,
 };
-pub use check::{BenchChecks, CheckCache};
+pub use check::BenchChecks;
 pub use fuzz::{FuzzConfig, FuzzReport, FuzzViolation, JobOutcome, PlantedFault};
-pub use incremental::{FreshReason, SolveMode, SummaryCache};
+pub use incremental::{FreshReason, ProgramEntry, SolveMode, SummaryCache};
 pub use report::{BenchmarkReport, CheckMetrics, EngineReport, IncrementalStats, SolverMetrics};
 
 use alias::ci::CiResult;

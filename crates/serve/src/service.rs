@@ -7,32 +7,39 @@
 //! serialized, so N interleaved clients observe exactly the answers a
 //! serial caller would.
 //!
-//! Sessions: each named project owns a [`engine::SummaryCache`] (and a
-//! check cache, and the solved [`engine::BenchOutput`]s for demand
-//! queries), isolated from every other project. Under a configured
-//! memory budget the least-recently-used sessions are evicted; their
+//! Sessions: each named project owns a [`engine::SummaryCache`],
+//! isolated from every other project. Its entry per benchmark
+//! ([`engine::ProgramEntry`]) is the one record of that benchmark: the
+//! job, the solved artifacts that answer queries, the solution and
+//! check fingerprints, and the check rows. Under a configured memory
+//! budget the least-recently-used sessions are evicted; their
 //! disk-store state survives, so the next request warm-starts instead
 //! of cold-starting.
 //!
-//! Persistence is write-through: after every analyze/check the
-//! project's summaries, solution fingerprints, and check fingerprints
-//! go to the [`crate::store::Store`]. A restored session seeds the
-//! tier-3 CI resume from the stored summaries; the engine recompiles
-//! and re-verifies everything, so a corrupt or stale store can cost
-//! time, never correctness.
+//! Persistence is write-through: after every analyze/check that changed
+//! a persisted field, the project's entries are written to the
+//! [`crate::store::Store`]. A restored session seeds the tier-3 resume
+//! from the stored summaries; the engine recompiles and re-verifies
+//! everything, so a corrupt or stale store can cost time, never
+//! correctness.
 
-use crate::store::{LoadOutcome, Store, StoredBench, StoredProject, StoredSummaries};
+use crate::store::{
+    decode_summaries, encode_summaries, LoadOutcome, Store, StoredBench, StoredProject,
+};
 use alias::fingerprint::{fnv64, stable_base_key, Fnv64, GraphIndex};
-use alias::solver::solution_fingerprint;
 use alias::{DemandConfig, DemandSolution};
-use engine::check::{diagnostics_value, fp_monotone_violation, render_diagnostics, BenchChecks};
-use engine::{BenchOutput, CheckCache, EngineRun, Job, SummaryCache};
+use engine::check::{diagnostics_value, fp_monotone_violation, render_diagnostics};
+use engine::incremental::{solution_fps, SolverFps};
+use engine::{BenchOutput, EngineRun, Job, ProgramEntry, SummaryCache};
 use proto::{
     fp_hex, BenchCheckInfo, BenchFps, JobSpec, ProjectStats, QueryAnswer, QueryKind, Request,
     Response, ServeInfo, SiteInfo, SolverCheck, SolverFp,
 };
 use std::collections::HashMap;
 use std::time::Instant;
+use vdg::graph::{BaseId, Graph, NodeId};
+
+pub use engine::check::check_fingerprint;
 
 /// Configuration for a [`Service`].
 #[derive(Default)]
@@ -48,29 +55,19 @@ pub struct ServiceOptions {
 /// One project's in-memory session.
 struct Session {
     cache: SummaryCache,
-    check_cache: CheckCache,
-    /// Last solved outputs by benchmark name, for demand queries.
-    benches: HashMap<String, BenchOutput>,
-    /// Persisted view of each benchmark, rebuilt on every analyze.
-    stored: HashMap<String, StoredBench>,
+    /// Benchmarks restored from disk that no analyze or check has
+    /// touched yet, in their raw on-disk form. The first request naming
+    /// one decodes its summaries and moves it into `cache`; a save
+    /// re-emits the rest verbatim. A session that only fields demand
+    /// queries never pays for decoding at all.
+    untouched: HashMap<String, StoredBench>,
     last_used: Instant,
     /// Whether this session was seeded from the disk store.
     restored: bool,
-    /// Whether `stored` has diverged from the disk store since the last
-    /// successful save. A pure-replay request leaves it clear, so warm
-    /// requests skip the store write entirely.
+    /// Whether a persisted field has changed since the last successful
+    /// save. A pure-replay request leaves it clear, so warm requests
+    /// skip the store write entirely.
     dirty: bool,
-    /// Memoized per-solver fingerprints and pair counts, keyed by
-    /// benchmark name and guarded by (source_fp, graph_fp). Solutions
-    /// are a deterministic function of the source, so a replayed bench
-    /// reuses its fingerprints instead of re-walking every solution —
-    /// the dominant cost of a warm analyze response.
-    fps_memo: HashMap<String, FpsMemo>,
-    /// Benchmarks restored from disk whose summaries are still raw:
-    /// decoded and seeded into the cache on the first analyze/check
-    /// that touches them, not at session creation (a session that only
-    /// fields demand queries never pays for decoding at all).
-    pending_restore: std::collections::HashSet<String>,
     /// Demand-query state per benchmark: the compiled graph plus the
     /// growing partial solution, for queries that arrive before any
     /// exhaustive analyze.
@@ -86,22 +83,47 @@ struct Session {
     demand_budget_exhausted: u64,
 }
 
+impl Session {
+    /// Moves a benchmark from `untouched` into the cache, decoding its
+    /// summaries — the lazy half of the restore that
+    /// [`Service::ensure_session`] defers.
+    fn touch(&mut self, name: &str) {
+        let Some(b) = self.untouched.remove(name) else {
+            return;
+        };
+        let t = Instant::now();
+        let summaries = decode_summaries(&b.summaries);
+        let job = Job {
+            name: b.name,
+            source: b.source,
+            input: b.input,
+        };
+        self.cache
+            .seed_restored(job, b.graph_fp, summaries, b.solution_fps, b.check_fp);
+        self.restore_us += t.elapsed().as_micros() as u64;
+    }
+
+    /// The source, input and source fingerprint of a benchmark this
+    /// session knows, from the cache or the untouched restored benches.
+    fn known(&self, bench: &str) -> Option<(&str, &[u8], u64)> {
+        match self.cache.get(bench) {
+            Some(e) => Some((&e.source, &e.input, e.source_hash)),
+            None => self
+                .untouched
+                .get(bench)
+                .map(|b| (b.source.as_str(), b.input.as_slice(), b.source_fp)),
+        }
+    }
+}
+
 /// One benchmark's demand-query state (see [`Session::demand`]).
 struct DemandBench {
     /// FNV-64 of `source`; a query resolving to different source text
     /// (edited store entry, different inline job) rebuilds the state.
     source_fp: u64,
     source: String,
-    graph: vdg::graph::Graph,
+    graph: Graph,
     sol: DemandSolution,
-}
-
-/// Cached fingerprint work for one benchmark (see [`Session::fps_memo`]).
-struct FpsMemo {
-    source_fp: u64,
-    graph_fp: u64,
-    /// Per analysis: (name, solution fingerprint, pair count).
-    solvers: Vec<(String, Option<u64>, Option<u64>)>,
 }
 
 /// The persistent analysis service.
@@ -130,6 +152,22 @@ fn valid_project(name: &str) -> bool {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+}
+
+/// The engine jobs of a request's job list, which must not be empty.
+#[allow(clippy::result_large_err)]
+fn engine_jobs(jobs: &[JobSpec], verb: &str) -> Result<Vec<Job>, Response> {
+    if jobs.is_empty() {
+        return Err(err(format!("{verb}: empty job list")));
+    }
+    Ok(jobs
+        .iter()
+        .map(|j| Job {
+            name: j.name.clone(),
+            source: j.source.clone(),
+            input: j.input.clone(),
+        })
+        .collect())
 }
 
 impl Service {
@@ -193,9 +231,8 @@ impl Service {
     }
 
     /// Fetches or creates a project's session. A new session whose
-    /// project has compatible disk-store state is seeded with the
-    /// stored summaries, so its first analyze resumes instead of
-    /// re-solving.
+    /// project has compatible disk-store state holds the stored
+    /// benchmarks, so its first analyze resumes instead of re-solving.
     // The error arm intentionally carries the full typed Response.
     #[allow(clippy::result_large_err)]
     fn ensure_session(&mut self, project: &str) -> Result<(), Response> {
@@ -207,14 +244,10 @@ impl Service {
         if !self.sessions.contains_key(project) {
             let mut session = Session {
                 cache: self.engine.cache(),
-                check_cache: CheckCache::default(),
-                benches: HashMap::new(),
-                stored: HashMap::new(),
+                untouched: HashMap::new(),
                 last_used: Instant::now(),
                 restored: false,
                 dirty: false,
-                fps_memo: HashMap::new(),
-                pending_restore: std::collections::HashSet::new(),
                 demand: HashMap::new(),
                 restore_us: 0,
                 demand_hits: 0,
@@ -227,11 +260,9 @@ impl Service {
                     if p.spec_key == session.cache.spec_key() {
                         // Summaries stay raw here; the first analyze or
                         // check touching a bench decodes and seeds it
-                        // (see seed_pending).
-                        for b in p.benches {
-                            session.pending_restore.insert(b.name.clone());
-                            session.stored.insert(b.name.clone(), b);
-                        }
+                        // (see Session::touch).
+                        session.untouched =
+                            p.benches.into_iter().map(|b| (b.name.clone(), b)).collect();
                         session.restored = true;
                     }
                     // A spec-key mismatch silently cold-starts: the
@@ -249,24 +280,50 @@ impl Service {
         Ok(())
     }
 
-    /// Decodes and seeds the stored summaries of any of `names` this
-    /// session restored from disk but has not yet touched — the lazy
-    /// half of the restore that [`Service::ensure_session`] defers.
-    fn seed_pending<'n>(session: &mut Session, names: impl Iterator<Item = &'n str>) {
-        for name in names {
-            if !session.pending_restore.remove(name) {
-                continue;
-            }
-            let Some(b) = session.stored.get_mut(name) else {
-                continue;
-            };
-            let t = Instant::now();
-            let summaries = b.summaries.decode_fresh();
-            session
-                .cache
-                .seed_restored(&b.name, b.source_fp, b.graph_fp, summaries);
-            session.restore_us += t.elapsed().as_micros() as u64;
+    /// Runs `jobs` incrementally in `project`'s session and lets
+    /// `respond` build the answer from the run. Then marks the session
+    /// dirty if any job changed a persisted field of its benchmark,
+    /// writes the project through, and enforces the memory budget.
+    fn run_jobs(
+        &mut self,
+        project: &str,
+        jobs: &[JobSpec],
+        verb: &str,
+        respond: impl FnOnce(&mut Session, &mut EngineRun) -> Response,
+    ) -> Response {
+        let engine_jobs = match engine_jobs(jobs, verb) {
+            Ok(j) => j,
+            Err(e) => return e,
+        };
+        if let Err(e) = self.ensure_session(project) {
+            return e;
         }
+        let session = self.sessions.get_mut(project).expect("ensured above");
+        for j in jobs {
+            session.touch(&j.name);
+        }
+        let before: Vec<Option<u64>> = jobs
+            .iter()
+            .map(|j| session.cache.get(&j.name).map(persisted_key))
+            .collect();
+        let mut run = match self
+            .engine
+            .analyze_incremental_with(&mut session.cache, &engine_jobs)
+        {
+            Ok(r) => r,
+            Err(e) => return err(format!("{verb}: {e}")),
+        };
+        let resp = respond(session, &mut run);
+        for (b, before) in run.benches.iter().zip(before) {
+            let after = session.cache.fingerprinted(b).map(persisted_key);
+            session.dirty |= after != before;
+            // The solved entry supersedes any demand-query state (and
+            // answers future queries by lookup).
+            session.demand.remove(&b.name);
+        }
+        self.persist(project);
+        self.enforce_budget(project);
+        resp
     }
 
     fn analyze(
@@ -277,25 +334,22 @@ impl Service {
         want_report: bool,
     ) -> Response {
         let t0 = Instant::now();
-        if jobs.is_empty() {
-            return err("analyze: empty job list");
-        }
-        let engine_jobs: Vec<Job> = jobs
-            .iter()
-            .map(|j| {
-                let mut job = Job::new(&j.name, &j.source);
-                job.input = j.input.clone();
-                job
-            })
-            .collect();
         if fresh {
             // Cache-bypassing cross-check: solve from scratch without
             // touching (or requiring) the session.
-            let run = match self.engine.run(&engine_jobs) {
-                Ok(r) => r,
-                Err(e) => return err(format!("analyze: {e}")),
+            let run = match engine_jobs(jobs, "analyze").map(|jobs| self.engine.run(&jobs)) {
+                Ok(Ok(r)) => r,
+                Ok(Err(e)) => return err(format!("analyze: {e}")),
+                Err(e) => return e,
             };
-            let benches = run.benches.iter().map(|b| bench_fps(b, None)).collect();
+            let benches = run
+                .benches
+                .iter()
+                .map(|b| {
+                    let graph_fp = GraphIndex::build(&b.graph).graph_fp;
+                    bench_fps(b, fnv64(b.source.as_bytes()), graph_fp, &solution_fps(b))
+                })
+                .collect();
             return Response::Analyzed {
                 project: project.to_string(),
                 benches,
@@ -308,120 +362,31 @@ impl Service {
                 },
             };
         }
-        if let Err(e) = self.ensure_session(project) {
-            return e;
-        }
-        let session = self.sessions.get_mut(project).expect("ensured above");
-        let restored = session.restored;
-        Self::seed_pending(session, jobs.iter().map(|j| j.name.as_str()));
-        let engine = &self.engine;
-        let mut run = match engine.analyze_incremental_with(&mut session.cache, &engine_jobs) {
-            Ok(r) => r,
-            Err(e) => return err(format!("analyze: {e}")),
-        };
-        let mut serve = serve_info(&run, restored);
-        serve.latency_us = t0.elapsed().as_micros() as u64;
-        serve.demand_hits = session.demand_hits;
-        serve.demand_fallbacks = session.demand_fallbacks;
-        serve.demand_budget_exhausted = session.demand_budget_exhausted;
-        serve.restore_us = session.restore_us;
-        run.report.serve = Some(serve.clone());
-        // (source_fp, graph_fp) per bench, from the cache when it has
-        // the entry (it was just computed there).
-        let keys: Vec<(u64, u64)> = run
-            .benches
-            .iter()
-            .map(|b| match session.cache.summaries_of(&b.name) {
-                Some((s, g, _)) => (s, g),
-                None => (
-                    fnv64(b.source.as_bytes()),
-                    GraphIndex::build(&b.graph).graph_fp,
-                ),
-            })
-            .collect();
-        let benches: Vec<BenchFps> = run
-            .benches
-            .iter()
-            .zip(&keys)
-            .map(|(b, &(source_fp, graph_fp))| {
-                bench_fps_memo(b, source_fp, graph_fp, &mut session.fps_memo)
-            })
-            .collect();
-        // Refresh the persisted view of every benchmark this request
-        // touched, then write the project through to disk — but only if
-        // something actually changed. A pure tier-1 replay must not pay
-        // for cloning summary maps or rewriting the store file; that
-        // write-through cost would otherwise dominate warm latency.
-        for ((b, fps), &(source_fp, graph_fp)) in run.benches.iter().zip(&benches).zip(&keys) {
-            let solution_fps: Vec<(String, Option<u64>)> = fps
-                .solvers
+        self.run_jobs(project, jobs, "analyze", |session, run| {
+            let mut serve = serve_info(run, session.restored);
+            serve.latency_us = t0.elapsed().as_micros() as u64;
+            serve.demand_hits = session.demand_hits;
+            serve.demand_fallbacks = session.demand_fallbacks;
+            serve.demand_budget_exhausted = session.demand_budget_exhausted;
+            serve.restore_us = session.restore_us;
+            run.report.serve = Some(serve.clone());
+            let benches = run
+                .benches
                 .iter()
-                .map(|s| {
-                    (
-                        s.analysis.clone(),
-                        s.fp.as_deref().and_then(proto::parse_fp_hex),
-                    )
+                .map(|b| {
+                    let e = session.cache.fingerprinted(b).expect("run absorbed");
+                    let fps = e.fps.as_deref().expect("filled above");
+                    bench_fps(b, e.source_hash, e.graph_fp, fps)
                 })
                 .collect();
-            let prev = session.stored.get(&b.name);
-            // Checks are keyed by source and input; an edit invalidates
-            // the stored check fingerprint.
-            let check_fp = prev.and_then(|old| {
-                old.check_fp
-                    .filter(|_| old.source == b.source && old.input == b.input)
-            });
-            // Summaries are content-addressed by per-function
-            // fingerprint: matching source and graph fingerprints imply
-            // matching summaries, so an entry that agrees on every
-            // cheap field needs no rebuild.
-            let unchanged = prev.is_some_and(|old| {
-                old.source_fp == source_fp
-                    && old.graph_fp == graph_fp
-                    && old.source == b.source
-                    && old.input == b.input
-                    && old.solution_fps == solution_fps
-                    && old.check_fp == check_fp
-            });
-            if unchanged {
-                continue;
+            Response::Analyzed {
+                project: project.to_string(),
+                benches,
+                report_fp: fp_hex(fnv64(run.report.fingerprint().as_bytes())),
+                report: want_report.then(|| run.report.to_value()),
+                serve,
             }
-            let summaries = session
-                .cache
-                .summaries_of(&b.name)
-                .map(|(_, _, m)| m)
-                .unwrap_or_default();
-            session.stored.insert(
-                b.name.clone(),
-                StoredBench {
-                    name: b.name.clone(),
-                    source: b.source.clone(),
-                    input: b.input.clone(),
-                    source_fp,
-                    graph_fp,
-                    solution_fps,
-                    summaries: StoredSummaries::Ready(summaries),
-                    check_fp,
-                },
-            );
-            session.dirty = true;
-        }
-        let report_fp = fp_hex(fnv64(run.report.fingerprint().as_bytes()));
-        let report = want_report.then(|| run.report.to_value());
-        for b in run.benches {
-            // The solved output supersedes any demand-query state (and
-            // answers future queries by lookup).
-            session.demand.remove(&b.name);
-            session.benches.insert(b.name.clone(), b);
-        }
-        self.persist(project);
-        self.enforce_budget(project);
-        Response::Analyzed {
-            project: project.to_string(),
-            benches,
-            report_fp,
-            report,
-            serve,
-        }
+        })
     }
 
     fn check(
@@ -431,89 +396,55 @@ impl Service {
         analysis: &str,
         want_report: bool,
     ) -> Response {
-        if jobs.is_empty() {
-            return err("check: empty job list");
-        }
-        let engine_jobs: Vec<Job> = jobs
-            .iter()
-            .map(|j| {
-                let mut job = Job::new(&j.name, &j.source);
-                job.input = j.input.clone();
-                job
-            })
-            .collect();
-        if let Err(e) = self.ensure_session(project) {
-            return e;
-        }
-        let session = self.sessions.get_mut(project).expect("ensured above");
-        Self::seed_pending(session, jobs.iter().map(|j| j.name.as_str()));
-        let engine = &self.engine;
-        let mut run = match engine.analyze_incremental_with(&mut session.cache, &engine_jobs) {
-            Ok(r) => r,
-            Err(e) => return err(format!("check: {e}")),
-        };
-        let checks = run.run_checks_cached(&mut session.check_cache);
-        let benches: Vec<BenchCheckInfo> = run
-            .benches
-            .iter()
-            .zip(&checks)
-            .map(|(b, bc)| BenchCheckInfo {
-                name: b.name.clone(),
-                table: checker::render_table(&bc.rows),
-                rendered: render_diagnostics(b, bc, analysis),
-                diags: diagnostics_value(b, bc, analysis),
-                solvers: bc
-                    .rows
-                    .iter()
-                    .map(|r| SolverCheck {
-                        analysis: r.solver.clone(),
-                        diags: r.counts.by_kind.iter().map(|&d| d as u64).collect(),
-                        true_positives: r.counts.true_positives as u64,
-                        false_positives: r.counts.false_positives as u64,
-                        unreachable: r.counts.unreachable as u64,
-                        refuted: r.refuted.is_some(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        // Per-bench diagnostics fingerprints feed both the response's
-        // combined check_fp and the persisted per-bench check_fp.
-        let mut combined = Fnv64::new();
-        for (b, bc) in run.benches.iter().zip(&checks) {
-            let bench_fp = check_fingerprint(b, bc);
-            combined.write_str(&b.name);
-            combined.write_u64(bench_fp);
-            if let Some(stored) = session.stored.get_mut(&b.name) {
-                if stored.check_fp != Some(bench_fp) {
-                    stored.check_fp = Some(bench_fp);
-                    session.dirty = true;
-                }
+        self.run_jobs(project, jobs, "check", |session, run| {
+            let checks = run.run_checks_cached(&mut session.cache);
+            let benches: Vec<BenchCheckInfo> = run
+                .benches
+                .iter()
+                .zip(&checks)
+                .map(|(b, bc)| BenchCheckInfo {
+                    name: b.name.clone(),
+                    table: checker::render_table(&bc.rows),
+                    rendered: render_diagnostics(b, bc, analysis),
+                    diags: diagnostics_value(b, bc, analysis),
+                    solvers: bc
+                        .rows
+                        .iter()
+                        .map(|r| SolverCheck {
+                            analysis: r.solver.clone(),
+                            diags: r.counts.by_kind.iter().map(|&d| d as u64).collect(),
+                            true_positives: r.counts.true_positives as u64,
+                            false_positives: r.counts.false_positives as u64,
+                            unreachable: r.counts.unreachable as u64,
+                            refuted: r.refuted.is_some(),
+                        })
+                        .collect(),
+                })
+                .collect();
+            // The per-bench diagnostics fingerprints, memoized in the
+            // entries beside the rows, combine into the response's.
+            let mut combined = Fnv64::new();
+            for b in &run.benches {
+                let fp = session.cache.get(&b.name).and_then(ProgramEntry::check_fp);
+                combined.write_str(&b.name);
+                combined.write_u64(fp.expect("checked above"));
             }
-        }
-        let refuted: Vec<String> = run
-            .benches
-            .iter()
-            .zip(&checks)
-            .filter(|(_, bc)| bc.any_refuted())
-            .map(|(b, _)| b.name.clone())
-            .collect();
-        let monotone_violation = fp_monotone_violation(&checks);
-        let report = want_report.then(|| run.report.to_value());
-        let check_fp = fp_hex(combined.finish());
-        for b in run.benches {
-            session.demand.remove(&b.name);
-            session.benches.insert(b.name.clone(), b);
-        }
-        self.persist(project);
-        self.enforce_budget(project);
-        Response::Checked {
-            project: project.to_string(),
-            benches,
-            check_fp,
-            monotone_violation,
-            refuted,
-            report,
-        }
+            let refuted: Vec<String> = run
+                .benches
+                .iter()
+                .zip(&checks)
+                .filter(|(_, bc)| bc.any_refuted())
+                .map(|(b, _)| b.name.clone())
+                .collect();
+            Response::Checked {
+                project: project.to_string(),
+                benches,
+                check_fp: fp_hex(combined.finish()),
+                monotone_violation: fp_monotone_violation(&checks),
+                refuted,
+                report: want_report.then(|| run.report.to_value()),
+            }
+        })
     }
 
     fn query(
@@ -528,11 +459,15 @@ impl Service {
             return e;
         }
         // The hot path: a CI-vocabulary query against a bench with no
-        // solved output is answered demand-driven — no exhaustive
+        // solved entry is answered demand-driven — no exhaustive
         // fixpoint, microsecond first-query latency. (`demand` names
         // the path explicitly; `ci` takes it because the demand answers
         // are exactly the CI answers.)
-        let solved = self.sessions[project].benches.contains_key(bench);
+        let session = &self.sessions[project];
+        let solved = session
+            .cache
+            .get(bench)
+            .is_some_and(|e| e.graph().is_some());
         if !solved && matches!(analysis, "ci" | "demand") {
             return self.query_demand(project, bench, analysis, query, job);
         }
@@ -541,107 +476,62 @@ impl Service {
         // session may know the bench only from disk (or from the
         // request's inline job): analyze it before answering.
         if !solved {
-            let stored_job = self.sessions[project]
-                .stored
-                .get(bench)
-                .map(|b| JobSpec {
-                    name: b.name.clone(),
-                    source: b.source.clone(),
-                    input: b.input.clone(),
-                })
-                .or_else(|| job.cloned());
-            match stored_job {
-                Some(job) => {
-                    if let Response::Error { message } = self.analyze(project, &[job], false, false)
-                    {
-                        return err(format!("query: demand analyze failed: {message}"));
-                    }
-                }
-                None => {
-                    return err(format!(
-                        "query: benchmark {bench:?} has not been analyzed in project \
-                         {project:?} (send an analyze request first)"
-                    ))
-                }
+            let known = session.known(bench).map(|(source, input, _)| JobSpec {
+                name: bench.to_string(),
+                source: source.to_string(),
+                input: input.to_vec(),
+            });
+            let Some(job) = known.or_else(|| job.cloned()) else {
+                return err(format!(
+                    "query: benchmark {bench:?} has not been analyzed in project \
+                     {project:?} (send an analyze request first)"
+                ));
+            };
+            if let Response::Error { message } = self.analyze(project, &[job], false, false) {
+                return err(format!("query: demand analyze failed: {message}"));
             }
         }
-        if let Err(e) = self.ensure_session(project) {
-            return e;
-        }
-        let session = self.sessions.get_mut(project).expect("ensured above");
-        let b = session.benches.get(bench).expect("analyzed above");
+        let e = self.sessions[project]
+            .cache
+            .get(bench)
+            .expect("analyzed above");
+        let graph = e.graph().expect("analyzed above");
         // "demand" is query vocabulary, not a solved spectrum; its
         // exhaustive twin is plain CI.
         let lookup = if analysis == "demand" { "ci" } else { analysis };
-        let Some(sol) = b.solution(lookup) else {
+        let Some(sol) = e.solution(lookup) else {
             return err(format!(
                 "query: no {lookup:?} solution for {bench:?} (failed solve or unknown analysis)"
             ));
         };
-        let sites = b.graph.indirect_mem_ops();
-        let file = cfront::SourceFile::new(&b.name, &b.source);
-        #[allow(clippy::result_large_err)]
-        let site_info = |i: usize| -> Result<SiteInfo, Response> {
-            let &(node, is_write) = sites.get(i).ok_or_else(|| {
-                err(format!(
-                    "query: site index {i} out of range ({} indirect refs in {bench:?})",
-                    sites.len()
-                ))
-            })?;
-            let lc = file.line_col(b.graph.node(node).span.start);
-            Ok(SiteInfo {
-                index: i,
-                line: lc.line,
-                col: lc.col,
-                kind: if is_write { "write" } else { "read" }.to_string(),
-            })
+        let file = cfront::SourceFile::new(bench, e.source.as_str());
+        let witnesses = |a, b| {
+            // Both sides sorted+deduped by the Solution contract.
+            let bases_b = sol.loc_referent_bases(graph, b);
+            let mut bases = sol.loc_referent_bases(graph, a);
+            bases.retain(|x| bases_b.binary_search(x).is_ok());
+            bases
         };
-        let answer = match *query {
-            QueryKind::MayAlias { a, b: bi } => {
-                let (sa, sb) = match (site_info(a), site_info(bi)) {
-                    (Ok(x), Ok(y)) => (x, y),
-                    (Err(e), _) | (_, Err(e)) => return e,
+        let referents = |node| {
+            // Path-granular when the solver has per-point sets, stable
+            // base keys for the unification baseline.
+            let mut referents: Vec<String> =
+                match (sol.referents_at(graph, node), sol.path_universe()) {
+                    (Some(paths), Some(table)) => {
+                        paths.iter().map(|&p| table.display(p, graph)).collect()
+                    }
+                    _ => sol
+                        .loc_referent_bases(graph, node)
+                        .iter()
+                        .map(|&x| stable_base_key(graph, x))
+                        .collect(),
                 };
-                let bases_a = sol.loc_referent_bases(&b.graph, sites[a].0);
-                let bases_b = sol.loc_referent_bases(&b.graph, sites[bi].0);
-                // Both sides sorted+deduped by the Solution contract.
-                let witnesses: Vec<String> = bases_a
-                    .iter()
-                    .filter(|x| bases_b.binary_search(x).is_ok())
-                    .map(|&x| stable_base_key(&b.graph, x))
-                    .collect();
-                QueryAnswer::MayAlias {
-                    may_alias: !witnesses.is_empty(),
-                    witnesses,
-                    a: sa,
-                    b: sb,
-                }
-            }
-            QueryKind::ReferentsAt { site } => {
-                let info = match site_info(site) {
-                    Ok(x) => x,
-                    Err(e) => return e,
-                };
-                let node = sites[site].0;
-                // Path-granular when the solver has per-point sets,
-                // stable base keys for the unification baseline.
-                let mut referents: Vec<String> =
-                    match (sol.referents_at(&b.graph, node), sol.path_universe()) {
-                        (Some(paths), Some(table)) => {
-                            paths.iter().map(|&p| table.display(p, &b.graph)).collect()
-                        }
-                        _ => sol
-                            .loc_referent_bases(&b.graph, node)
-                            .iter()
-                            .map(|&x| stable_base_key(&b.graph, x))
-                            .collect(),
-                    };
-                referents.sort();
-                QueryAnswer::Referents {
-                    site: info,
-                    referents,
-                }
-            }
+            referents.sort();
+            referents
+        };
+        let answer = match answer(graph, &file, query, witnesses, referents) {
+            Ok(a) => a,
+            Err(e) => return e,
         };
         Response::QueryResult {
             bench: bench.to_string(),
@@ -654,11 +544,11 @@ impl Service {
     /// Answers a query against an unsolved benchmark by demand-driven
     /// search: compile + lower only (no fixpoint), then let the
     /// [`DemandSolution`] activate and solve just the backward slice
-    /// the query touches. The source comes from the persisted store
-    /// when the bench is known there, else from the request's inline
-    /// job. Solved state is memoized per bench, so repeated queries
-    /// widen (never recompute) the solved region; a later exhaustive
-    /// analyze evicts the entry.
+    /// the query touches. The source comes from the session when it
+    /// knows the bench (restored from the store, or a failed analyze),
+    /// else from the request's inline job. Solved state is memoized per
+    /// bench, so repeated queries widen (never recompute) the solved
+    /// region; a later exhaustive analyze evicts the entry.
     fn query_demand(
         &mut self,
         project: &str,
@@ -668,17 +558,15 @@ impl Service {
         job: Option<&JobSpec>,
     ) -> Response {
         let session = self.sessions.get_mut(project).expect("ensured above");
-        let (source, source_fp) = match session.stored.get(bench) {
-            Some(b) => (b.source.clone(), b.source_fp),
-            None => match job {
-                Some(j) => (j.source.clone(), fnv64(j.source.as_bytes())),
-                None => {
-                    return err(format!(
-                        "query: benchmark {bench:?} has not been analyzed in project \
-                         {project:?} (send an analyze request first or include the source)"
-                    ))
-                }
-            },
+        let known = session
+            .known(bench)
+            .map(|(source, _, fp)| (source, fp))
+            .or_else(|| job.map(|j| (j.source.as_str(), fnv64(j.source.as_bytes()))));
+        let Some((source, source_fp)) = known else {
+            return err(format!(
+                "query: benchmark {bench:?} has not been analyzed in project \
+                 {project:?} (send an analyze request first or include the source)"
+            ));
         };
         // (Re)build the demand bench on first touch or source change.
         let stale = session
@@ -686,6 +574,7 @@ impl Service {
             .get(bench)
             .is_none_or(|db| db.source_fp != source_fp);
         if stale {
+            let source = source.to_string();
             let prog = match cfront::compile(&source) {
                 Ok(p) => p,
                 Err(e) => return err(format!("query: compile {bench:?}: {e}")),
@@ -712,56 +601,21 @@ impl Service {
             );
         }
         let db = session.demand.get(bench).expect("inserted above");
-        let sites = db.graph.indirect_mem_ops();
-        let file = cfront::SourceFile::new(bench, &db.source);
-        #[allow(clippy::result_large_err)]
-        let site_info = |i: usize| -> Result<SiteInfo, Response> {
-            let &(node, is_write) = sites.get(i).ok_or_else(|| {
-                err(format!(
-                    "query: site index {i} out of range ({} indirect refs in {bench:?})",
-                    sites.len()
-                ))
-            })?;
-            let lc = file.line_col(db.graph.node(node).span.start);
-            Ok(SiteInfo {
-                index: i,
-                line: lc.line,
-                col: lc.col,
-                kind: if is_write { "write" } else { "read" }.to_string(),
-            })
-        };
+        let graph = &db.graph;
+        let file = cfront::SourceFile::new(bench, db.source.as_str());
         let before = db.sol.stats();
-        let answer = match *query {
-            QueryKind::MayAlias { a, b: bi } => {
-                let (sa, sb) = match (site_info(a), site_info(bi)) {
-                    (Ok(x), Ok(y)) => (x, y),
-                    (Err(e), _) | (_, Err(e)) => return e,
-                };
-                let (may, bases) = db.sol.may_alias(&db.graph, sites[a].0, sites[bi].0);
-                let witnesses: Vec<String> = bases
-                    .iter()
-                    .map(|&x| stable_base_key(&db.graph, x))
-                    .collect();
-                QueryAnswer::MayAlias {
-                    may_alias: may,
-                    witnesses,
-                    a: sa,
-                    b: sb,
-                }
-            }
-            QueryKind::ReferentsAt { site } => {
-                let info = match site_info(site) {
-                    Ok(x) => x,
-                    Err(e) => return e,
-                };
-                let node = sites[site].0;
-                // Already path-granular, display-rendered, and sorted —
-                // byte-identical to the exhaustive CI rendering.
-                QueryAnswer::Referents {
-                    site: info,
-                    referents: db.sol.loc_referents_rendered(&db.graph, node),
-                }
-            }
+        let answer = answer(
+            graph,
+            &file,
+            query,
+            |a, b| db.sol.may_alias(graph, a, b).1,
+            // Already path-granular, display-rendered, and sorted —
+            // byte-identical to the exhaustive CI rendering.
+            |node| db.sol.loc_referents_rendered(graph, node),
+        );
+        let answer = match answer {
+            Ok(a) => a,
+            Err(e) => return e,
         };
         let after = db.sol.stats();
         let hit = after.demand_hits > before.demand_hits;
@@ -813,18 +667,36 @@ impl Service {
         Response::Ok
     }
 
-    /// Writes one project's state through to the disk store. A no-op
-    /// when the session is clean: a replayed request changes nothing,
-    /// so the file on disk is already current.
+    /// Writes one project's state through to the disk store: every
+    /// cache entry, plus the untouched restored benches verbatim. A
+    /// no-op when the session is clean: a replayed request changes
+    /// nothing, so the file on disk is already current.
     fn persist(&mut self, project: &str) {
         let Some(store) = &self.store else { return };
-        let Some(session) = self.sessions.get(project) else {
+        let Some(session) = self.sessions.get_mut(project) else {
             return;
         };
         if !session.dirty {
             return;
         }
-        let mut benches: Vec<StoredBench> = session.stored.values().cloned().collect();
+        let mut benches: Vec<StoredBench> = session.untouched.values().cloned().collect();
+        benches.extend(session.cache.iter().map(|(name, e)| {
+            StoredBench {
+                name: name.clone(),
+                source: e.source.clone(),
+                input: e.input.clone(),
+                source_fp: e.source_hash,
+                graph_fp: e.graph_fp,
+                solution_fps: e
+                    .fps
+                    .iter()
+                    .flatten()
+                    .map(|(a, fp, _)| (a.clone(), *fp))
+                    .collect(),
+                summaries: encode_summaries(&e.summaries),
+                check_fp: e.check_fp(),
+            }
+        }));
         benches.sort_by(|a, b| a.name.cmp(&b.name));
         let state = StoredProject {
             spec_key: session.cache.spec_key().to_string(),
@@ -833,12 +705,8 @@ impl Service {
         // A failed save degrades to colder restarts, not wrong answers;
         // surface it on stderr and keep serving (the session stays
         // dirty, so the next request retries the write).
-        match store.save(project, &state) {
-            Ok(()) => {
-                if let Some(s) = self.sessions.get_mut(project) {
-                    s.dirty = false;
-                }
-            }
+        match store.save(project, state) {
+            Ok(()) => session.dirty = false,
             Err(e) => eprintln!("ruf95 serve: store write failed for {project:?}: {e}"),
         }
     }
@@ -874,76 +742,32 @@ impl Service {
     }
 }
 
-/// Per-benchmark fingerprints for an analyze response. `graph_fp` comes
-/// from the session cache when available (it was just computed there);
-/// fresh cross-check runs rebuild the index.
-fn bench_fps(b: &BenchOutput, cached_graph_fp: Option<u64>) -> BenchFps {
-    let graph_fp = cached_graph_fp.unwrap_or_else(|| GraphIndex::build(&b.graph).graph_fp);
-    BenchFps {
-        name: b.name.clone(),
-        source_fp: fp_hex(fnv64(b.source.as_bytes())),
-        graph_fp: fp_hex(graph_fp),
-        solvers: b
-            .solutions
-            .iter()
-            .map(|s| SolverFp {
-                analysis: s.analysis.clone(),
-                fp: s
-                    .solution
-                    .as_deref()
-                    .map(|sol| fp_hex(solution_fingerprint(sol, &b.graph))),
-                mode: s.mode.as_ref().map(|m| m.render()),
-                pairs: s
-                    .solution
-                    .as_deref()
-                    .and_then(|sol| sol.pairs())
-                    .map(|p| p as u64),
-            })
-            .collect(),
+/// A digest of the fields of `e` a save writes, bar the summaries:
+/// those follow from the graph and the solutions, which the graph and
+/// solution fingerprints pin. Equal digests before and after a request
+/// mean the file on disk is still current.
+fn persisted_key(e: &ProgramEntry) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(e.source_hash);
+    h.write_u64(e.input.len() as u64);
+    h.write(&e.input);
+    h.write_u64(e.graph_fp);
+    let write_opt = |h: &mut Fnv64, fp: Option<u64>| {
+        h.write_u64(u64::from(fp.is_some()));
+        h.write_u64(fp.unwrap_or(0));
+    };
+    for (analysis, fp, _) in e.fps.iter().flatten() {
+        h.write_str(analysis);
+        write_opt(&mut h, *fp);
     }
+    write_opt(&mut h, e.check_fp());
+    h.finish()
 }
 
-/// Like [`bench_fps`], but reuses the session's memoized solution
-/// fingerprints and pair counts when (source_fp, graph_fp) match — a
-/// replayed solution is byte-identical to the one fingerprinted before,
-/// so re-walking it per request would only re-derive the same numbers.
-/// Solver modes are always taken fresh from this run (they describe how
-/// this particular request was satisfied).
-fn bench_fps_memo(
-    b: &BenchOutput,
-    source_fp: u64,
-    graph_fp: u64,
-    memo: &mut HashMap<String, FpsMemo>,
-) -> BenchFps {
-    let hit = memo
-        .get(&b.name)
-        .is_some_and(|m| m.source_fp == source_fp && m.graph_fp == graph_fp);
-    if !hit {
-        memo.insert(
-            b.name.clone(),
-            FpsMemo {
-                source_fp,
-                graph_fp,
-                solvers: b
-                    .solutions
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.analysis.clone(),
-                            s.solution
-                                .as_deref()
-                                .map(|sol| solution_fingerprint(sol, &b.graph)),
-                            s.solution
-                                .as_deref()
-                                .and_then(|sol| sol.pairs())
-                                .map(|p| p as u64),
-                        )
-                    })
-                    .collect(),
-            },
-        );
-    }
-    let m = &memo[&b.name];
+/// Per-benchmark fingerprints for an analyze response: the solver modes
+/// come from this run (they describe how this request was satisfied),
+/// the fingerprints and pair counts from `fps`.
+fn bench_fps(b: &BenchOutput, source_fp: u64, graph_fp: u64, fps: &[SolverFps]) -> BenchFps {
     BenchFps {
         name: b.name.clone(),
         source_fp: fp_hex(source_fp),
@@ -952,16 +776,66 @@ fn bench_fps_memo(
             .solutions
             .iter()
             .map(|s| {
-                let cached = m.solvers.iter().find(|(a, _, _)| *a == s.analysis);
+                let memo = fps.iter().find(|(a, _, _)| *a == s.analysis);
                 SolverFp {
                     analysis: s.analysis.clone(),
-                    fp: cached.and_then(|(_, fp, _)| *fp).map(fp_hex),
+                    fp: memo.and_then(|(_, fp, _)| *fp).map(fp_hex),
                     mode: s.mode.as_ref().map(|m| m.render()),
-                    pairs: cached.and_then(|(_, _, p)| *p),
+                    pairs: memo.and_then(|(_, _, p)| *p),
                 }
             })
             .collect(),
     }
+}
+
+/// Answers `query` about the indirect memory-reference sites of
+/// `graph`, located in `file`: `witnesses(a, b)` gives the sorted bases
+/// both sites' locations may reference, `referents(site)` the rendered
+/// referents of one site's location.
+#[allow(clippy::result_large_err)]
+fn answer(
+    graph: &Graph,
+    file: &cfront::SourceFile,
+    query: &QueryKind,
+    witnesses: impl FnOnce(NodeId, NodeId) -> Vec<BaseId>,
+    referents: impl FnOnce(NodeId) -> Vec<String>,
+) -> Result<QueryAnswer, Response> {
+    let sites = graph.indirect_mem_ops();
+    let site_info = |i: usize| {
+        let &(node, is_write) = sites.get(i).ok_or_else(|| {
+            err(format!(
+                "query: site index {i} out of range ({} indirect refs in {:?})",
+                sites.len(),
+                file.name()
+            ))
+        })?;
+        let lc = file.line_col(graph.node(node).span.start);
+        Ok(SiteInfo {
+            index: i,
+            line: lc.line,
+            col: lc.col,
+            kind: if is_write { "write" } else { "read" }.to_string(),
+        })
+    };
+    Ok(match *query {
+        QueryKind::MayAlias { a, b } => {
+            let (sa, sb) = (site_info(a)?, site_info(b)?);
+            let witnesses: Vec<String> = witnesses(sites[a].0, sites[b].0)
+                .iter()
+                .map(|&x| stable_base_key(graph, x))
+                .collect();
+            QueryAnswer::MayAlias {
+                may_alias: !witnesses.is_empty(),
+                witnesses,
+                a: sa,
+                b: sb,
+            }
+        }
+        QueryKind::ReferentsAt { site } => QueryAnswer::Referents {
+            site: site_info(site)?,
+            referents: referents(sites[site].0),
+        },
+    })
 }
 
 fn serve_info(run: &EngineRun, restored: bool) -> ServeInfo {
@@ -978,15 +852,4 @@ fn serve_info(run: &EngineRun, restored: bool) -> ServeInfo {
         info.funcs_dirty = st.funcs_dirty as u64;
     }
     info
-}
-
-/// FNV-64 over one benchmark's diagnostics under every solver — the
-/// byte-identity currency for check results across daemon restarts.
-pub fn check_fingerprint(b: &BenchOutput, bc: &BenchChecks) -> u64 {
-    let mut h = Fnv64::new();
-    for row in &bc.rows {
-        h.write_str(&row.solver);
-        h.write_str(&diagnostics_value(b, bc, &row.solver).render());
-    }
-    h.finish()
 }

@@ -36,7 +36,7 @@ use engine::envelope::{self, Load};
 use proto::json::Value;
 use proto::{bytes_hex, fp_hex, parse_bytes_hex, parse_fp_hex};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Header magic, first field of every project file.
@@ -68,60 +68,17 @@ pub struct StoredBench {
     /// `(analysis, canonical solution fingerprint)` per solver;
     /// `None` for failed solves.
     pub solution_fps: Vec<(String, Option<u64>)>,
-    /// Memoized per-solver facts, the tier-3 resume seeds. Loaded
-    /// lazily: decoding is the dominant load cost, and a session that
-    /// only fields demand queries never needs the seeds at all.
-    pub summaries: StoredSummaries,
+    /// Memoized per-solver facts, the tier-3 resume seeds: the raw
+    /// `"summaries"` object, one versioned payload per solver
+    /// ([`encode_summaries`]). A load only shape-checks it; a session
+    /// decodes it ([`decode_summaries`]) when a request first touches
+    /// the benchmark, and re-emits it verbatim until then. Decoding is
+    /// the dominant load cost, and a session that only fields demand
+    /// queries never needs the seeds at all.
+    pub summaries: Value,
     /// FNV-64 over the benchmark's per-solver diagnostics, when a
     /// check request ran.
     pub check_fp: Option<u64>,
-}
-
-/// A benchmark's per-solver summaries, decoded on first touch rather
-/// than at load time — `Store::load` used to decode every bench's
-/// summary maps eagerly, which made a warm restore *slower* than a cold
-/// solve for a session that then touched one bench.
-#[derive(Debug, Clone)]
-pub enum StoredSummaries {
-    /// Decoded facts by solver name, ready to seed every solver's
-    /// resume.
-    Ready(HashMap<String, Arc<SolverSummaries>>),
-    /// The raw `"summaries"` JSON object as loaded from disk.
-    Raw(Value),
-}
-
-impl Default for StoredSummaries {
-    fn default() -> Self {
-        StoredSummaries::Ready(HashMap::default())
-    }
-}
-
-impl StoredSummaries {
-    /// The decoded per-solver map, decoding (once) if this is still the
-    /// raw disk form. A malformed payload decodes to no entry for that
-    /// solver: the session then cold-solves with it — the store can
-    /// cost time, never correctness.
-    pub fn decoded(&mut self) -> &HashMap<String, Arc<SolverSummaries>> {
-        if let StoredSummaries::Raw(v) = self {
-            let m = decode_summaries(v);
-            *self = StoredSummaries::Ready(m);
-        }
-        match self {
-            StoredSummaries::Ready(m) => m,
-            StoredSummaries::Raw(_) => unreachable!("decoded above"),
-        }
-    }
-
-    /// An owned decoded map, *without* materializing the `Ready` form:
-    /// a raw entry decodes straight into the caller's hands and stays
-    /// raw here, so re-persisting remains a verbatim re-emit and no
-    /// second copy of the maps is kept (or cloned) per bench.
-    pub fn decode_fresh(&self) -> HashMap<String, Arc<SolverSummaries>> {
-        match self {
-            StoredSummaries::Ready(m) => m.clone(),
-            StoredSummaries::Raw(v) => decode_summaries(v),
-        }
-    }
 }
 
 /// A project's full persisted state.
@@ -180,32 +137,13 @@ impl Store {
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
-    pub fn save(&self, project: &str, state: &StoredProject) -> std::io::Result<()> {
+    pub fn save(&self, project: &str, state: StoredProject) -> std::io::Result<()> {
         envelope::save(
             &self.path_of(project),
             STORE_MAGIC,
             STORE_VERSION,
             &encode_project(state),
         )
-    }
-
-    /// Project names with a file in the store, sorted.
-    pub fn projects(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                if let Some(name) = e.file_name().to_str().and_then(|n| n.strip_suffix(".json")) {
-                    out.push(name.to_string());
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -633,10 +571,18 @@ fn decode_payload(v: &Value) -> Option<SolverSummaries> {
     Some(out)
 }
 
+/// Encodes a bench's per-solver summaries as its `"summaries"` object,
+/// solvers sorted by name so the file is byte-stable.
+pub fn encode_summaries(m: &HashMap<String, Arc<SolverSummaries>>) -> Value {
+    let mut names: Vec<&String> = m.keys().collect();
+    names.sort();
+    Value::obj(names.iter().map(|n| (n.as_str(), encode_payload(&m[*n]))))
+}
+
 /// Decodes a bench's full `"summaries"` object (the deferred half of
 /// project loading). A malformed payload drops that solver's entry —
 /// the session then solves it fresh — rather than rejecting the rest.
-fn decode_summaries(v: &Value) -> HashMap<String, Arc<SolverSummaries>> {
+pub fn decode_summaries(v: &Value) -> HashMap<String, Arc<SolverSummaries>> {
     let Some(obj) = v.as_obj() else {
         return HashMap::default();
     };
@@ -645,18 +591,10 @@ fn decode_summaries(v: &Value) -> HashMap<String, Arc<SolverSummaries>> {
         .collect()
 }
 
-fn encode_project(p: &StoredProject) -> Value {
-    let bench = |b: &StoredBench| {
-        let summaries = match &b.summaries {
-            StoredSummaries::Ready(m) => {
-                let mut names: Vec<&String> = m.keys().collect();
-                names.sort();
-                Value::obj(names.iter().map(|n| (n.as_str(), encode_payload(&m[*n]))))
-            }
-            // Never-touched raw form: re-emit verbatim (it round-tripped
-            // the checksum at load).
-            StoredSummaries::Raw(v) => v.clone(),
-        };
+/// Consumes the project so each bench's summaries move into the payload
+/// instead of being copied.
+fn encode_project(p: StoredProject) -> Value {
+    let bench = |b: StoredBench| {
         let solutions = b
             .solution_fps
             .iter()
@@ -674,18 +612,18 @@ fn encode_project(p: &StoredProject) -> Value {
             ("source_fp", fp_hex(b.source_fp).into()),
             ("graph_fp", fp_hex(b.graph_fp).into()),
             ("solutions", solutions),
-            ("summaries", summaries),
+            ("summaries", b.summaries),
             ("check_fp", b.check_fp.map(fp_hex).into()),
         ])
     };
     Value::obj([
         ("spec_key", p.spec_key.as_str().into()),
-        ("benches", p.benches.iter().map(bench).collect()),
+        ("benches", p.benches.into_iter().map(bench).collect()),
     ])
 }
 
 /// Consumes the parsed payload so each bench's `"summaries"` subtree
-/// can be *moved* into [`StoredSummaries::Raw`] — cloning it at load
+/// can be *moved* into [`StoredBench::summaries`] — cloning it at load
 /// time would cost more than the eager decode this laziness replaces.
 fn decode_project(v: Value) -> Option<StoredProject> {
     let spec_key = v.get("spec_key")?.as_str()?.to_string();
@@ -706,11 +644,10 @@ fn decode_bench(b: Value) -> Option<StoredBench> {
         return None;
     };
     // Shape-check only; per-solver decoding is deferred to the first
-    // touch (StoredSummaries::decoded).
+    // touch (decode_summaries).
     let idx = fields.iter().position(|(k, _)| k == "summaries")?;
-    let raw = fields.remove(idx).1;
-    raw.as_obj()?;
-    let summaries = StoredSummaries::Raw(raw);
+    let summaries = fields.remove(idx).1;
+    summaries.as_obj()?;
     let b = Value::Obj(fields);
     let solution_fps = b
         .get("solutions")?
@@ -841,7 +778,7 @@ mod tests {
                 source_fp: 7,
                 graph_fp: u64::MAX,
                 solution_fps: vec![("ci".into(), Some(42)), ("cs".into(), None)],
-                summaries: StoredSummaries::Ready(sample_summaries()),
+                summaries: encode_summaries(&sample_summaries()),
                 check_fp: Some(99),
             }],
         }
@@ -853,16 +790,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
         let p = sample_project();
-        store.save("alpha", &p).unwrap();
-        let LoadOutcome::Loaded(mut q) = store.load("alpha") else {
+        store.save("alpha", p.clone()).unwrap();
+        let LoadOutcome::Loaded(q) = store.load("alpha") else {
             panic!("expected Loaded");
         };
         assert_eq!(q.spec_key, p.spec_key);
         assert_eq!(q.benches.len(), 1);
-        // Loading defers summary decoding; the first touch decodes.
-        assert!(matches!(q.benches[0].summaries, StoredSummaries::Raw(_)));
-        let mut p = p;
-        let (a, b) = (&mut p.benches[0], &mut q.benches[0]);
+        let (a, b) = (&p.benches[0], &q.benches[0]);
         assert_eq!(a.name, b.name);
         assert_eq!(a.source, b.source);
         assert_eq!(a.input, b.input);
@@ -870,13 +804,15 @@ mod tests {
         assert_eq!(a.graph_fp, b.graph_fp);
         assert_eq!(a.solution_fps, b.solution_fps);
         assert_eq!(a.check_fp, b.check_fp);
-        let (sa, sb) = (a.summaries.decoded(), b.summaries.decoded());
+        let (sa, sb) = (
+            decode_summaries(&a.summaries),
+            decode_summaries(&b.summaries),
+        );
         assert_eq!(sa.len(), 5, "one payload per solver");
-        for (solver, expect) in sa {
+        for (solver, expect) in &sa {
             let got = &sb[solver];
             assert_eq!(**expect, **got, "{solver} diverged in the round trip");
         }
-        assert_eq!(store.projects(), vec!["alpha".to_string()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -888,12 +824,12 @@ mod tests {
         let dir = std::env::temp_dir().join("ruf95-store-test-raw-reencode");
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
-        store.save("alpha", &sample_project()).unwrap();
+        store.save("alpha", sample_project()).unwrap();
         let first = std::fs::read_to_string(store.path_of("alpha")).unwrap();
         let LoadOutcome::Loaded(q) = store.load("alpha") else {
             panic!("expected Loaded");
         };
-        store.save("alpha", &q).unwrap();
+        store.save("alpha", q).unwrap();
         let second = std::fs::read_to_string(store.path_of("alpha")).unwrap();
         assert_eq!(first, second);
         let _ = std::fs::remove_dir_all(&dir);
@@ -902,16 +838,15 @@ mod tests {
     #[test]
     fn malformed_summaries_decode_to_empty_not_reject() {
         let mut p = sample_project();
-        p.benches[0].summaries =
-            StoredSummaries::Raw(Value::parse("{\"ci\": {\"vocab\": \"nope\"}}").unwrap());
+        p.benches[0].summaries = Value::parse("{\"ci\": {\"vocab\": \"nope\"}}").unwrap();
         let dir = std::env::temp_dir().join("ruf95-store-test-badsum");
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
-        store.save("alpha", &p).unwrap();
-        let LoadOutcome::Loaded(mut q) = store.load("alpha") else {
+        store.save("alpha", p).unwrap();
+        let LoadOutcome::Loaded(q) = store.load("alpha") else {
             panic!("bad summaries must not reject the whole project");
         };
-        assert!(q.benches[0].summaries.decoded().is_empty());
+        assert!(decode_summaries(&q.benches[0].summaries).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -923,15 +858,15 @@ mod tests {
         let raw = format!(
             "{{\"ci\": {good}, \"cs\": {{\"v\": 1, \"vocab\": \"cs\", \"funcs\": {{}}, \"store\": []}}}}"
         );
-        p.benches[0].summaries = StoredSummaries::Raw(Value::parse(&raw).unwrap());
+        p.benches[0].summaries = Value::parse(&raw).unwrap();
         let dir = std::env::temp_dir().join("ruf95-store-test-payloadver");
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
-        store.save("alpha", &p).unwrap();
-        let LoadOutcome::Loaded(mut q) = store.load("alpha") else {
+        store.save("alpha", p).unwrap();
+        let LoadOutcome::Loaded(q) = store.load("alpha") else {
             panic!("expected Loaded");
         };
-        let decoded = q.benches[0].summaries.decoded();
+        let decoded = decode_summaries(&q.benches[0].summaries);
         assert!(decoded.contains_key("ci"));
         assert!(!decoded.contains_key("cs"));
         let _ = std::fs::remove_dir_all(&dir);

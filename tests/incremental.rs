@@ -148,25 +148,26 @@ fn parallel_and_serial_summary_composition_agree() {
         .expect("parallel run");
     assert_eq!(serial_cache.spec_key(), parallel_cache.spec_key());
     for j in &jobs {
-        let (s_src, s_graph, s_sums) = serial_cache
-            .summaries_of(&j.name)
+        let s = serial_cache
+            .get(&j.name)
             .unwrap_or_else(|| panic!("{}: missing from serial cache", j.name));
-        let (p_src, p_graph, p_sums) = parallel_cache
-            .summaries_of(&j.name)
+        let p = parallel_cache
+            .get(&j.name)
             .unwrap_or_else(|| panic!("{}: missing from parallel cache", j.name));
         assert_eq!(
-            (s_src, s_graph),
-            (p_src, p_graph),
+            (s.source_hash, s.graph_fp),
+            (p.source_hash, p.graph_fp),
             "{}: keys differ",
             j.name
         );
+        let (s_sums, p_sums) = (&s.summaries, &p.summaries);
         assert_eq!(
             s_sums.len(),
             alias::SolverSpec::all().len(),
             "{}: one summary payload per solver",
             j.name
         );
-        for (solver, s) in &s_sums {
+        for (solver, s) in s_sums {
             let p = p_sums
                 .get(solver)
                 .unwrap_or_else(|| panic!("{}: {solver} missing from parallel cache", j.name));

@@ -614,3 +614,136 @@ fn may_alias_is_symmetric_and_witnessed() {
         "witness should name x, got {wit_ab:?}"
     );
 }
+
+// ---------------------------------------------------------------------
+// One record per benchmark: check rows, restores and persistence.
+// ---------------------------------------------------------------------
+
+/// A program whose fault depends on its input: `x` frees `p` before
+/// the store through it, any other byte does not.
+const INPUT_UAF: &str = "int main(void) { int *p; int c; p = malloc(4); c = getchar(); \
+                         if (c == 120) { free(p); } *p = 1; return 0; }";
+
+fn check_req(project: &str, jobs: &[JobSpec]) -> Request {
+    Request::Check {
+        project: project.to_string(),
+        jobs: jobs.to_vec(),
+        analysis: "ci".into(),
+        want_report: false,
+    }
+}
+
+fn input_uaf(input: &[u8]) -> Vec<JobSpec> {
+    vec![JobSpec {
+        name: "uaf".into(),
+        source: INPUT_UAF.into(),
+        input: input.to_vec(),
+    }]
+}
+
+fn solver_counts(resp: &Response) -> Vec<(String, u64, u64)> {
+    match resp {
+        Response::Checked { benches, .. } => benches
+            .iter()
+            .flat_map(|b| &b.solvers)
+            .map(|s| (s.analysis.clone(), s.true_positives, s.false_positives))
+            .collect(),
+        other => panic!("expected Checked, got {other:?}"),
+    }
+}
+
+/// The oracle runs the program on its input, so a check after an
+/// input-only change must label afresh: the session's answer equals a
+/// cold service's.
+#[test]
+fn check_after_an_input_only_change_matches_a_cold_service() {
+    let mut svc = memory_service();
+    svc.handle(&check_req("proj", &input_uaf(b"x")));
+    let warm = svc.handle(&check_req("proj", &input_uaf(b"y")));
+    let cold = memory_service().handle(&check_req("proj", &input_uaf(b"y")));
+    assert_eq!(check_fp_of(&warm), check_fp_of(&cold));
+    assert_eq!(solver_counts(&warm), solver_counts(&cold));
+}
+
+/// A project whose only request was a check is persisted: a restarted
+/// service restores it, seeds its resume, and reproduces the check.
+#[test]
+fn check_only_project_is_persisted() {
+    let dir = temp_dir("check-only");
+    let jobs = suite_jobs(1);
+    let mut svc = service(&dir);
+    let first = check_fp_of(&svc.handle(&check_req("proj", &jobs)));
+    drop(svc);
+
+    let mut svc = service(&dir);
+    match analyze(&mut svc, "proj", &jobs) {
+        Response::Analyzed { serve, .. } => {
+            assert!(serve.restored, "the checked project must restore");
+            assert_eq!(serve.benches_seeded, 1, "{serve:?}");
+        }
+        other => panic!("expected Analyzed, got {other:?}"),
+    }
+    let second = check_fp_of(&svc.handle(&check_req("proj", &jobs)));
+    assert_eq!(first, second);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each benchmark of a project's store file: its name, its source,
+/// and its `"summaries"` subtree, rendered.
+fn stored_benches(dir: &Path) -> Vec<(String, String, String)> {
+    use proto::json::Value;
+    let file = Store::open(dir).expect("open store").path_of("proj");
+    let text = std::fs::read_to_string(file).expect("read store file");
+    let payload = text.lines().nth(1).expect("payload line");
+    let doc = Value::parse(payload).expect("payload parses");
+    let field = |b: &Value, key: &str| b.get(key).and_then(Value::as_str).unwrap().to_string();
+    doc.get("benches")
+        .and_then(Value::as_arr)
+        .expect("benches")
+        .iter()
+        .map(|b| {
+            let summaries = b.get("summaries").expect("summaries").render();
+            (field(b, "name"), field(b, "source"), summaries)
+        })
+        .collect()
+}
+
+/// A restart decodes only what a request touches: after an edit of one
+/// benchmark, the other's stored summaries are re-emitted byte for byte.
+#[test]
+fn untouched_restored_bench_is_re_emitted_verbatim() {
+    let dir = temp_dir("lazy-restore");
+    let jobs = suite_jobs(2);
+    let mut svc = service(&dir);
+    analyze(&mut svc, "proj", &jobs);
+    drop(svc);
+    let before = stored_benches(&dir);
+
+    let mut svc = service(&dir);
+    let mut edited = jobs[0].clone();
+    edited.source = suite::edit::edit_chain(&edited.source, 7, 1)[0]
+        .source
+        .clone();
+    analyze(&mut svc, "proj", &[edited.clone()]);
+    let after = stored_benches(&dir);
+    let find = |benches: &[(String, String, String)], name: &str| {
+        benches
+            .iter()
+            .find(|b| b.0 == name)
+            .unwrap_or_else(|| panic!("{name} missing from the store file"))
+            .clone()
+    };
+    assert_eq!(after.len(), 2);
+    assert_eq!(
+        find(&after, &edited.name).1,
+        edited.source,
+        "edit not saved"
+    );
+    let other = &jobs[1].name;
+    assert_eq!(
+        find(&before, other).2,
+        find(&after, other).2,
+        "{other}'s summaries were re-encoded"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

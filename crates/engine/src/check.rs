@@ -338,11 +338,40 @@ mod tests {
         assert_eq!(cache.get("span").and_then(|e| e.check_fp()), Some(fp));
 
         // Unchanged source and input: the second pass replays the rows
-        // memoized in the entry.
+        // memoized in the entry. Mark the memoized rows so a replay is
+        // told apart from a re-run of the checkers and the oracle.
+        let marked = |rows: &mut Vec<checker::PrecisionRow>| {
+            for r in rows {
+                r.counts.unreachable += 1000;
+            }
+        };
+        let memo = cache.entry_mut("span").unwrap().checks.as_mut().unwrap();
+        marked(memo.rows.as_mut().unwrap());
         let mut run2 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
         let again = run2.run_checks_cached(&mut cache);
-        assert_eq!(again[0].rows[0].counts, checks[0].rows[0].counts);
+        let mut expect = checks[0].rows.clone();
+        marked(&mut expect);
+        assert_eq!(again[0].rows.len(), expect.len());
+        for (a, x) in again[0].rows.iter().zip(&expect) {
+            assert_eq!(
+                a.counts, x.counts,
+                "{}: rows replayed from the entry",
+                a.solver
+            );
+        }
         assert_eq!(cache.get("span").and_then(|e| e.check_fp()), Some(fp));
+
+        // A new input bypasses the memo: the oracle re-runs and the
+        // marked rows are replaced.
+        let mut jobs3 = jobs.clone();
+        jobs3[0].input = b"x".to_vec();
+        let mut run3 = e.analyze_incremental_with(&mut cache, &jobs3).unwrap();
+        let rerun = run3.run_checks_cached(&mut cache);
+        let cold = e.run(&jobs3).unwrap().run_checks();
+        assert_eq!(rerun[0].rows.len(), cold[0].rows.len());
+        for (a, x) in rerun[0].rows.iter().zip(&cold[0].rows) {
+            assert_eq!(a.counts, x.counts, "{}: rows re-run", a.solver);
+        }
     }
 
     #[test]

@@ -285,11 +285,20 @@ impl PathTable {
     /// Appends an offset path to `a` (paper Fig. 1, `+`).
     pub fn append(&mut self, a: PathId, offset: PathId) -> PathId {
         debug_assert!(self.is_offset(offset), "append takes an offset");
-        let mut cur = a;
-        for op in self.ops_of(offset) {
-            cur = self.child(cur, op);
+        self.graft(a, offset, 0)
+    }
+
+    /// Re-interns `p`'s operators below depth `skip` onto `root`, root to
+    /// leaf: the `child` calls a walk over `ops_of(p)[skip..]` would make,
+    /// without collecting the operators first.
+    fn graft(&mut self, root: PathId, p: PathId, skip: u32) -> PathId {
+        let node = &self.nodes[p.0 as usize];
+        if node.depth <= skip {
+            return root;
         }
-        cur
+        let (parent, op) = (node.parent, node.op);
+        let above = self.graft(root, parent.expect("op implies parent"), skip);
+        self.child(above, op.expect("depth implies op"))
     }
 
     /// Prefix subtraction `b − a` (paper Fig. 1, `−`): the offset of `b`
@@ -300,13 +309,7 @@ impl PathTable {
     /// Panics in debug builds if `a` is not a prefix of `b`.
     pub fn subtract(&mut self, b: PathId, a: PathId) -> PathId {
         debug_assert!(self.dom(a, b), "subtract requires dom(a, b)");
-        let ops = self.ops_of(b);
-        let skip = self.depth(a) as usize;
-        let mut cur = Self::EMPTY;
-        for &op in &ops[skip..] {
-            cur = self.child(cur, op);
-        }
-        cur
+        self.graft(Self::EMPTY, b, self.depth(a))
     }
 
     /// Strips a leading operator from an offset path, for aggregate value
@@ -317,15 +320,19 @@ impl PathTable {
         if p == Self::EMPTY {
             return Some(Self::EMPTY);
         }
-        let ops = self.ops_of(p);
-        if ops.first() != Some(&op) {
+        if self.depth(p) == 0 {
             return None;
         }
-        let mut cur = Self::EMPTY;
-        for &o in &ops[1..] {
-            cur = self.child(cur, o);
+        let mut first = p;
+        while self.depth(first) > 1 {
+            first = self.nodes[first.0 as usize]
+                .parent
+                .expect("depth implies parent");
         }
-        Some(cur)
+        if self.nodes[first.0 as usize].op != Some(op) {
+            return None;
+        }
+        Some(self.graft(Self::EMPTY, p, 1))
     }
 
     /// The Cooper "older instances" companion base of `p`'s base, if any.
@@ -335,12 +342,7 @@ impl PathTable {
 
     /// Rebases `p` onto a different base-location, keeping its operators.
     pub fn rebase(&mut self, p: PathId, new_base: BaseId) -> PathId {
-        let ops = self.ops_of(p);
-        let mut cur = self.base_root(new_base);
-        for op in ops {
-            cur = self.child(cur, op);
-        }
-        cur
+        self.graft(self.base_root(new_base), p, 0)
     }
 
     /// Rebuilds the table in *canonical* order: every real base root is

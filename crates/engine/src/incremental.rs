@@ -551,7 +551,8 @@ impl Engine {
     ) -> Result<EngineRun, AnalysisError> {
         let mut cache = self.cache();
         cache.absorb(prev);
-        self.analyze_incremental_with(&mut cache, jobs)
+        // The cache is dropped on return: skip folding this run into it.
+        self.run_incremental(&mut cache, jobs, false)
     }
 
     /// Re-analyzes `jobs` against (and then into) `cache`. On return
@@ -565,6 +566,17 @@ impl Engine {
         &self,
         cache: &mut SummaryCache,
         jobs: &[Job],
+    ) -> Result<EngineRun, AnalysisError> {
+        self.run_incremental(cache, jobs, true)
+    }
+
+    /// The incremental run behind both entry points; `fold` re-summarizes
+    /// the changed benchmarks into `cache` at the end.
+    fn run_incremental(
+        &self,
+        cache: &mut SummaryCache,
+        jobs: &[Job],
+        fold: bool,
     ) -> Result<EngineRun, AnalysisError> {
         let t_run = Instant::now();
         let threads = if self.threads == 0 {
@@ -697,7 +709,7 @@ impl Engine {
         }
 
         // Stage 3 — assemble (driver thread: cached solutions are not
-        // `Sync`), then fold the finished run back into the cache,
+        // `Sync`), then (if `fold`) fold the finished run into the cache,
         // summarizing each fresh solution bottom-up in parallel.
         let mut stats = IncrementalStats::default();
         let mut outputs = Vec::with_capacity(jobs.len());
@@ -707,9 +719,11 @@ impl Engine {
             outputs.push(out);
             indexes.push(index);
         }
-        for (out, index) in outputs.iter().zip(indexes) {
-            if let Some(index) = index {
-                cache.absorb_bench(out, index, threads);
+        if fold {
+            for (out, index) in outputs.iter().zip(indexes) {
+                if let Some(index) = index {
+                    cache.absorb_bench(out, index, threads);
+                }
             }
         }
 

@@ -67,13 +67,9 @@ pub struct EditStep {
 /// no statements at all).
 pub fn apply_random_edit(src: &str, seed: u64) -> Option<EditStep> {
     let mut rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let parsed = parser::parse(lexer::lex(src).ok()?).ok()?;
     for _ in 0..64 {
-        let Ok(tokens) = lexer::lex(src) else {
-            return None;
-        };
-        let Ok(mut prog) = parser::parse(tokens) else {
-            return None;
-        };
+        let mut prog = parsed.clone();
         let kind = match rng.gen_range(0..8) {
             0 | 1 => EditKind::InsertStmt,
             2 | 3 => EditKind::DeleteStmt,

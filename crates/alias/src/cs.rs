@@ -146,7 +146,7 @@ pub struct Assumption {
 }
 
 /// The half-open span `start[i]..start[i + 1]` of a flat table.
-fn span(start: &[usize], i: usize) -> std::ops::Range<usize> {
+pub(crate) fn span(start: &[usize], i: usize) -> std::ops::Range<usize> {
     start[i]..start[i + 1]
 }
 

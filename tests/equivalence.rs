@@ -6,81 +6,105 @@
 //! `flow_outs` unique insertions, both properties of the fixpoint, not
 //! of the order it was reached in).
 //!
-//! The checks run all five analyses over every suite benchmark; the
-//! solvers without a discipline knob (Steensgaard's unification and the
+//! The checks run all five analyses over every suite benchmark and over
+//! the schedule golden's generated and scaling programs; the solvers without a discipline knob (Steensgaard's unification and the
 //! assumption-set CS) ride along to pin down run-to-run determinism.
+
+mod schedule_programs;
 
 use alias::solver::{all_solvers, all_solvers_naive};
 use vdg::build::{lower, BuildOptions};
+use vdg::graph::Graph;
+
+fn graph_of(name: &str, src: &str) -> Graph {
+    let prog = cfront::compile(src).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
+    lower(&prog, &BuildOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"))
+}
+
+/// Every solver reaches the same fixpoint on `graph` under both
+/// disciplines: the same totals, the same fixpoint counters and the same
+/// pairs on every output.
+fn assert_disciplines_agree(name: &str, graph: &Graph) {
+    let delta = all_solvers();
+    let naive = all_solvers_naive();
+    assert_eq!(delta.len(), naive.len());
+    for (d, n) in delta.iter().zip(&naive) {
+        assert_eq!(d.name(), n.name(), "solver lists must stay aligned");
+        let sd = d
+            .solve(graph, None)
+            .unwrap_or_else(|e| panic!("{}: {} (delta) failed: {e:?}", name, d.name()));
+        let sn = n
+            .solve(graph, None)
+            .unwrap_or_else(|e| panic!("{}: {} (naive) failed: {e:?}", name, n.name()));
+        assert_eq!(
+            sd.pairs(),
+            sn.pairs(),
+            "{}: {} pair totals differ across disciplines",
+            name,
+            d.name()
+        );
+        assert_eq!(
+            sd.flow_ins(),
+            sn.flow_ins(),
+            "{}: {} deliveries differ across disciplines",
+            name,
+            d.name()
+        );
+        assert_eq!(
+            sd.flow_outs(),
+            sn.flow_outs(),
+            "{}: {} unique insertions differ across disciplines",
+            name,
+            d.name()
+        );
+        // Pair-for-pair: the canonicalized solutions must agree on
+        // every output, not just in aggregate.
+        if let (Some(pd), Some(pn)) = (sd.as_points_to(), sn.as_points_to()) {
+            for o in graph.output_ids() {
+                assert_eq!(
+                    pd.pairs_at(o),
+                    pn.pairs_at(o),
+                    "{}: {} pairs at output {o} differ across disciplines",
+                    name,
+                    d.name()
+                );
+            }
+        }
+        // The delta discipline must actually be the delta discipline
+        // (and the naive one must not fake the batching counter).
+        if d.name() == "ci" || d.name() == "weihl" || d.name() == "k1" {
+            assert!(
+                sd.delta_batches().is_some(),
+                "{}: {} delta run reports no batches",
+                name,
+                d.name()
+            );
+            assert_eq!(
+                sn.delta_batches(),
+                None,
+                "{}: {} naive run reports batches",
+                name,
+                n.name()
+            );
+        }
+    }
+}
 
 #[test]
 fn naive_and_delta_disciplines_reach_the_same_fixpoint() {
     for b in suite::benchmarks() {
-        let prog = cfront::compile(b.source).unwrap();
-        let graph = lower(&prog, &BuildOptions::default()).unwrap();
-        let delta = all_solvers();
-        let naive = all_solvers_naive();
-        assert_eq!(delta.len(), naive.len());
-        for (d, n) in delta.iter().zip(&naive) {
-            assert_eq!(d.name(), n.name(), "solver lists must stay aligned");
-            let sd = d
-                .solve(&graph, None)
-                .unwrap_or_else(|e| panic!("{}: {} (delta) failed: {e:?}", b.name, d.name()));
-            let sn = n
-                .solve(&graph, None)
-                .unwrap_or_else(|e| panic!("{}: {} (naive) failed: {e:?}", b.name, n.name()));
-            assert_eq!(
-                sd.pairs(),
-                sn.pairs(),
-                "{}: {} pair totals differ across disciplines",
-                b.name,
-                d.name()
-            );
-            assert_eq!(
-                sd.flow_ins(),
-                sn.flow_ins(),
-                "{}: {} deliveries differ across disciplines",
-                b.name,
-                d.name()
-            );
-            assert_eq!(
-                sd.flow_outs(),
-                sn.flow_outs(),
-                "{}: {} unique insertions differ across disciplines",
-                b.name,
-                d.name()
-            );
-            // Pair-for-pair: the canonicalized solutions must agree on
-            // every output, not just in aggregate.
-            if let (Some(pd), Some(pn)) = (sd.as_points_to(), sn.as_points_to()) {
-                for o in graph.output_ids() {
-                    assert_eq!(
-                        pd.pairs_at(o),
-                        pn.pairs_at(o),
-                        "{}: {} pairs at output {o} differ across disciplines",
-                        b.name,
-                        d.name()
-                    );
-                }
-            }
-            // The delta discipline must actually be the delta discipline
-            // (and the naive one must not fake the batching counter).
-            if d.name() == "ci" || d.name() == "weihl" || d.name() == "k1" {
-                assert!(
-                    sd.delta_batches().is_some(),
-                    "{}: {} delta run reports no batches",
-                    b.name,
-                    d.name()
-                );
-                assert_eq!(
-                    sn.delta_batches(),
-                    None,
-                    "{}: {} naive run reports batches",
-                    b.name,
-                    n.name()
-                );
-            }
-        }
+        assert_disciplines_agree(b.name, &graph_of(b.name, b.source));
+    }
+}
+
+/// The schedule golden's programs (`tests/schedule.rs`): generated
+/// programs and scaling shapes, where the two disciplines' schedules
+/// differ most.
+#[test]
+fn schedule_golden_programs_agree_across_disciplines() {
+    for (name, src) in schedule_programs::programs() {
+        assert_disciplines_agree(&name, &graph_of(&name, &src));
     }
 }
 

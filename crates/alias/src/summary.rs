@@ -50,32 +50,6 @@ pub enum Vocab {
     Cs,
 }
 
-impl Vocab {
-    /// Stable machine-readable name, used by the persistent store's
-    /// versioned `SummaryPayload` and by `ruf95 stats`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Vocab::Weihl => "weihl",
-            Vocab::Steens => "steensgaard",
-            Vocab::Ci => "ci",
-            Vocab::K1 => "k1",
-            Vocab::Cs => "cs",
-        }
-    }
-
-    /// Inverse of [`Vocab::name`].
-    pub fn by_name(name: &str) -> Option<Vocab> {
-        Some(match name {
-            "weihl" => Vocab::Weihl,
-            "steensgaard" => Vocab::Steens,
-            "ci" => Vocab::Ci,
-            "k1" => Vocab::K1,
-            "cs" => Vocab::Cs,
-            _ => return None,
-        })
-    }
-}
-
 /// A k=1 calling context in stable vocabulary: the root, or a call site
 /// named by its owning function and node offset within it. `Ord` so
 /// extraction can emit contexts in a canonical order.

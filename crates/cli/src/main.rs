@@ -121,7 +121,7 @@ const COMMANDS: &[Command] = &[
             "--project NAME  session name on the service (default cli)",
             "--json          print the full typed response as JSON",
             "--connect ADDR  send to a running `ruf95 serve` daemon",
-            "--store DIR     persistent summary store for in-process runs",
+            "--store DIR     persistent job store for in-process runs",
         ],
         value_flags: &["project", "connect", "store", "mem-budget", "threads"],
         needs_source: false,
@@ -154,7 +154,7 @@ const COMMANDS: &[Command] = &[
             "--json           print the metrics report and diagnostics as JSON",
             "--project NAME   session name on the service (default cli)",
             "--connect ADDR   send to a running `ruf95 serve` daemon",
-            "--store DIR      persistent summary store for in-process runs",
+            "--store DIR      persistent job store for in-process runs",
         ],
         value_flags: &["analysis", "project", "connect", "store"],
         needs_source: false,
@@ -244,7 +244,7 @@ const COMMANDS: &[Command] = &[
             "--json          print a JSON array of steps (edit, cross-check, report)",
             "--project NAME  session name on the service (default incremental)",
             "--connect ADDR  push the edit chain through a running daemon's session",
-            "--store DIR     persistent summary store for in-process runs",
+            "--store DIR     persistent job store for in-process runs",
         ],
         value_flags: &["edits", "seed", "next", "project", "connect", "store"],
         needs_source: true,
@@ -256,7 +256,7 @@ const COMMANDS: &[Command] = &[
         about: "persistent analysis daemon (JSON over TCP)",
         flag_help: &[
             "--addr HOST:PORT    listen address (default 127.0.0.1:7095)",
-            "--store DIR         persist summaries/fingerprints across restarts",
+            "--store DIR         persist jobs/fingerprints across restarts",
             "--mem-budget BYTES  LRU-evict idle sessions over this estimate (0 = off)",
             "--threads N         worker threads per request, 0 = all cores",
         ],

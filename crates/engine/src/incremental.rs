@@ -102,8 +102,8 @@ pub enum SolveMode {
     /// match).
     Replay,
     /// Resumed from summaries with an *empty* dirty cone: every
-    /// function's facts replayed as seeds (a store-restored entry whose
-    /// graph still fingerprints clean).
+    /// function's facts replayed as seeds (an edit, such as renaming a
+    /// local, that changed the graph fingerprint but no function's).
     Reseeded {
         /// Outputs seeded from the previous summaries.
         seeded_outputs: usize,
@@ -185,8 +185,8 @@ impl SolveMode {
 }
 
 /// One solver's memoized fingerprints: `(analysis, canonical solution
-/// fingerprint, pair count)`, `None` where the solve failed (or, in an
-/// entry restored from a store, where the pair count was not kept).
+/// fingerprint, pair count)`, `None` where the solve failed (or, for
+/// the pair count, where the solver keeps no pairs).
 pub type SolverFps = (String, Option<u64>, Option<u64>);
 
 /// One benchmark's record in a [`SummaryCache`]: the job it was last
@@ -209,13 +209,8 @@ pub struct ProgramEntry {
     /// *unmatched* summaries, to invalidate the callees of edited and
     /// deleted functions.
     pub summaries: HashMap<String, Arc<SolverSummaries>>,
-    /// In-memory artifacts, present for entries absorbed from a live
-    /// run. `None` for entries restored from a disk store, which carry
-    /// only the summaries: a restored entry cannot replay at tiers 1–2
-    /// (there are no cached solutions to hand back) but seeds every
-    /// solver's tier-3 resume, which with an unchanged graph re-solves
-    /// an empty dirty cone instead of the whole program.
-    arts: Option<EntryArtifacts>,
+    /// The live run's artifacts, which tiers 1–2 replay.
+    arts: EntryArtifacts,
     /// Per-solver fingerprints in the run's solver order, filled on
     /// first use ([`SummaryCache::fingerprinted`]) and kept across
     /// tier-1 and tier-2 replays: a replayed solution is the one
@@ -231,8 +226,8 @@ pub struct ProgramEntry {
 pub(crate) struct EntryChecks {
     pub(crate) source_hash: u64,
     pub(crate) input: Vec<u8>,
-    /// Per-solver rows; `None` in an entry restored from a store, which
-    /// keeps only the fingerprint.
+    /// Per-solver rows; `None` when only the fingerprint was restored
+    /// from a store ([`SummaryCache::restore_check_fp`]).
     pub(crate) rows: Option<Vec<checker::PrecisionRow>>,
     /// [`crate::check::check_fingerprint`] of the rows.
     pub(crate) fp: u64,
@@ -248,19 +243,14 @@ impl ProgramEntry {
             .map(|c| c.fp)
     }
 
-    /// The lowered graph, in an entry absorbed from a live run.
-    pub fn graph(&self) -> Option<&Graph> {
-        self.arts.as_ref().map(|a| a.graph.as_ref())
+    /// The lowered graph.
+    pub fn graph(&self) -> &Graph {
+        &self.arts.graph
     }
 
-    /// The cached solution of `analysis`, in an entry absorbed from a
-    /// live run whose solve succeeded.
+    /// The cached solution of `analysis`, when its solve succeeded.
     pub fn solution(&self, analysis: &str) -> Option<&dyn Solution> {
-        self.arts
-            .as_ref()?
-            .solutions
-            .get(analysis)
-            .map(|s| s.as_ref())
+        self.arts.solutions.get(analysis).map(|s| s.as_ref())
     }
 }
 
@@ -312,8 +302,8 @@ impl SummaryCache {
 
     /// The engine solver-spec key this cache's facts were computed
     /// under (the CI spec plus every configured solver spec).
-    /// Persistent stores record it so a restored cache is never seeded
-    /// into an engine with different solver knobs.
+    /// Persistent stores record it so stored fingerprints are only
+    /// compared against an engine with the same solver knobs.
     pub fn spec_key(&self) -> &str {
         &self.spec_key
     }
@@ -356,64 +346,31 @@ impl SummaryCache {
                     .values()
                     .map(|s| 48 * s.fact_rows() + 64 * s.funcs.len() + 64)
                     .sum();
-                let arts = e
-                    .arts
-                    .as_ref()
-                    .map(|a| {
-                        64 * a.graph.node_count()
-                            + 32 * a.graph.output_count()
-                            + a.solutions
-                                .values()
-                                .map(|s| 32 * s.pairs().unwrap_or(a.graph.output_count()) + 256)
-                                .sum::<usize>()
-                    })
-                    .unwrap_or(0);
+                let a = &e.arts;
+                let arts = 64 * a.graph.node_count()
+                    + 32 * a.graph.output_count()
+                    + a.solutions
+                        .values()
+                        .map(|s| 32 * s.pairs().unwrap_or(a.graph.output_count()) + 256)
+                        .sum::<usize>();
                 summaries + arts + 512
             })
             .sum()
     }
 
-    /// Seeds the cache with `job`'s state restored from a persistent
-    /// store: the per-solver summaries extracted under `graph_fp`, the
-    /// `(analysis, fingerprint)` of each solution, and the check
-    /// fingerprint of `job`'s source and input. The entry carries no
-    /// programs or solutions, so the next analyze of the benchmark
-    /// cannot replay at tiers 1–2; instead it recompiles and — when the
-    /// lowered graph's fingerprint still matches function-for-function —
-    /// seeds every solver's tier-3 resume from the restored summaries,
-    /// re-solving an empty dirty cone. The subset-seeding argument
-    /// makes the result bit-identical to a from-scratch solve either
-    /// way, so a corrupt or stale store can cost time but never
-    /// correctness.
-    pub fn seed_restored(
-        &mut self,
-        job: Job,
-        graph_fp: u64,
-        summaries: HashMap<String, Arc<SolverSummaries>>,
-        solution_fps: Vec<(String, Option<u64>)>,
-        check_fp: Option<u64>,
-    ) {
-        let source_hash = fnv64(job.source.as_bytes());
-        let checks = check_fp.map(|fp| EntryChecks {
-            source_hash,
-            input: job.input.clone(),
-            rows: None,
-            fp,
-        });
-        let fps = solution_fps.into_iter().map(|(a, fp)| (a, fp, None));
-        self.entries.insert(
-            job.name,
-            ProgramEntry {
-                source: job.source,
-                input: job.input,
-                source_hash,
-                graph_fp,
-                summaries,
-                arts: None,
-                fps: Some(fps.collect()),
-                checks,
-            },
-        );
+    /// Records `fp`, which a store persisted for the source and input
+    /// `name`'s entry holds now, as that entry's check fingerprint. The
+    /// rows are not restored: a check request re-runs the checkers once
+    /// to render them.
+    pub fn restore_check_fp(&mut self, name: &str, fp: u64) {
+        if let Some(e) = self.entries.get_mut(name) {
+            e.checks = Some(EntryChecks {
+                source_hash: e.source_hash,
+                input: e.input.clone(),
+                rows: None,
+                fp,
+            });
+        }
     }
 
     /// Memoizes every benchmark of `run`: per-solver summaries are
@@ -460,7 +417,7 @@ impl SummaryCache {
             })
             .collect();
         // Check rows survive a re-solve: they are keyed by source and
-        // input, which a restored entry's first analyze leaves as is.
+        // input, which the entry's check memo re-validates on use.
         let checks = self.entries.remove(&b.name).and_then(|e| e.checks);
         self.entries.insert(
             b.name.clone(),
@@ -470,12 +427,12 @@ impl SummaryCache {
                 source_hash: fnv64(b.source.as_bytes()),
                 graph_fp: index.graph_fp,
                 summaries,
-                arts: Some(EntryArtifacts {
+                arts: EntryArtifacts {
                     program: Arc::clone(&b.program),
                     graph: Arc::clone(&b.graph),
                     ci: Arc::clone(&b.ci),
                     solutions,
-                }),
+                },
                 fps: None,
                 checks,
             },
@@ -490,10 +447,6 @@ struct PrevMeta {
     source_hash: u64,
     graph_fp: u64,
     summaries: HashMap<String, Arc<SolverSummaries>>,
-    /// Whether the entry holds cached solutions to replay. Restored
-    /// (summaries-only) entries must skip tiers 1–2 and go straight to
-    /// the seeded resume, whatever the fingerprints say.
-    replayable: bool,
 }
 
 /// Stage-1 product of one benchmark in an incremental run.
@@ -600,7 +553,6 @@ impl Engine {
                     source_hash: e.source_hash,
                     graph_fp: e.graph_fp,
                     summaries: e.summaries.clone(),
-                    replayable: e.arts.is_some(),
                 })
             })
             .collect();
@@ -748,7 +700,7 @@ impl Engine {
     ) -> Result<IncPrep, AnalysisError> {
         let t0 = Instant::now();
         if let Some(m) = meta {
-            if m.replayable && fnv64(job.source.as_bytes()) == m.source_hash {
+            if fnv64(job.source.as_bytes()) == m.source_hash {
                 return Ok(IncPrep::ReplaySource {
                     frontend: t0.elapsed(),
                 });
@@ -764,7 +716,7 @@ impl Engine {
         let graph = Arc::new(graph);
 
         if let Some(m) = meta {
-            if m.replayable && index.unsafe_reason.is_none() && index.graph_fp == m.graph_fp {
+            if index.unsafe_reason.is_none() && index.graph_fp == m.graph_fp {
                 return Ok(IncPrep::ReplayGraph {
                     program,
                     graph,
@@ -862,7 +814,7 @@ impl Engine {
             IncPrep::ReplaySource { frontend } => {
                 stats.benches_replayed += 1;
                 let e = cache.entries.get(&job.name).expect("matched in stage 1");
-                let a = e.arts.as_ref().expect("tier 1 requires artifacts");
+                let a = &e.arts;
                 let mut out = BenchOutput {
                     name: job.name.clone(),
                     source: job.source.clone(),
@@ -891,7 +843,7 @@ impl Engine {
             } => {
                 stats.benches_replayed += 1;
                 let e = cache.entries.get(&job.name).expect("matched in stage 1");
-                let a = e.arts.as_ref().expect("tier 2 requires artifacts");
+                let a = &e.arts;
                 let mut out = BenchOutput {
                     name: job.name.clone(),
                     source: job.source.clone(),
@@ -918,9 +870,8 @@ impl Engine {
                 e.source.clone_from(&job.source);
                 e.input.clone_from(&job.input);
                 e.source_hash = fnv64(job.source.as_bytes());
-                let a = e.arts.as_mut().expect("tier 2 requires artifacts");
-                a.program = Arc::clone(&out.program);
-                a.graph = Arc::clone(&out.graph);
+                e.arts.program = Arc::clone(&out.program);
+                e.arts.graph = Arc::clone(&out.graph);
                 Ok((out, None))
             }
             IncPrep::Solve {
@@ -987,10 +938,9 @@ impl Engine {
         stats: &mut IncrementalStats,
     ) {
         let e = cache.entries.get(&out.name).expect("replay needs an entry");
-        let a = e.arts.as_ref().expect("replay requires artifacts");
         for s in &self.solvers {
             let t = Instant::now();
-            if let Some(sol) = a.solutions.get(s.name()) {
+            if let Some(sol) = e.arts.solutions.get(s.name()) {
                 stats.solutions_replayed += 1;
                 out.solutions.push(Solved {
                     analysis: s.name().to_string(),
@@ -1173,39 +1123,5 @@ mod tests {
             );
         }
         assert_matches_fresh(&e2, &r, &jobs);
-    }
-
-    #[test]
-    fn restored_summaries_reseed_without_artifacts() {
-        // Simulate a disk-store restore: strip the artifacts, keep the
-        // summaries. The next analyze cannot replay, but every solver
-        // resumes an empty dirty cone.
-        let e = Engine::new().threads(1);
-        let mut cache = e.cache();
-        let jobs = vec![job("t", A)];
-        e.analyze_incremental_with(&mut cache, &jobs).unwrap();
-        let entry = cache.get("t").expect("absorbed");
-        assert!(
-            entry.summaries.len() >= 5,
-            "all five vocabularies extracted"
-        );
-        let mut cache2 = e.cache();
-        cache2.seed_restored(
-            job("t", A),
-            entry.graph_fp,
-            entry.summaries.clone(),
-            vec![],
-            None,
-        );
-        let r = e.analyze_incremental_with(&mut cache2, &jobs).unwrap();
-        for s in &r.benches[0].solutions {
-            assert!(
-                matches!(s.mode, Some(SolveMode::Reseeded { .. })),
-                "{}: {:?}",
-                s.analysis,
-                s.mode
-            );
-        }
-        assert_matches_fresh(&e, &r, &jobs);
     }
 }

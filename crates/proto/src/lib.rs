@@ -415,9 +415,12 @@ pub struct ServeInfo {
     pub demand_fallbacks: u64,
     /// Demand queries that exhausted a slice or step budget.
     pub demand_budget_exhausted: u64,
-    /// Microseconds spent restoring this session from the disk store
-    /// (load plus lazy per-bench decode), cumulative.
+    /// Microseconds spent loading this session from the disk store,
+    /// cumulative.
     pub restore_us: u64,
+    /// Stored fingerprints that the cold solve of a restored benchmark
+    /// did not reproduce, cumulative over the session.
+    pub restore_mismatches: u64,
 }
 
 impl ServeInfo {
@@ -440,6 +443,7 @@ impl ServeInfo {
                 self.demand_budget_exhausted.into(),
             ),
             ("restore_us", self.restore_us.into()),
+            ("restore_mismatches", self.restore_mismatches.into()),
         ])
     }
 
@@ -458,6 +462,7 @@ impl ServeInfo {
             demand_fallbacks: n("demand_fallbacks"),
             demand_budget_exhausted: n("demand_budget_exhausted"),
             restore_us: n("restore_us"),
+            restore_mismatches: n("restore_mismatches"),
         }
     }
 }
@@ -1096,6 +1101,7 @@ mod tests {
                 demand_fallbacks: 1,
                 demand_budget_exhausted: 1,
                 restore_us: 250,
+                restore_mismatches: 2,
                 ..ServeInfo::default()
             },
         });

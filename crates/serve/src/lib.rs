@@ -3,9 +3,10 @@
 //! PR 4 made re-analysis incremental inside one process; this crate
 //! makes the process long-lived. Three layers:
 //!
-//! - [`store`]: a versioned, checksummed on-disk cache of per-project
-//!   summaries and fingerprints. Corruption in any form degrades to a
-//!   cold start — the store seeds work, it never substitutes for it.
+//! - [`store`]: a versioned, checksummed on-disk record of each
+//!   project's jobs and the fingerprints that pin their answers.
+//!   Corruption in any form degrades to a cold start; a restored job
+//!   is solved cold and checked against its stored fingerprints.
 //! - [`service`]: the transport-agnostic dispatcher mapping
 //!   [`proto::Request`] to [`proto::Response`], with per-project
 //!   session isolation, write-through persistence, and LRU eviction
@@ -15,8 +16,10 @@
 //!
 //! The restart-replay guarantee: analyze, kill the daemon, restart it
 //! against the same store, analyze again — every solution fingerprint,
-//! report fingerprint, and diagnostic byte is identical. The harness
-//! in `tests/serve.rs` drives this across a 100-step edit chain.
+//! report fingerprint, and diagnostic byte is identical. The service
+//! checks the solution fingerprints against the store on every
+//! restore, and the harness in `tests/serve.rs` drives the guarantee
+//! across a 100-step edit chain.
 
 pub mod daemon;
 pub mod service;

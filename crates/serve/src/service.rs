@@ -13,19 +13,18 @@
 //! job, the solved artifacts that answer queries, the solution and
 //! check fingerprints, and the check rows. Under a configured memory
 //! budget the least-recently-used sessions are evicted; their
-//! disk-store state survives, so the next request warm-starts instead
-//! of cold-starting.
+//! disk-store records survive, so the next request restores the
+//! project's jobs and fingerprints.
 //!
 //! Persistence is write-through: after every analyze/check that changed
-//! a persisted field, the project's entries are written to the
-//! [`crate::store::Store`]. A restored session seeds the tier-3 resume
-//! from the stored summaries; the engine recompiles and re-verifies
-//! everything, so a corrupt or stale store can cost time, never
-//! correctness.
+//! a persisted field, the project's jobs and fingerprints are written
+//! to the [`crate::store::Store`]. A restored benchmark is solved cold
+//! when a request first names it, and that solve is checked against
+//! the stored fingerprints: a difference for unchanged source and input
+//! is a *restore mismatch*, reported and counted, and the fresh answer
+//! wins. A corrupt or stale store can cost time, never correctness.
 
-use crate::store::{
-    decode_summaries, encode_summaries, LoadOutcome, Store, StoredBench, StoredProject,
-};
+use crate::store::{LoadOutcome, Store, StoredBench, StoredProject};
 use alias::fingerprint::{fnv64, stable_base_key, Fnv64, GraphIndex};
 use alias::{DemandConfig, DemandSolution};
 use engine::check::{diagnostics_value, fp_monotone_violation, render_diagnostics};
@@ -56,14 +55,12 @@ pub struct ServiceOptions {
 struct Session {
     cache: SummaryCache,
     /// Benchmarks restored from disk that no analyze or check has
-    /// touched yet, in their raw on-disk form. The first request naming
-    /// one decodes its summaries and moves it into `cache`; a save
-    /// re-emits the rest verbatim. A session that only fields demand
-    /// queries never pays for decoding at all.
+    /// named yet. The first request naming one solves it cold and
+    /// checks the solve against this record
+    /// ([`Session::check_restored`]); a save writes the rest back as
+    /// they are.
     untouched: HashMap<String, StoredBench>,
     last_used: Instant,
-    /// Whether this session was seeded from the disk store.
-    restored: bool,
     /// Whether a persisted field has changed since the last successful
     /// save. A pure-replay request leaves it clear, so warm requests
     /// skip the store write entirely.
@@ -72,35 +69,43 @@ struct Session {
     /// growing partial solution, for queries that arrive before any
     /// exhaustive analyze.
     demand: HashMap<String, DemandBench>,
-    /// Cumulative microseconds spent restoring from the disk store
-    /// (project load plus lazy per-bench summary decode).
-    restore_us: u64,
-    /// Queries answered from a demand-solved region.
-    demand_hits: u64,
-    /// Queries answered from an exhaustive fallback solution.
-    demand_fallbacks: u64,
-    /// Demand queries that exhausted a slice or step budget.
-    demand_budget_exhausted: u64,
+    /// The session-wide serving counters: whether it was restored from
+    /// disk, the restore cost and mismatches, and the demand-query
+    /// outcomes. An analyze response adds its own per-request counts.
+    info: ServeInfo,
 }
 
 impl Session {
-    /// Moves a benchmark from `untouched` into the cache, decoding its
-    /// summaries — the lazy half of the restore that
-    /// [`Service::ensure_session`] defers.
-    fn touch(&mut self, name: &str) {
-        let Some(b) = self.untouched.remove(name) else {
+    /// Checks the cold solve `b` of a restored benchmark against its
+    /// stored record. For unchanged source and input, the entry takes
+    /// over the stored check fingerprint, and each stored solution
+    /// fingerprint the solve does not reproduce is a restore mismatch,
+    /// reported on stderr and counted. The fresh answer wins either
+    /// way, and the changed record makes the next save rewrite it.
+    fn check_restored(&mut self, project: &str, b: &BenchOutput, stored: &StoredBench) {
+        let e = self.cache.get(&b.name).expect("run absorbed");
+        if (e.source_hash, &e.input) != (stored.source_fp, &stored.input) {
             return;
-        };
-        let t = Instant::now();
-        let summaries = decode_summaries(&b.summaries);
-        let job = Job {
-            name: b.name,
-            source: b.source,
-            input: b.input,
-        };
-        self.cache
-            .seed_restored(job, b.graph_fp, summaries, b.solution_fps, b.check_fp);
-        self.restore_us += t.elapsed().as_micros() as u64;
+        }
+        if let Some(fp) = stored.check_fp {
+            self.cache.restore_check_fp(&b.name, fp);
+        }
+        let e = self.cache.fingerprinted(b).expect("run absorbed");
+        for (analysis, fresh, _) in e.fps.iter().flatten() {
+            let was = stored.solution_fps.iter().find(|(a, _)| a == analysis);
+            let was = was.and_then(|&(_, fp)| fp);
+            if was != *fresh {
+                let hex = |fp: Option<u64>| fp.map_or_else(|| "none".into(), fp_hex);
+                eprintln!(
+                    "ruf95 serve: restore mismatch for {project:?}: bench {:?}, solver {analysis}: \
+                     stored {}, fresh {}",
+                    b.name,
+                    hex(was),
+                    hex(*fresh)
+                );
+                self.info.restore_mismatches += 1;
+            }
+        }
     }
 
     /// The source, input and source fingerprint of a benchmark this
@@ -232,7 +237,7 @@ impl Service {
 
     /// Fetches or creates a project's session. A new session whose
     /// project has compatible disk-store state holds the stored
-    /// benchmarks, so its first analyze resumes instead of re-solving.
+    /// benchmarks, so requests may name them without resending them.
     // The error arm intentionally carries the full typed Response.
     #[allow(clippy::result_large_err)]
     fn ensure_session(&mut self, project: &str) -> Result<(), Response> {
@@ -246,32 +251,25 @@ impl Service {
                 cache: self.engine.cache(),
                 untouched: HashMap::new(),
                 last_used: Instant::now(),
-                restored: false,
                 dirty: false,
                 demand: HashMap::new(),
-                restore_us: 0,
-                demand_hits: 0,
-                demand_fallbacks: 0,
-                demand_budget_exhausted: 0,
+                info: ServeInfo::default(),
             };
             if let Some(store) = &self.store {
                 let t = Instant::now();
                 if let LoadOutcome::Loaded(p) = store.load(project) {
                     if p.spec_key == session.cache.spec_key() {
-                        // Summaries stay raw here; the first analyze or
-                        // check touching a bench decodes and seeds it
-                        // (see Session::touch).
                         session.untouched =
                             p.benches.into_iter().map(|b| (b.name.clone(), b)).collect();
-                        session.restored = true;
+                        session.info.restored = true;
                     }
                     // A spec-key mismatch silently cold-starts: the
-                    // stored facts were computed under different solver
-                    // knobs and are not sound seeds.
+                    // stored fingerprints were computed under different
+                    // solver knobs and pin nothing here.
                 }
                 // Rejected/Missing → cold start; the next save
                 // overwrites a bad file.
-                session.restore_us += t.elapsed().as_micros() as u64;
+                session.info.restore_us += t.elapsed().as_micros() as u64;
             }
             self.sessions.insert(project.to_string(), session);
         }
@@ -299,12 +297,14 @@ impl Service {
             return e;
         }
         let session = self.sessions.get_mut(project).expect("ensured above");
-        for j in jobs {
-            session.touch(&j.name);
-        }
-        let before: Vec<Option<u64>> = jobs
+        // What the store holds for each job now: a restored record, or
+        // the cache entry's.
+        let before: Vec<Option<StoredBench>> = jobs
             .iter()
-            .map(|j| session.cache.get(&j.name).map(persisted_key))
+            .map(|j| match session.untouched.get(&j.name) {
+                Some(r) => Some(r.clone()),
+                None => session.cache.get(&j.name).map(|e| stored_bench(&j.name, e)),
+            })
             .collect();
         let mut run = match self
             .engine
@@ -313,9 +313,17 @@ impl Service {
             Ok(r) => r,
             Err(e) => return err(format!("{verb}: {e}")),
         };
+        for b in &run.benches {
+            if let Some(r) = session.untouched.remove(&b.name) {
+                session.check_restored(project, b, &r);
+            }
+        }
         let resp = respond(session, &mut run);
         for (b, before) in run.benches.iter().zip(before) {
-            let after = session.cache.fingerprinted(b).map(persisted_key);
+            let after = session
+                .cache
+                .fingerprinted(b)
+                .map(|e| stored_bench(&b.name, e));
             session.dirty |= after != before;
             // The solved entry supersedes any demand-query state (and
             // answers future queries by lookup).
@@ -363,12 +371,7 @@ impl Service {
             };
         }
         self.run_jobs(project, jobs, "analyze", |session, run| {
-            let mut serve = serve_info(run, session.restored);
-            serve.latency_us = t0.elapsed().as_micros() as u64;
-            serve.demand_hits = session.demand_hits;
-            serve.demand_fallbacks = session.demand_fallbacks;
-            serve.demand_budget_exhausted = session.demand_budget_exhausted;
-            serve.restore_us = session.restore_us;
+            let serve = serve_info(run, &session.info, t0.elapsed().as_micros() as u64);
             run.report.serve = Some(serve.clone());
             let benches = run
                 .benches
@@ -464,10 +467,7 @@ impl Service {
         // the path explicitly; `ci` takes it because the demand answers
         // are exactly the CI answers.)
         let session = &self.sessions[project];
-        let solved = session
-            .cache
-            .get(bench)
-            .is_some_and(|e| e.graph().is_some());
+        let solved = session.cache.get(bench).is_some();
         if !solved && matches!(analysis, "ci" | "demand") {
             return self.query_demand(project, bench, analysis, query, job);
         }
@@ -495,7 +495,7 @@ impl Service {
             .cache
             .get(bench)
             .expect("analyzed above");
-        let graph = e.graph().expect("analyzed above");
+        let graph = e.graph();
         // "demand" is query vocabulary, not a solved spectrum; its
         // exhaustive twin is plain CI.
         let lookup = if analysis == "demand" { "ci" } else { analysis };
@@ -619,9 +619,10 @@ impl Service {
         };
         let after = db.sol.stats();
         let hit = after.demand_hits > before.demand_hits;
-        session.demand_hits += after.demand_hits - before.demand_hits;
-        session.demand_fallbacks += after.fallbacks - before.fallbacks;
-        session.demand_budget_exhausted += after.budget_exhausted - before.budget_exhausted;
+        let info = &mut session.info;
+        info.demand_hits += after.demand_hits - before.demand_hits;
+        info.demand_fallbacks += after.fallbacks - before.fallbacks;
+        info.demand_budget_exhausted += after.budget_exhausted - before.budget_exhausted;
         session.last_used = Instant::now();
         Response::QueryResult {
             bench: bench.to_string(),
@@ -640,9 +641,9 @@ impl Service {
                 benches: s.cache.len() as u64,
                 approx_bytes: s.cache.approx_bytes() as u64,
                 idle_ms: s.last_used.elapsed().as_millis() as u64,
-                demand_hits: s.demand_hits,
-                demand_fallbacks: s.demand_fallbacks,
-                restore_us: s.restore_us,
+                demand_hits: s.info.demand_hits,
+                demand_fallbacks: s.info.demand_fallbacks,
+                restore_us: s.info.restore_us,
             })
             .collect();
         projects.sort_by(|a, b| a.name.cmp(&b.name));
@@ -668,7 +669,7 @@ impl Service {
     }
 
     /// Writes one project's state through to the disk store: every
-    /// cache entry, plus the untouched restored benches verbatim. A
+    /// cache entry, plus the untouched restored benches as they were. A
     /// no-op when the session is clean: a replayed request changes
     /// nothing, so the file on disk is already current.
     fn persist(&mut self, project: &str) {
@@ -680,23 +681,7 @@ impl Service {
             return;
         }
         let mut benches: Vec<StoredBench> = session.untouched.values().cloned().collect();
-        benches.extend(session.cache.iter().map(|(name, e)| {
-            StoredBench {
-                name: name.clone(),
-                source: e.source.clone(),
-                input: e.input.clone(),
-                source_fp: e.source_hash,
-                graph_fp: e.graph_fp,
-                solution_fps: e
-                    .fps
-                    .iter()
-                    .flatten()
-                    .map(|(a, fp, _)| (a.clone(), *fp))
-                    .collect(),
-                summaries: encode_summaries(&e.summaries),
-                check_fp: e.check_fp(),
-            }
-        }));
+        benches.extend(session.cache.iter().map(|(name, e)| stored_bench(name, e)));
         benches.sort_by(|a, b| a.name.cmp(&b.name));
         let state = StoredProject {
             spec_key: session.cache.spec_key().to_string(),
@@ -705,7 +690,7 @@ impl Service {
         // A failed save degrades to colder restarts, not wrong answers;
         // surface it on stderr and keep serving (the session stays
         // dirty, so the next request retries the write).
-        match store.save(project, state) {
+        match store.save(project, &state) {
             Ok(()) => session.dirty = false,
             Err(e) => eprintln!("ruf95 serve: store write failed for {project:?}: {e}"),
         }
@@ -742,26 +727,24 @@ impl Service {
     }
 }
 
-/// A digest of the fields of `e` a save writes, bar the summaries:
-/// those follow from the graph and the solutions, which the graph and
-/// solution fingerprints pin. Equal digests before and after a request
-/// mean the file on disk is still current.
-fn persisted_key(e: &ProgramEntry) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(e.source_hash);
-    h.write_u64(e.input.len() as u64);
-    h.write(&e.input);
-    h.write_u64(e.graph_fp);
-    let write_opt = |h: &mut Fnv64, fp: Option<u64>| {
-        h.write_u64(u64::from(fp.is_some()));
-        h.write_u64(fp.unwrap_or(0));
-    };
-    for (analysis, fp, _) in e.fps.iter().flatten() {
-        h.write_str(analysis);
-        write_opt(&mut h, *fp);
+/// The record a save writes for entry `e` of benchmark `name`. Equal
+/// records before and after a request mean the file on disk is still
+/// current.
+fn stored_bench(name: &str, e: &ProgramEntry) -> StoredBench {
+    StoredBench {
+        name: name.to_string(),
+        source: e.source.clone(),
+        input: e.input.clone(),
+        source_fp: e.source_hash,
+        graph_fp: e.graph_fp,
+        solution_fps: e
+            .fps
+            .iter()
+            .flatten()
+            .map(|(a, fp, _)| (a.clone(), *fp))
+            .collect(),
+        check_fp: e.check_fp(),
     }
-    write_opt(&mut h, e.check_fp());
-    h.finish()
 }
 
 /// Per-benchmark fingerprints for an analyze response: the solver modes
@@ -838,10 +821,12 @@ fn answer(
     })
 }
 
-fn serve_info(run: &EngineRun, restored: bool) -> ServeInfo {
+/// The session-wide counters `session`, completed with one analyze
+/// request's latency and the incremental counts of its `run`.
+fn serve_info(run: &EngineRun, session: &ServeInfo, latency_us: u64) -> ServeInfo {
     let mut info = ServeInfo {
-        restored,
-        ..ServeInfo::default()
+        latency_us,
+        ..session.clone()
     };
     if let Some(st) = &run.report.incremental {
         info.benches_replayed = st.benches_replayed as u64;

@@ -12,8 +12,10 @@
 //! 3. **Concurrency** (satellite 4): N interleaved socket clients get
 //!    exactly the answers a serial in-process caller gets.
 
+use proto::json::Value;
+use proto::{fp_hex, parse_bytes_hex, parse_fp_hex};
 use proto::{JobSpec, QueryAnswer, QueryKind, Request, Response};
-use serve::store::LoadOutcome;
+use serve::store::{LoadOutcome, STORE_VERSION};
 use serve::{Service, ServiceOptions, Store};
 use std::path::{Path, PathBuf};
 
@@ -98,7 +100,7 @@ fn check_fp_of(resp: &Response) -> String {
 /// - run A: one service, never restarted, no disk store;
 /// - run B: a disk-backed service dropped and recreated every 10 steps
 ///   (the process-level equivalent of killing and restarting the
-///   daemon), forcing a store restore and tier-3 seeded resume.
+///   daemon), forcing a store restore and a checked cold solve.
 ///
 /// Every step must produce byte-identical solver fingerprints and
 /// report fingerprints in both runs.
@@ -289,22 +291,67 @@ fn corrupted_store_payload_cold_starts() {
     });
 }
 
+/// Rewrites the version in a store file's header, which must be the
+/// current [`STORE_VERSION`].
+fn set_store_version(file: &Path, version: u32) {
+    let text = std::fs::read_to_string(file).unwrap();
+    let current = format!("ruf95-store v{STORE_VERSION} ");
+    assert!(
+        text.starts_with(&current),
+        "unexpected header in {text:.40}"
+    );
+    let other = format!("ruf95-store v{version} ");
+    std::fs::write(file, text.replacen(&current, &other, 1)).unwrap();
+}
+
 #[test]
 fn version_mismatched_store_file_cold_starts() {
-    assert_cold_start_fallback("version", |file| {
-        let text = std::fs::read_to_string(file).unwrap();
-        std::fs::write(file, text.replacen("ruf95-store v2 ", "ruf95-store v9 ", 1)).unwrap();
-    });
+    assert_cold_start_fallback("version", |file| set_store_version(file, 9));
 }
 
 /// A pre-unification `v1` store (CI-only summary schema) must be
 /// rejected wholesale and cold-start, not half-decoded.
 #[test]
 fn v1_store_file_cold_starts() {
-    assert_cold_start_fallback("v1", |file| {
-        let text = std::fs::read_to_string(file).unwrap();
-        std::fs::write(file, text.replacen("ruf95-store v2 ", "ruf95-store v1 ", 1)).unwrap();
-    });
+    assert_cold_start_fallback("v1", |file| set_store_version(file, 1));
+}
+
+/// A `v2` store, written by the format that persisted every solver's
+/// summaries, must be rejected wholesale and cold-start. The fixture is
+/// a real `v2` file; the job analyzed here is the one it records.
+#[test]
+fn v2_store_file_cold_starts() {
+    const V2: &str = include_str!("fixtures/store_v2.json");
+    let doc = Value::parse(V2.lines().nth(1).expect("payload line")).expect("payload parses");
+    let b = &doc.get("benches").and_then(Value::as_arr).expect("benches")[0];
+    assert!(
+        b.get("summaries").is_some(),
+        "the fixture carries summaries"
+    );
+    let field = |key: &str| b.get(key).and_then(Value::as_str).expect(key).to_string();
+    let jobs = vec![JobSpec {
+        name: field("name"),
+        source: field("source"),
+        input: parse_bytes_hex(&field("input")).expect("input hex"),
+    }];
+
+    let dir = temp_dir("v2");
+    let store = Store::open(&dir).expect("open store");
+    std::fs::write(store.path_of("proj"), V2).unwrap();
+    match store.load("proj") {
+        LoadOutcome::Rejected(reason) => assert!(reason.contains("version mismatch"), "{reason}"),
+        other => panic!("a v2 file must be rejected, got {other:?}"),
+    }
+    let resp = analyze(&mut service(&dir), "proj", &jobs);
+    match &resp {
+        Response::Analyzed { serve, .. } => assert!(!serve.restored, "{serve:?}"),
+        other => panic!("expected Analyzed, got {other:?}"),
+    }
+    let cold = analyze(&mut memory_service(), "proj", &jobs);
+    assert_eq!(fingerprints_of(&resp), fingerprints_of(&cold));
+    // The first save replaced the rejected file.
+    assert!(matches!(store.load("proj"), LoadOutcome::Loaded(_)));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -314,8 +361,8 @@ fn garbage_store_file_cold_starts() {
     });
 }
 
-/// Stale stored summaries must never leak into answers for changed
-/// source: the service recomputes everything the summaries merely seed.
+/// A stale store must never leak into answers for changed source: the
+/// service solves the new source, whatever the store recorded.
 #[test]
 fn stale_store_cannot_leak_into_answers() {
     let dir = temp_dir("stale");
@@ -330,7 +377,7 @@ fn stale_store_cannot_leak_into_answers() {
         input: Vec::new(),
     }];
     // Persist v1, then send v2 through a fresh service over the same
-    // store: the stored v1 summaries must not leak into v2's answers.
+    // store: the stored v1 record must not leak into v2's answers.
     let mut svc = service(&dir);
     analyze(&mut svc, "proj", &jobs_v1);
     drop(svc);
@@ -666,7 +713,7 @@ fn check_after_an_input_only_change_matches_a_cold_service() {
 }
 
 /// A project whose only request was a check is persisted: a restarted
-/// service restores it, seeds its resume, and reproduces the check.
+/// service restores it, solves it cold, and reproduces the check.
 #[test]
 fn check_only_project_is_persisted() {
     let dir = temp_dir("check-only");
@@ -679,7 +726,8 @@ fn check_only_project_is_persisted() {
     match analyze(&mut svc, "proj", &jobs) {
         Response::Analyzed { serve, .. } => {
             assert!(serve.restored, "the checked project must restore");
-            assert_eq!(serve.benches_seeded, 1, "{serve:?}");
+            assert_eq!(serve.benches_fresh, 1, "{serve:?}");
+            assert_eq!(serve.restore_mismatches, 0, "{serve:?}");
         }
         other => panic!("expected Analyzed, got {other:?}"),
     }
@@ -689,9 +737,8 @@ fn check_only_project_is_persisted() {
 }
 
 /// Each benchmark of a project's store file: its name, its source,
-/// and its `"summaries"` subtree, rendered.
+/// and its whole record, rendered.
 fn stored_benches(dir: &Path) -> Vec<(String, String, String)> {
-    use proto::json::Value;
     let file = Store::open(dir).expect("open store").path_of("proj");
     let text = std::fs::read_to_string(file).expect("read store file");
     let payload = text.lines().nth(1).expect("payload line");
@@ -701,15 +748,13 @@ fn stored_benches(dir: &Path) -> Vec<(String, String, String)> {
         .and_then(Value::as_arr)
         .expect("benches")
         .iter()
-        .map(|b| {
-            let summaries = b.get("summaries").expect("summaries").render();
-            (field(b, "name"), field(b, "source"), summaries)
-        })
+        .map(|b| (field(b, "name"), field(b, "source"), b.render()))
         .collect()
 }
 
-/// A restart decodes only what a request touches: after an edit of one
-/// benchmark, the other's stored summaries are re-emitted byte for byte.
+/// A restart re-solves only what a request touches: after an edit of
+/// one benchmark, the other's stored record is re-emitted byte for
+/// byte.
 #[test]
 fn untouched_restored_bench_is_re_emitted_verbatim() {
     let dir = temp_dir("lazy-restore");
@@ -743,7 +788,92 @@ fn untouched_restored_bench_is_re_emitted_verbatim() {
     assert_eq!(
         find(&before, other).2,
         find(&after, other).2,
-        "{other}'s summaries were re-encoded"
+        "{other}'s record was rewritten"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unchanged re-analysis and re-check after a restart leave the
+/// store file alone: the restored records are the "before" of the
+/// dirty check, and the cold solves reproduce them.
+#[test]
+fn restart_then_unchanged_analyze_writes_nothing() {
+    let dir = temp_dir("restart-no-write");
+    let jobs = suite_jobs(2);
+    let mut svc = service(&dir);
+    analyze(&mut svc, "proj", &jobs);
+    svc.handle(&check_req("proj", &jobs));
+    drop(svc);
+    let file = Store::open(&dir).expect("open store").path_of("proj");
+    let stamp = |file: &Path| {
+        let bytes = std::fs::read(file).expect("read store file");
+        let mtime = std::fs::metadata(file).and_then(|m| m.modified());
+        (bytes, mtime.expect("mtime"))
+    };
+    let before = stamp(&file);
+    // A rewrite now would carry a later mtime even on a coarse clock.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+
+    let mut svc = service(&dir);
+    match analyze(&mut svc, "proj", &jobs) {
+        Response::Analyzed { serve, .. } => assert!(serve.restored, "{serve:?}"),
+        other => panic!("expected Analyzed, got {other:?}"),
+    }
+    svc.handle(&check_req("proj", &jobs));
+    assert!(stamp(&file) == before, "the store file was rewritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restored benchmark whose cold solve does not reproduce a stored
+/// solution fingerprint is a restore mismatch: the fresh answer wins,
+/// the service counts it, and the file is rewritten with the fresh
+/// fingerprint.
+#[test]
+fn restore_mismatch_is_reported_and_repaired() {
+    let dir = temp_dir("restore-mismatch");
+    let jobs = suite_jobs(1);
+    let cold = analyze(&mut memory_service(), "proj", &jobs);
+    analyze(&mut service(&dir), "proj", &jobs);
+
+    // Flip one stored solution fingerprint, keeping the checksum valid.
+    let (_, analysis, fp) = fingerprints_of(&cold)
+        .into_iter()
+        .find(|(_, _, fp)| fp.is_some())
+        .expect("a solved solver");
+    let good = fp.expect("found above");
+    let bad = fp_hex(!parse_fp_hex(&good).expect("fp hex"));
+    let file = Store::open(&dir).expect("open store").path_of("proj");
+    let text = std::fs::read_to_string(&file).expect("read store file");
+    let record = |fp: &str| format!("{{\"analysis\":\"{analysis}\",\"fp\":\"{fp}\"}}");
+    let payload = text.lines().nth(1).expect("payload line");
+    assert!(
+        payload.contains(&record(&good)),
+        "{analysis} record not found"
+    );
+    let payload = Value::parse(&payload.replacen(&record(&good), &record(&bad), 1)).unwrap();
+    engine::envelope::save(&file, "ruf95-store", STORE_VERSION, &payload).expect("write store");
+
+    let resp = analyze(&mut service(&dir), "proj", &jobs);
+    assert_eq!(fingerprints_of(&resp), fingerprints_of(&cold));
+    match &resp {
+        Response::Analyzed { serve, .. } => {
+            assert!(serve.restored, "{serve:?}");
+            assert_eq!(serve.restore_mismatches, 1, "{serve:?}");
+        }
+        other => panic!("expected Analyzed, got {other:?}"),
+    }
+    let LoadOutcome::Loaded(p) = Store::open(&dir).expect("open store").load("proj") else {
+        panic!("the repaired file must load");
+    };
+    let stored = p.benches[0]
+        .solution_fps
+        .iter()
+        .find(|(a, _)| *a == analysis)
+        .and_then(|(_, fp)| *fp);
+    assert_eq!(
+        stored.map(fp_hex),
+        Some(good),
+        "the file keeps the bad fingerprint"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1508,6 +1508,42 @@ mod tests {
         assert_eq!(r.flow_outs, r.total_pairs() as u64);
     }
 
+    #[test]
+    fn same_fixpoint_sees_one_pair_callee_or_path_entry() {
+        use crate::solver::same_fixpoint;
+        let (g, r) = analyze(
+            "struct s { int *p; };\n\
+             int a; int b;\n\
+             int *fa(void) { return &a; }\n\
+             int main(void) { struct s u; int *(*fp)(void); fp = fa; u.p = fp(); \
+             u.p = &b; return *(u.p); }",
+        );
+        assert!(same_fixpoint(&g, &r, &r.clone()));
+
+        let mut pair = r.clone();
+        let (o, extra) = g
+            .output_ids()
+            .find_map(|o| r.pairs(o).first().map(|&p| (o, p)))
+            .expect("some output carries a pair");
+        pair.pairs[o.0 as usize].push(Pair::new(extra.referent, extra.path));
+        assert!(!same_fixpoint(&g, &r, &pair), "one extra pair");
+
+        let mut callee = r.clone();
+        let fs = callee.callees.values_mut().next().expect("a call");
+        fs.push(fs[0]);
+        assert!(!same_fixpoint(&g, &r, &callee), "one extra callee");
+
+        // Same pair ids, but one more interned path: the ids no longer
+        // index the same table.
+        let mut path = r.clone();
+        let root = path.paths.base_root(g.base_ids().next().expect("a base"));
+        let (n, mut p) = (path.paths.len(), root);
+        while path.paths.len() == n {
+            p = path.paths.child(p, AccessOp::Index);
+        }
+        assert!(!same_fixpoint(&g, &r, &path), "one extra path entry");
+    }
+
     /// Full incremental round trip at the solver level: analyze A,
     /// memoize, fingerprint B against A, seed a resume, and require the
     /// result to be *numerically* identical to a fresh solve of B.
@@ -1541,6 +1577,10 @@ mod tests {
             assert_eq!(fresh.pairs(o), resumed.pairs(o), "pairs at {o}");
         }
         assert_eq!(fresh.callees, resumed.callees, "call graph");
+        assert!(
+            crate::solver::same_fixpoint(&gb, &fresh, &resumed),
+            "a resumed fixpoint is canonical, path table included"
+        );
         for o in gb.output_ids() {
             for (a, b) in fresh.pairs(o).iter().zip(resumed.pairs(o)) {
                 assert_eq!(

@@ -24,7 +24,7 @@ pub enum AccessOp {
     Index,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct PathNode {
     parent: Option<PathId>,
     op: Option<AccessOp>,
@@ -77,6 +77,21 @@ pub struct PathTable {
     /// Per synthetic base: (original base, qualifying call node id).
     synth_origin: Vec<(BaseId, u32)>,
     synth_map: HashMap<(BaseId, u32), BaseId>,
+}
+
+/// Two tables are equal when every path id and base id means the same
+/// thing in both. `children` and `synth_map` are lookup indexes over
+/// `nodes` and `synth_origin`, so they are left out of the comparison.
+impl PartialEq for PathTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+            && self.base_roots == other.base_roots
+            && self.base_single == other.base_single
+            && self.base_func == other.base_func
+            && self.base_older == other.base_older
+            && self.n_real == other.n_real
+            && self.synth_origin == other.synth_origin
+    }
 }
 
 impl PathTable {

@@ -413,6 +413,41 @@ pub fn solution_fingerprint(sol: &dyn Solution, graph: &Graph) -> u64 {
     crate::fingerprint::fnv64(solution_dump(sol, graph).as_bytes())
 }
 
+/// Whether `a` and `b`, two solutions of the same `graph`, are the same
+/// fixpoint id for id, without rendering either.
+///
+/// Path ids mean the same in both only when the path universes are
+/// equal, so those are compared first. Pair-level solutions then compare
+/// pairs output by output, and two CI results their discovered call
+/// graphs too; the rest compare referents at every memory operation.
+/// CI (after `finish`, resumes included) and k=1 canonicalize their
+/// tables, so equal answers give equal ids. Weihl does not: its ids
+/// follow the order it interned paths in, so a `false` for two Weihl
+/// solutions can still come with equal [`solution_dump`]s.
+pub fn same_fixpoint(graph: &Graph, a: &dyn Solution, b: &dyn Solution) -> bool {
+    if a.path_universe() != b.path_universe() || a.pairs() != b.pairs() {
+        return false;
+    }
+    if let (Some(x), Some(y)) = (a.as_ci(), b.as_ci()) {
+        if x.callees != y.callees {
+            return false;
+        }
+    }
+    if let (Some(pa), Some(pb)) = (a.as_points_to(), b.as_points_to()) {
+        return graph.output_ids().all(|o| pa.pairs_at(o) == pb.pairs_at(o));
+    }
+    graph.all_mem_ops().iter().all(|&(node, _)| {
+        match (a.referents_at(graph, node), b.referents_at(graph, node)) {
+            (Some(mut x), Some(mut y)) => {
+                x.sort_unstable();
+                y.sort_unstable();
+                x == y
+            }
+            _ => a.loc_referent_bases(graph, node) == b.loc_referent_bases(graph, node),
+        }
+    })
+}
+
 /// Collapses path-granular referents to distinct bases.
 fn bases_of(paths: &PathTable, refs: &[PathId]) -> Vec<BaseId> {
     let mut b: Vec<BaseId> = refs.iter().filter_map(|&p| paths.base_of(p)).collect();

@@ -11,7 +11,7 @@ use crate::label::{label_with_races, refuted_fault, refuted_race, Label, Labeled
 use crate::{CheckKind, Diagnostic};
 use alias::{AnalysisError, CiResult, SolverSpec};
 use cfront::ast::{ExprId, Program};
-use interp::exec::{explore_races, run_traced, Config, RaceObs, RunRecord};
+use interp::exec::{explore_races_recorded, run_traced, Config, RaceObs, RunRecord};
 use interp::FaultInfo;
 use vdg::graph::Graph;
 
@@ -116,20 +116,23 @@ pub fn oracle_run(prog: &Program, input: &[u8]) -> RunRecord {
     )
 }
 
-/// Bounded interleaving exploration for race grading: `None` for a
-/// sequential program, otherwise the union of races and executed sites
-/// over [`RACE_SCHEDULES`] schedules with `input` served to `getchar()`.
-pub fn oracle_races(prog: &Program, input: &[u8]) -> Option<RaceObs> {
-    prog.uses_threads().then(|| {
-        explore_races(
-            prog,
-            &Config {
-                input: input.to_vec(),
-                ..Config::default()
-            },
-            RACE_SCHEDULES,
-        )
-    })
+/// The oracle's two answers for `prog` with `input` served to
+/// `getchar()`: the [`oracle_run`] record, and for a threaded program
+/// the bounded interleaving exploration for race grading, the union of
+/// races and executed sites over [`RACE_SCHEDULES`] schedules (`None`
+/// for a sequential program). The exploration's schedule 0 is the
+/// oracle run itself, so a threaded program runs `RACE_SCHEDULES`
+/// times, not once more.
+pub fn oracle(prog: &Program, input: &[u8]) -> (RunRecord, Option<RaceObs>) {
+    if !prog.uses_threads() {
+        return (oracle_run(prog, input), None);
+    }
+    let cfg = Config {
+        input: input.to_vec(),
+        ..Config::default()
+    };
+    let (rec, obs) = explore_races_recorded(prog, &cfg, RACE_SCHEDULES);
+    (rec, Some(obs))
 }
 
 /// Runs every checker under each of `specs`, labels all diagnostics
@@ -146,11 +149,10 @@ pub fn precision_table(
     input: &[u8],
 ) -> Result<Vec<PrecisionRow>, AnalysisError> {
     let ci = SolverSpec::ci().solve_ci(graph);
-    let rec = oracle_run(prog, input);
     // Threaded programs additionally get a bounded interleaving
     // exploration, so race diagnostics are graded against every
     // explored schedule rather than one arbitrary one.
-    let obs = oracle_races(prog, input);
+    let (rec, obs) = oracle(prog, input);
     let mut rows = Vec::with_capacity(specs.len());
     for spec in specs {
         let diags = check_with_spec(graph, spec, &ci)?;

@@ -320,7 +320,9 @@ pub struct CampaignOutcome {
     pub report_path: PathBuf,
     /// Quarantine directory.
     pub quarantine_dir: PathBuf,
-    /// Non-canonical wall-clock aggregates for the human summary.
+    /// Non-canonical wall-clock aggregates for the human summary, in
+    /// micros: per solver by name, and per step of a seed's check under
+    /// `step:<name>` keys.
     pub solver_us: BTreeMap<String, u64>,
     /// Wall-budget overruns (advisory; journal-wide).
     pub overruns: u64,
@@ -330,7 +332,8 @@ pub struct CampaignOutcome {
 
 impl CampaignOutcome {
     /// Human summary: headline counts, per-property violations, dedup
-    /// accounting, per-solver throughput.
+    /// accounting, per-solver throughput and the wall time of each step
+    /// of a seed's check (each property, the oracle, compiling).
     pub fn summary(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -376,9 +379,13 @@ impl CampaignOutcome {
             "  dedup: {} diagnostics -> {} unique; {} functions -> {} unique; ratio {}x",
             r.diag_total, r.diag_unique, r.func_total, r.func_unique, r.dedup_ratio
         );
-        if !self.solver_us.is_empty() {
+        let (steps, solvers): (Vec<_>, Vec<_>) = self
+            .solver_us
+            .iter()
+            .partition(|(name, _)| name.starts_with("step:"));
+        if !solvers.is_empty() {
             let _ = writeln!(s, "  per-solver throughput ({} seeds):", r.seeds);
-            for (name, us) in &self.solver_us {
+            for (name, us) in solvers {
                 let secs = *us as f64 / 1e6;
                 let rate = if secs > 0.0 {
                     r.seeds as f64 / secs
@@ -386,6 +393,18 @@ impl CampaignOutcome {
                     f64::INFINITY
                 };
                 let _ = writeln!(s, "    {name:<12} {secs:>8.2}s total  {rate:>10.0} seeds/s");
+            }
+        }
+        if !steps.is_empty() {
+            let _ = writeln!(s, "  per-step time ({} seeds):", r.seeds);
+            for (name, us) in steps {
+                let name = &name["step:".len()..];
+                let per_seed = *us as f64 / 1e3 / r.seeds.max(1) as f64;
+                let _ = writeln!(
+                    s,
+                    "    {name:<16} {:>8.2}s total  {per_seed:>8.3} ms/seed",
+                    *us as f64 / 1e6
+                );
             }
         }
         s
@@ -1095,6 +1114,56 @@ mod tests {
         assert_eq!(a.violations[0].detail, b.violations[0].detail);
         assert_eq!(a.quarantine[0].shrunk, b.quarantine[0].shrunk);
         assert_eq!(a.solver_us, b.solver_us);
+    }
+
+    #[test]
+    fn summary_shows_where_a_seed_spends_its_time() {
+        let dir = std::env::temp_dir().join(format!("ruf95-steps-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut cfg = CampaignConfig {
+            seeds: 2,
+            chunk: 2,
+            threads: 1,
+            dir: dir.clone(),
+            progress: false,
+            ..CampaignConfig::default()
+        };
+        cfg.fuzz.gen = suite::generator::GenConfig::threaded();
+        let outcome = run(&cfg).expect("campaign runs");
+        let summary = outcome.summary();
+        let _ = fs::remove_dir_all(&dir);
+        let section = |head: &str| -> Vec<String> {
+            let lines: Vec<&str> = summary.lines().collect();
+            let at = lines
+                .iter()
+                .position(|l| l.trim_start().starts_with(head))
+                .unwrap_or_else(|| panic!("no `{head}` section in:\n{summary}"));
+            lines[at + 1..]
+                .iter()
+                .take_while(|l| l.starts_with("    "))
+                .map(|l| l.split_whitespace().next().unwrap_or("").to_string())
+                .collect()
+        };
+        assert_eq!(
+            section("per-solver throughput"),
+            ["ci", "cs", "k1", "steensgaard", "weihl"]
+        );
+        assert_eq!(
+            section("per-step time"),
+            [
+                "compile",
+                "corpus-stats",
+                "oracle",
+                "p1-soundness",
+                "p2-lattice",
+                "p3-naive",
+                "p4-incremental",
+                "p5-planted",
+                "p6-demand",
+                "p7-races",
+                "roundtrip",
+            ]
+        );
     }
 
     #[test]

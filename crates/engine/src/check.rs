@@ -21,7 +21,7 @@ use crate::incremental::EntryChecks;
 use crate::report::CheckMetrics;
 use crate::{BenchOutput, EngineRun, SummaryCache};
 use alias::fingerprint::{fnv64, Fnv64};
-use checker::harness::{oracle_races, oracle_run};
+use checker::harness::oracle;
 use checker::{label_with_races, refuted_fault, refuted_race, CheckKind, LabeledDiagnostic};
 use proto::json::Value;
 
@@ -45,8 +45,7 @@ impl BenchChecks {
 }
 
 fn check_bench(b: &BenchOutput) -> BenchChecks {
-    let rec = oracle_run(&b.program, &b.input);
-    let obs = oracle_races(&b.program, &b.input);
+    let (rec, obs) = oracle(&b.program, &b.input);
     let rows = b
         .solutions
         .iter()

@@ -1,8 +1,10 @@
 //! Differential fuzzing of the five solvers over generated programs.
 //!
 //! Per seed, a deterministic pointer-heavy mini-C program
-//! ([`suite::generator`]) flows through the whole pipeline and three
-//! differential properties are checked:
+//! ([`suite::generator`]) flows through the whole pipeline and seven
+//! differential properties are checked, plus a printer round trip
+//! (`print` must be a fixpoint of `parse ∘ print`, so every repro is a
+//! standalone program):
 //!
 //! 1. **Oracle soundness** — every runtime dereference observed by the
 //!    interpreter must be predicted by every solver's solution
@@ -15,11 +17,31 @@
 //!    DESIGN.md §"Differential fuzzing".
 //! 3. **Naive/Delta equality** — difference propagation is a pure
 //!    optimization; re-solving CI, Weihl, and k=1 with naive
-//!    propagation must reach the identical fixpoint.
+//!    propagation must reach the identical fixpoint, id for id
+//!    ([`alias::solver::same_fixpoint`]).
 //! 4. **Incremental equivalence** — after one random edit
 //!    ([`suite::edit`]), re-analysis through
 //!    [`crate::Engine::analyze_incremental`] must reach the identical
 //!    CI solution as a from-scratch solve of the edited program.
+//! 5. **Planted checker defects** — with [`FuzzConfig::planted`] set, a
+//!    self-contained memory-safety bug (dangling load, double free, or
+//!    dead store) is appended to every generated program, and every
+//!    solver's `checker::run_checks` sweep must flag its kind.
+//! 6. **Demand agreement** — point queries through
+//!    [`alias::DemandState`] must answer what the exhaustive CI
+//!    solution answers.
+//! 7. **Race soundness and monotonicity** — for programs that spawn
+//!    threads (the generator's [`GenConfig::threaded`] preset, or any
+//!    hand-written repro), every racing pair the bounded interleaving
+//!    oracle ([`interp::explore_races`]) observes must be covered by a
+//!    data-race diagnostic under every solver, and data-race sites must
+//!    shrink along the lattice edges of property 2, so finer alias
+//!    information can only remove race reports, never add them.
+//!
+//! Each artifact is computed once per seed and shared by the
+//! properties: one solve per solver, one compiled program, graph and CI
+//! solution (also property 4's pre-edit run), and one interpreter run
+//! (for a threaded program, race schedule 0).
 //!
 //! Solvers run under step budgets and a wall-clock budget with graceful
 //! degradation: a `StepLimit` or an interpreter abort is *recorded*
@@ -28,34 +50,22 @@
 //! delta-debugger in [`crate::shrink`] before landing in the
 //! [`FuzzReport`], so every finding ships as a standalone `.c` repro.
 //!
-//! 5. **Planted checker defects** — with [`FuzzConfig::planted`] set, a
-//!    self-contained memory-safety bug (dangling load, double free, or
-//!    dead store) is appended to every generated program, and every
-//!    solver's `checker::run_checks` sweep must flag its kind.
-//!
-//! For programs that spawn threads (the generator's
-//! [`GenConfig::threaded`] preset, or any hand-written repro), two more
-//! properties fire: **race soundness** — every racing pair the bounded
-//! interleaving oracle ([`interp::explore_races`]) observes must be
-//! covered by a data-race diagnostic under every solver — and **race
-//! monotonicity** — data-race sites must shrink along the lattice edges
-//! of property 2, so finer alias information can only remove race
-//! reports, never add them.
-//!
 //! The additional [`FuzzConfig::fault`] knob deliberately injects a
 //! known bug into the CI solver; the planted-bug self-test uses it to
 //! prove the whole detect-and-minimize loop actually fires.
 //! [`PlantedFault`] is the checker-level mirror of that knob.
 
-use crate::pool;
 use crate::shrink::shrink;
-use alias::solver::{Solution, SolutionBox};
+use crate::{pool, BenchOutput};
+use alias::solver::{same_fixpoint, solution_dump, Solution, SolutionBox};
 use alias::{AnalysisError, Fault, Propagation, SolverKind, SolverSpec};
 use proto::json::Value;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use suite::generator::{generate, GenConfig};
 use vdg::build::{lower, BuildOptions};
-use vdg::graph::{Graph, OutputId};
+use vdg::graph::Graph;
 
 /// Fuzzing-campaign knobs.
 #[derive(Debug, Clone)]
@@ -332,8 +342,11 @@ pub(crate) struct Findings {
     /// Per-function structural fingerprints of the lowered graph
     /// (corpus stats).
     pub(crate) func_fps: Vec<u64>,
-    /// Per-solver wall micros, for throughput summaries only — never
-    /// part of canonical campaign output.
+    /// Wall micros per solver (keyed by solver name) and per step of
+    /// [`check_source`] (keyed `step:<name>`: each property, the printer
+    /// round trip, compiling, corpus statistics and the interpreter
+    /// oracle), for throughput summaries only — never part of canonical
+    /// campaign output.
     pub(crate) solver_us: Vec<(&'static str, u64)>,
 }
 
@@ -464,9 +477,20 @@ pub fn check_source_for_test(src: &str, cfg: &FuzzConfig, seed: u64) -> Vec<(Str
         .collect()
 }
 
-/// Checks one source text against all three differential properties
+/// Records the wall time since `*t` under `key` and restarts the clock.
+fn lap(f: &mut Findings, key: &'static str, t: &mut Instant) {
+    f.solver_us.push((key, t.elapsed().as_micros() as u64));
+    *t = Instant::now();
+}
+
+/// Checks one source text against the seven differential properties
 /// plus the printer round-trip. Never panics on solver or interpreter
 /// resource exhaustion — those degrade the seed instead.
+///
+/// Each artifact is computed once per seed: the compiled program, its
+/// graph and the CI solution are shared (behind `Arc`s) with property
+/// 4's pre-edit run, and a threaded program's race schedule 0 is
+/// property 1's interpreter run.
 pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
     let job = format!("seed {seed}");
     let mut f = Findings {
@@ -481,6 +505,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
         func_fps: Vec::new(),
         solver_us: Vec::new(),
     };
+    let mut clock = Instant::now();
 
     // Printer round-trip: `print` must be a fixpoint of `parse ∘ print`,
     // so every emitted repro is a faithful standalone program.
@@ -491,11 +516,13 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             detail,
         });
     }
+    lap(&mut f, "step:roundtrip", &mut clock);
 
     // Pipeline: the generator promises well-typed programs, so frontend
     // or lowering failures are genuine findings, not infrastructure.
+    let t_run = clock;
     let prog = match cfront::compile(src) {
-        Ok(p) => p,
+        Ok(p) => Arc::new(p),
         Err(e) => {
             f.violations.push(Finding {
                 kind: "pipeline",
@@ -507,8 +534,9 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             return f;
         }
     };
+    let frontend = clock.elapsed();
     let graph = match lower(&prog, &BuildOptions::default()) {
-        Ok(g) => g,
+        Ok(g) => Arc::new(g),
         Err(e) => {
             f.violations.push(Finding {
                 kind: "pipeline",
@@ -520,16 +548,18 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             return f;
         }
     };
+    let lowering = clock.elapsed() - frontend;
+    lap(&mut f, "step:compile", &mut clock);
 
     // Solve the full spectrum under budgets. The CI run doubles as the
     // shared path-table vocabulary for every pair-based solver.
     let budget = Duration::from_millis(cfg.budget_ms);
     let ci_spec = SolverSpec::ci().fault(cfg.fault);
     let t_ci = Instant::now();
-    let ci = ci_spec.solve_ci(&graph);
-    let ci_elapsed = t_ci.elapsed();
-    f.solver_us.push(("ci", ci_elapsed.as_micros() as u64));
-    if ci_elapsed > budget {
+    let ci = Arc::new(ci_spec.solve_ci(&graph));
+    let ci_wall = t_ci.elapsed();
+    f.solver_us.push(("ci", ci_wall.as_micros() as u64));
+    if ci_wall > budget {
         f.overruns += 1;
     }
     let mut solved: Vec<(&'static str, SolutionBox)> = Vec::new();
@@ -543,7 +573,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
         let name = spec.name();
         let t = Instant::now();
         let outcome = if spec.kind() == SolverKind::Ci {
-            Ok(Box::new(ci.clone()) as SolutionBox)
+            Ok(Box::new(ci.as_ref().clone()) as SolutionBox)
         } else {
             spec.solve(&graph, Some(&ci))
         };
@@ -565,6 +595,8 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
         }
     }
     let by_name = |n: &str| solved.iter().find(|(s, _)| *s == n).map(|(_, b)| &**b);
+    // The solver times are recorded above, under the solver names.
+    clock = Instant::now();
 
     // Corpus-scale statistics for campaign dedup accounting: checker
     // diagnostics keyed by (check kind, offending source line) — the
@@ -575,13 +607,14 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
     if cfg.corpus_stats {
         let idx = alias::fingerprint::GraphIndex::build(&graph);
         f.func_fps = idx.func_fps.clone();
-        let diags = checker::run_checks(&graph, &ci, &ci.callees);
+        let diags = checker::run_checks(&graph, ci.as_ref(), &ci.callees);
         f.diag_total = diags.len() as u64;
         let mut keys: Vec<u64> = diags.iter().map(|d| diag_key(src, d)).collect();
         keys.sort_unstable();
         keys.dedup();
         f.diag_keys = keys;
     }
+    lap(&mut f, "step:corpus-stats", &mut clock);
 
     // Property 2 — the precision lattice, coarse ⊇ fine. Note the two
     // context-sensitive analyses are *not* on one chain: k=1 call
@@ -589,12 +622,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
     // neither covers the other pointwise (the fuzzer itself established
     // this — see DESIGN.md). Both refine CI, and CI refines both
     // flow-insensitive baselines; those are the theorems checked here.
-    for (coarse, fine) in [
-        ("weihl", "ci"),
-        ("steensgaard", "ci"),
-        ("ci", "k1"),
-        ("ci", "cs"),
-    ] {
+    for (coarse, fine) in LATTICE_EDGES {
         let (Some(c), Some(d)) = (by_name(coarse), by_name(fine)) else {
             continue; // a degraded side skips the comparison
         };
@@ -609,6 +637,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             });
         }
     }
+    lap(&mut f, "step:p2-lattice", &mut clock);
 
     // Property 5 — planted checker defects: the source carries a known
     // memory-safety bug, and every solver's checker sweep must flag its
@@ -629,13 +658,15 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             }
         }
     }
+    lap(&mut f, "step:p5-planted", &mut clock);
 
-    // Property 3 — naive propagation reaches the identical fixpoint.
+    // Property 3 — naive propagation reaches the identical fixpoint,
+    // id for id (path tables and the CI call graph included).
     let ci_naive = ci_spec
         .clone()
         .propagation(Propagation::Naive)
         .solve_ci(&graph);
-    if !same_solution(&graph, &ci, &ci_naive) {
+    if !same_fixpoint(&graph, ci.as_ref(), &ci_naive) {
         f.violations.push(Finding {
             kind: "divergence",
             solver: "ci".to_string(),
@@ -650,7 +681,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
         let Some(delta) = by_name(name) else { continue };
         match spec.solve(&graph, Some(&ci)) {
             Ok(naive) => {
-                if !same_solution(&graph, delta, &*naive) {
+                if !same_fixpoint(&graph, delta, &*naive) {
                     f.violations.push(Finding {
                         kind: "divergence",
                         solver: name.to_string(),
@@ -666,41 +697,46 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             }
         }
     }
+    lap(&mut f, "step:p3-naive", &mut clock);
 
     // Property 4 — incremental re-analysis is invisible: after one
     // random edit, `Engine::analyze_incremental` (memoized summaries,
     // dirty-cone seeding) must reach the same CI solution as a
-    // from-scratch solve of the edited program.
+    // from-scratch solve of the edited program. The pre-edit run is
+    // this seed's own program, graph and CI solution, which the engine
+    // would have recomputed identically (same CI spec, default build
+    // options).
     if let Some(step) = suite::edit::apply_random_edit(src, seed) {
         let spec = ci_spec.clone();
         let eng = crate::Engine::new()
             .threads(1)
             .specs(std::slice::from_ref(&spec))
             .ci_spec(spec);
-        let jobs = |s: &str| vec![crate::Job::new(job.clone(), s)];
-        // The edit generator validates that edited programs still
-        // compile, so a failure of either run was already reported
-        // above.
-        if let (Ok(prev), Ok(scratch)) = (eng.run(&jobs(src)), eng.run(&jobs(&step.source))) {
-            match eng.analyze_incremental(&prev, &jobs(&step.source)) {
-                Ok(inc) => {
-                    let a = inc.benches[0].solution("ci");
-                    let b = scratch.benches[0].solution("ci");
-                    if let (Some(a), Some(b)) = (a, b) {
-                        let da = alias::solver::solution_dump(a, &inc.benches[0].graph);
-                        let db = alias::solver::solution_dump(b, &scratch.benches[0].graph);
-                        if da != db {
-                            f.violations.push(Finding {
-                                kind: "incremental",
-                                solver: "ci".to_string(),
-                                detail: format!(
-                                    "incremental ci diverges from scratch after edit `{}` ({job})",
-                                    step.edit.description
-                                ),
-                            });
-                        }
-                    }
-                }
+        let prev = eng.solve_prepared(
+            vec![crate::Prepared {
+                name: job.clone(),
+                source: src.to_string(),
+                input: Vec::new(),
+                program: Arc::clone(&prog),
+                graph: Arc::clone(&graph),
+                ci: Arc::clone(&ci),
+                ci_wall,
+                frontend,
+                lowering,
+            }],
+            t_run,
+        );
+        let jobs = vec![crate::Job::new(job.clone(), step.source)];
+        // The edit generator only returns programs that compile, so
+        // the scratch run does not fail.
+        if let Ok(scratch) = eng.run(&jobs) {
+            match eng.analyze_incremental(&prev, &jobs) {
+                Ok(inc) => f.violations.extend(incremental_divergence(
+                    &inc.benches[0],
+                    &scratch.benches[0],
+                    &step.edit.description,
+                    &job,
+                )),
                 Err(e) => {
                     if is_step_limit(&e) {
                         f.budget_exhausted = true;
@@ -711,6 +747,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             }
         }
     }
+    lap(&mut f, "step:p4-incremental", &mut clock);
 
     // Property 6 — demand-driven queries agree with the exhaustive CI
     // oracle. Fires K pseudo-random point queries (both kinds) through
@@ -762,8 +799,8 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
                     });
                 }
                 let (hit, witnesses) = demand.may_alias(&graph, a, b);
-                let ba = Solution::loc_referent_bases(&ci, &graph, a);
-                let bb = Solution::loc_referent_bases(&ci, &graph, b);
+                let ba = Solution::loc_referent_bases(ci.as_ref(), &graph, a);
+                let bb = Solution::loc_referent_bases(ci.as_ref(), &graph, b);
                 let want_w: Vec<_> = ba
                     .iter()
                     .copied()
@@ -784,15 +821,26 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             f.demand_hits += ds.demand_hits;
         }
     }
+    lap(&mut f, "step:p6-demand", &mut clock);
+
+    // The interpreter oracle. A threaded program explores
+    // [`checker::RACE_SCHEDULES`] seeded schedules for property 7;
+    // schedule 0 is the round-robin run `interp::run` makes with this
+    // config, so its record is property 1's run too.
+    let icfg = interp::Config {
+        max_steps: cfg.interp_steps,
+        ..interp::Config::default()
+    };
+    let (run, obs) = if prog.uses_threads() {
+        let (rec, obs) = interp::explore_races_recorded(&prog, &icfg, checker::RACE_SCHEDULES);
+        (rec.into_outcome(), Some(obs))
+    } else {
+        (interp::run(&prog, &icfg), None)
+    };
+    lap(&mut f, "step:oracle", &mut clock);
 
     // Property 1 — oracle soundness against the interpreter trace.
-    match interp::run(
-        &prog,
-        &interp::Config {
-            max_steps: cfg.interp_steps,
-            ..interp::Config::default()
-        },
-    ) {
+    match run {
         Ok(outcome) => {
             for (name, sol) in &solved {
                 let vs = interp::check_solution_dyn(&prog, &graph, &**sol, &outcome.trace);
@@ -819,29 +867,22 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             f.degraded.push(format!("interp on {job}: {e}"));
         }
     }
+    lap(&mut f, "step:p1-soundness", &mut clock);
 
     // Property 7 — threaded race soundness and monotonicity. For
-    // programs that spawn threads, the bounded interleaving oracle
-    // replays the program under [`checker::RACE_SCHEDULES`] seeded
-    // schedules; every racing pair it observes must be covered by a
-    // data-race diagnostic from every solver (a miss means the static
-    // checker under-approximated MHP footprints), and data-race sites
-    // must shrink monotonically along the same lattice edges as
-    // Property 2 — a finer solver may drop a coarse solver's false
-    // positives but never invent a race the coarser referent sets
-    // already covered.
-    if prog.uses_threads() {
-        let obs = interp::explore_races(
-            &prog,
-            &interp::Config {
-                max_steps: cfg.interp_steps,
-                ..interp::Config::default()
-            },
-            checker::RACE_SCHEDULES,
-        );
-        let mut race_sites: Vec<(&'static str, std::collections::BTreeSet<u32>)> = Vec::new();
+    // programs that spawn threads, every racing pair the interleaving
+    // oracle observed must be covered by a data-race diagnostic from
+    // every solver (a miss means the static checker under-approximated
+    // MHP footprints), and data-race sites must shrink monotonically
+    // along the same lattice edges as Property 2 — a finer solver may
+    // drop a coarse solver's false positives but never invent a race
+    // the coarser referent sets already covered. Both read data-race
+    // diagnostics only, so only the race checker runs.
+    if let Some(obs) = obs {
+        let mut race_sites: Vec<(&'static str, BTreeSet<u32>)> = Vec::new();
         for (name, sol) in &solved {
-            let diags = checker::run_checks(&graph, &**sol, &ci.callees);
+            let mut diags = Vec::new();
+            checker::race::check_races(&graph, &**sol, &ci.callees, &mut diags);
             if let Some((x, y)) = checker::refuted_race(&diags, &obs) {
                 f.violations.push(Finding {
                     kind: "race-soundness",
@@ -863,12 +904,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             ));
         }
         let sites = |n: &str| race_sites.iter().find(|(s, _)| *s == n).map(|(_, v)| v);
-        for (coarse, fine) in [
-            ("weihl", "ci"),
-            ("steensgaard", "ci"),
-            ("ci", "k1"),
-            ("ci", "cs"),
-        ] {
+        for (coarse, fine) in LATTICE_EDGES {
             let (Some(c), Some(d)) = (sites(coarse), sites(fine)) else {
                 continue; // a degraded side skips the comparison
             };
@@ -883,8 +919,50 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             }
         }
     }
+    lap(&mut f, "step:p7-races", &mut clock);
 
     f
+}
+
+/// The `(coarse, fine)` edges of the precision lattice that properties
+/// 2 and 7 check.
+const LATTICE_EDGES: [(&str, &str); 4] = [
+    ("weihl", "ci"),
+    ("steensgaard", "ci"),
+    ("ci", "k1"),
+    ("ci", "cs"),
+];
+
+/// Property 4's verdict on one edit: the `"incremental"` finding when
+/// the incremental run's CI solution differs from the from-scratch
+/// solve of the edited program.
+///
+/// The rendered [`solution_dump`]s decide. They are built only when
+/// the cheap check cannot rule a difference out: two benches that
+/// lowered the same source to the same graph fingerprint have graphs
+/// equal id for id, and CI results are canonical, so equal fixpoints
+/// ([`same_fixpoint`]) have equal dumps.
+fn incremental_divergence(
+    inc: &BenchOutput,
+    scratch: &BenchOutput,
+    edit: &str,
+    job: &str,
+) -> Option<Finding> {
+    let (Some(a), Some(b)) = (inc.solution("ci"), scratch.solution("ci")) else {
+        return None;
+    };
+    let graph_fp = |g: &Graph| alias::fingerprint::GraphIndex::build(g).graph_fp;
+    if inc.source == scratch.source
+        && graph_fp(&inc.graph) == graph_fp(&scratch.graph)
+        && same_fixpoint(&scratch.graph, a, b)
+    {
+        return None;
+    }
+    (solution_dump(a, &inc.graph) != solution_dump(b, &scratch.graph)).then(|| Finding {
+        kind: "incremental",
+        solver: "ci".to_string(),
+        detail: format!("incremental ci diverges from scratch after edit `{edit}` ({job})"),
+    })
 }
 
 /// Deduplication key for one checker diagnostic: the check kind plus
@@ -942,29 +1020,6 @@ fn roundtrip_violation(src: &str) -> Option<String> {
             "printer not a parse fixpoint (first divergence at byte {byte})"
         ))
     }
-}
-
-/// Structural equality of two solutions of the same graph: pair-for-pair
-/// when both expose the pair-level view, referent-for-referent through
-/// the trait surface otherwise.
-fn same_solution(graph: &Graph, a: &dyn Solution, b: &dyn Solution) -> bool {
-    if let (Some(pa), Some(pb)) = (a.as_points_to(), b.as_points_to()) {
-        return (0..graph.output_count())
-            .all(|o| pa.pairs_at(OutputId(o as u32)) == pb.pairs_at(OutputId(o as u32)));
-    }
-    if a.pairs() != b.pairs() {
-        return false;
-    }
-    graph.all_mem_ops().iter().all(|&(node, _)| {
-        match (a.referents_at(graph, node), b.referents_at(graph, node)) {
-            (Some(mut x), Some(mut y)) => {
-                x.sort_unstable();
-                y.sort_unstable();
-                x == y
-            }
-            _ => a.loc_referent_bases(graph, node) == b.loc_referent_bases(graph, node),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1068,15 +1123,18 @@ mod tests {
         );
     }
 
+    /// A minimal planted race: main and the worker both write `g`
+    /// between spawn and join.
+    const RACY_REPRO: &str = "int g;\n\
+                              void worker(void) { g = 2; }\n\
+                              int main(void) { spawn worker(); g = 2; join; return g; }\n";
+
     #[test]
     fn race_properties_cover_a_hand_written_racy_repro() {
-        // A minimal planted race: main and the worker both write `g`
-        // between spawn and join. The static checker must cover every
-        // pair the oracle observes (no race-soundness finding) and the
-        // spectrum must stay monotone (no race-monotone finding).
-        let src = "int g;\n\
-                   void worker(void) { g = 2; }\n\
-                   int main(void) { spawn worker(); g = 2; join; return g; }\n";
+        // The static checker must cover every pair the oracle observes
+        // (no race-soundness finding) and the spectrum must stay
+        // monotone (no race-monotone finding).
+        let src = RACY_REPRO;
         let prog = cfront::compile(src).expect("repro compiles");
         assert!(prog.uses_threads(), "repro must reach Property 7");
         let found = check_source(src, &FuzzConfig::default(), 0);
@@ -1114,5 +1172,131 @@ mod tests {
                 .map(|v| (&v.kind, &v.solver))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// A CI-only engine like property 4's, with `fault` planted in CI.
+    fn ci_engine(fault: Fault) -> crate::Engine {
+        let spec = SolverSpec::ci().fault(fault);
+        crate::Engine::new()
+            .threads(1)
+            .specs(std::slice::from_ref(&spec))
+            .ci_spec(spec)
+    }
+
+    fn ci_bench(fault: Fault, src: &str) -> BenchOutput {
+        ci_engine(fault)
+            .run(&[crate::Job::new("seed 7", src)])
+            .expect("compiles")
+            .benches
+            .remove(0)
+    }
+
+    #[test]
+    fn incremental_property_reports_a_real_divergence() {
+        // The over-strong-update fault changes this program's CI
+        // solution; standing in for a broken resume, it must yield
+        // exactly one finding with the campaign's detail text.
+        let src = include_str!("../../../tests/fixtures/weakened_strong_update.c");
+        let scratch = ci_bench(Fault::None, src);
+        let broken = ci_bench(Fault::OverStrongUpdates, src);
+        let ci = |b: &BenchOutput| solution_dump(b.solution("ci").expect("ci"), &b.graph);
+        assert_ne!(
+            ci(&broken),
+            ci(&scratch),
+            "the fault must change the answer"
+        );
+        let found: Vec<Finding> =
+            incremental_divergence(&broken, &scratch, "delete statement in fn1", "seed 7")
+                .into_iter()
+                .collect();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].kind, "incremental");
+        assert_eq!(found[0].solver, "ci");
+        assert_eq!(
+            found[0].detail,
+            "incremental ci diverges from scratch after edit `delete statement in fn1` (seed 7)"
+        );
+    }
+
+    #[test]
+    fn incremental_property_is_silent_on_equal_solutions() {
+        let eng = ci_engine(Fault::None);
+        let mut resumed = 0;
+        for seed in 0..12 {
+            let src = generate(seed, &GenConfig::campaign());
+            let step = suite::edit::apply_random_edit(&src, seed).expect("an edit applies");
+            let prev = eng
+                .run(&[crate::Job::new("p", src.as_str())])
+                .expect("runs");
+            let jobs = [crate::Job::new("p", step.source.as_str())];
+            let scratch = eng.run(&jobs).expect("edited program runs");
+            let inc = eng.analyze_incremental(&prev, &jobs).expect("resumes");
+            if inc.benches[0].solutions[0]
+                .mode
+                .as_ref()
+                .is_some_and(|m| m.is_resumed())
+            {
+                resumed += 1;
+            }
+            assert!(
+                incremental_divergence(&inc.benches[0], &scratch.benches[0], "e", "j").is_none(),
+                "seed {seed}: equal solutions reported as divergent"
+            );
+        }
+        assert!(resumed > 0, "no edit exercised a seeded resume");
+
+        // Two sources that differ only in a comment skip the id-for-id
+        // comparison; the rendered dumps agree, so nothing is reported.
+        let src = generate(3, &GenConfig::campaign());
+        let a = ci_bench(Fault::None, &src);
+        let b = ci_bench(Fault::None, &format!("/* edited */\n{src}"));
+        assert!(incremental_divergence(&a, &b, "e", "j").is_none());
+    }
+
+    #[test]
+    fn race_schedule_zero_is_the_oracle_run() {
+        // Property 1 takes a threaded program's run from race schedule
+        // 0, and the checker harness labels from it: that record must be
+        // what `interp::run` returns for the same config.
+        let same = |src: &str, icfg: &interp::Config| {
+            let prog = cfront::compile(src).expect("compiles");
+            assert!(prog.uses_threads());
+            let (rec, obs) = interp::explore_races_recorded(&prog, icfg, checker::RACE_SCHEDULES);
+            assert_eq!(obs.schedules, checker::RACE_SCHEDULES);
+            match interp::run(&prog, icfg) {
+                Ok(out) => {
+                    assert_eq!(rec.error, None);
+                    assert_eq!(rec.exit, Some(out.exit));
+                    assert_eq!(rec.steps, out.steps);
+                    assert_eq!(rec.stdout, out.stdout);
+                    assert_eq!(rec.trace, out.trace);
+                }
+                Err(e) => assert_eq!(rec.error, Some(e)),
+            }
+            rec.error
+        };
+        let icfg = interp::Config {
+            max_steps: FuzzConfig::default().interp_steps,
+            ..interp::Config::default()
+        };
+        for seed in 0..64 {
+            assert_eq!(same(&generate(seed, &GenConfig::threaded()), &icfg), None);
+        }
+        assert_eq!(same(RACY_REPRO, &icfg), None);
+        let null = "int g; int *p;\n\
+                    void worker(void) { g = 1; }\n\
+                    int main(void) { spawn worker(); join; p = NULL; return *p; }\n";
+        assert!(matches!(
+            same(null, &icfg),
+            Some(interp::RunError::Dynamic(_))
+        ));
+        let spin = "int g;\n\
+                    void worker(void) { g = 1; }\n\
+                    int main(void) { spawn worker(); while (1) { g = g + 1; } join; return 0; }\n";
+        let short = interp::Config {
+            max_steps: 10_000,
+            ..interp::Config::default()
+        };
+        assert_eq!(same(spin, &short), Some(interp::RunError::StepLimit));
     }
 }

@@ -532,11 +532,7 @@ impl Engine {
         fold: bool,
     ) -> Result<EngineRun, AnalysisError> {
         let t_run = Instant::now();
-        let threads = if self.threads == 0 {
-            pool::auto_threads()
-        } else {
-            self.threads
-        };
+        let threads = self.resolved_threads();
         let mut spec_reset = false;
         if cache.spec_key != self.spec_key() {
             // Cached facts were computed under different knobs; none

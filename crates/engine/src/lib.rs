@@ -226,11 +226,7 @@ impl Engine {
     /// Returns the first frontend/lowering error, if any.
     pub fn run(&self, jobs: &[Job]) -> Result<EngineRun, AnalysisError> {
         let t_run = Instant::now();
-        let threads = if self.threads == 0 {
-            pool::auto_threads()
-        } else {
-            self.threads
-        };
+        let threads = self.resolved_threads();
 
         // Stage 1 — prepare: one job per benchmark, each producing the
         // shared immutable inputs every solver of stage 2 reuses.
@@ -240,6 +236,25 @@ impl Engine {
         for p in prepared {
             benches.push(p?);
         }
+        Ok(self.solve_prepared(benches, t_run))
+    }
+
+    /// The configured thread count, with `0` resolved to one per core.
+    pub(crate) fn resolved_threads(&self) -> usize {
+        if self.threads == 0 {
+            pool::auto_threads()
+        } else {
+            self.threads
+        }
+    }
+
+    /// Stages 2 and 3 of [`Engine::run`] over benchmarks already
+    /// prepared: a harness that holds a program, its graph and its CI
+    /// solution (solved under this engine's CI spec and build options)
+    /// gets the run it would have got from `run`, without compiling,
+    /// lowering and solving CI again.
+    pub(crate) fn solve_prepared(&self, benches: Vec<Prepared>, t_run: Instant) -> EngineRun {
+        let threads = self.resolved_threads();
 
         // Stage 2 — solve: one job per (benchmark × non-CI solver),
         // claimed dynamically so a slow CS run does not serialize the
@@ -333,10 +348,10 @@ impl Engine {
             incremental: None,
             serve: None,
         };
-        Ok(EngineRun {
+        EngineRun {
             report,
             benches: outputs,
-        })
+        }
     }
 
     fn prepare(&self, job: &Job) -> Result<Prepared, AnalysisError> {
@@ -369,16 +384,16 @@ impl Engine {
 }
 
 /// Stage-1 product for one benchmark.
-struct Prepared {
-    name: String,
-    source: String,
-    input: Vec<u8>,
-    program: Arc<cfront::Program>,
-    graph: Arc<Graph>,
-    ci: Arc<CiResult>,
-    ci_wall: Duration,
-    frontend: Duration,
-    lowering: Duration,
+pub(crate) struct Prepared {
+    pub(crate) name: String,
+    pub(crate) source: String,
+    pub(crate) input: Vec<u8>,
+    pub(crate) program: Arc<cfront::Program>,
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) ci: Arc<CiResult>,
+    pub(crate) ci_wall: Duration,
+    pub(crate) frontend: Duration,
+    pub(crate) lowering: Duration,
 }
 
 /// One solver's outcome on one benchmark.

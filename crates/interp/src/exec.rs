@@ -89,7 +89,7 @@ pub struct FaultInfo {
 
 /// Memory accesses observed at runtime, abstracted and keyed by the AST
 /// expression that performed them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Abstract locations read, per reading expression.
     pub reads: HashMap<ExprId, HashSet<AbsLoc>>,
@@ -140,17 +140,7 @@ pub struct Outcome {
 ///
 /// Returns [`RunError`] for dynamic errors or step-budget exhaustion.
 pub fn run(prog: &Program, cfg: &Config) -> Result<Outcome, RunError> {
-    let (mut w, r) = run_raw(prog, cfg);
-    match r {
-        Ok(exit) | Err(StopSig::Exit(exit)) => Ok(Outcome {
-            exit,
-            stdout: std::mem::take(&mut w.out),
-            steps: w.steps,
-            trace: std::mem::take(&mut w.trace),
-        }),
-        Err(StopSig::Error(m)) => Err(RunError::Dynamic(m)),
-        Err(StopSig::StepLimit) => Err(RunError::StepLimit),
-    }
+    run_traced(prog, cfg).into_outcome()
 }
 
 /// Result of a run that keeps the trace (and any classified fault) even
@@ -170,6 +160,28 @@ pub struct RunRecord {
     pub fault: Option<FaultInfo>,
     /// The memory-access trace up to the stop point.
     pub trace: Trace,
+}
+
+impl RunRecord {
+    /// The record as [`run`] reports it: the outcome of a normal stop,
+    /// or the error of an abnormal one (dropping the trace and fault).
+    ///
+    /// # Errors
+    ///
+    /// Returns the recorded [`RunError`], if the run stopped on one.
+    pub fn into_outcome(self) -> Result<Outcome, RunError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        Ok(Outcome {
+            exit: self
+                .exit
+                .expect("a run that stopped without error has an exit value"),
+            stdout: self.stdout,
+            steps: self.steps,
+            trace: self.trace,
+        })
+    }
 }
 
 /// Runs `main()` like [`run`] but never discards the trace: a faulting
@@ -210,12 +222,25 @@ pub struct RaceObs {
 /// — and unions the observed data races and executed sites. Sequential
 /// programs get a single run.
 pub fn explore_races(prog: &Program, cfg: &Config, schedules: usize) -> RaceObs {
+    explore_races_recorded(prog, cfg, schedules).1
+}
+
+/// [`explore_races`], also handing back schedule 0's [`RunRecord`].
+/// Schedule 0 is the round-robin schedule (`sched_seed = 0`), so its
+/// record is exactly what [`run_traced`] returns for `cfg` with
+/// `sched_seed` 0: a caller that needs both pays for that run once.
+pub fn explore_races_recorded(
+    prog: &Program,
+    cfg: &Config,
+    schedules: usize,
+) -> (RunRecord, RaceObs) {
     let n = if prog.uses_threads() {
         schedules.max(1)
     } else {
         1
     };
     let mut obs = RaceObs::default();
+    let mut first = None;
     for k in 0..n {
         let mut c = cfg.clone();
         c.sched_seed = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -225,8 +250,9 @@ pub fn explore_races(prog: &Program, cfg: &Config, schedules: usize) -> RaceObs 
         obs.executed.extend(rec.trace.writes.keys().copied());
         obs.executed.extend(rec.trace.frees.keys().copied());
         obs.schedules += 1;
+        first.get_or_insert(rec);
     }
-    obs
+    (first.expect("at least one schedule runs"), obs)
 }
 
 enum Stop {

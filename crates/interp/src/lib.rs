@@ -27,8 +27,8 @@ pub mod memory;
 pub mod oracle;
 
 pub use exec::{
-    explore_races, run, run_traced, Config, FaultInfo, FaultKind, Outcome, RaceObs, RunError,
-    RunRecord, Trace,
+    explore_races, explore_races_recorded, run, run_traced, Config, FaultInfo, FaultKind, Outcome,
+    RaceObs, RunError, RunRecord, Trace,
 };
 pub use oracle::{check_solution, check_solution_dyn, Violation};
 

@@ -1063,10 +1063,10 @@ mod tests {
     fn cold_cache_solves_fresh_and_chains() {
         let e = Engine::new().threads(1);
         let mut cache = e.cache();
-        let r1 = e
-            .analyze_incremental_with(&mut cache, &[job("t", A)])
-            .unwrap();
+        let jobs = vec![job("t", A)];
+        let r1 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
         assert_eq!(r1.report.incremental.as_ref().unwrap().benches_fresh, 1);
+        assert_matches_fresh(&e, &r1, &jobs);
         // Second step of the chain: the cache now holds step 1.
         let jobs = vec![job("t", B)];
         let r2 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
@@ -1076,6 +1076,43 @@ mod tests {
         let r3 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
         assert_eq!(r3.report.incremental.as_ref().unwrap().benches_replayed, 1);
         assert_matches_fresh(&e, &r3, &jobs);
+    }
+
+    #[test]
+    fn solver_missing_from_the_cache_solves_fresh_on_replay() {
+        // k1 overflows its budget, so the cache keeps no k1 solution: a
+        // replay of the unchanged source replays CI and re-solves k1.
+        let e = Engine::new().threads(1).specs(&[
+            alias::SolverSpec::ci(),
+            alias::SolverSpec::k1().max_steps(1),
+        ]);
+        let mut cache = e.cache();
+        let jobs = Job::named(&["span"]);
+        e.analyze_incremental_with(&mut cache, &jobs).unwrap();
+        let r = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
+        let stats = r.report.incremental.as_ref().unwrap();
+        assert_eq!(stats.benches_replayed, 1);
+        assert_eq!(stats.solutions_replayed, 1);
+        let [ci, k1] = &r.benches[0].solutions[..] else {
+            panic!("two configured solvers")
+        };
+        assert_eq!(
+            (ci.analysis.as_str(), &ci.mode),
+            ("ci", &Some(SolveMode::Replay))
+        );
+        let not_in_cache = SolveMode::Fresh {
+            why: FreshReason::NotInCache,
+        };
+        assert_eq!(
+            (k1.analysis.as_str(), &k1.mode),
+            ("k1", &Some(not_in_cache))
+        );
+        assert!(k1.solution.is_none());
+        let msg = k1.error.as_deref().expect("overflow recorded");
+        assert!(
+            msg.contains("k1") && msg.contains("span"),
+            "error should carry solver + benchmark context: {msg}"
+        );
     }
 
     #[test]

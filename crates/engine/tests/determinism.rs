@@ -3,7 +3,7 @@
 //! the recorded thread count, which `EngineReport::fingerprint()`
 //! zeroes out.
 
-use engine::{Engine, Job};
+use engine::{Engine, FreshReason, Job, SolveMode};
 
 #[test]
 fn parallel_suite_report_matches_single_threaded() {
@@ -46,4 +46,43 @@ fn naive_discipline_matches_delta_fingerprint() {
         naive.report.fingerprint(),
         "propagation discipline changed the analysis products"
     );
+}
+
+#[test]
+fn plain_run_matches_a_cold_cached_step() {
+    // A plain run is the cached pipeline with no cache: on an empty
+    // cache both solve every benchmark from scratch, so their reports
+    // agree. Only the cached step reports modes and cache counters.
+    for threads in [1, 2] {
+        let e = Engine::new().threads(threads);
+        let plain = e.run_suite().expect("plain run");
+        let mut cache = e.cache();
+        let cold = e
+            .analyze_incremental_with(&mut cache, &Job::suite())
+            .expect("cold cached step");
+        assert_eq!(
+            plain.report.fingerprint(),
+            cold.report.fingerprint(),
+            "threads({threads}): plain run and cold cached step differ"
+        );
+        assert!(plain.report.incremental.is_none());
+        for s in plain.benches.iter().flat_map(|b| &b.solutions) {
+            assert!(s.mode.is_none(), "plain {} has a mode", s.analysis);
+        }
+        let stats = cold.report.incremental.as_ref().expect("cache counters");
+        assert_eq!(stats.benches_fresh, 13);
+        for b in &cold.benches {
+            for s in &b.solutions {
+                assert_eq!(
+                    s.mode,
+                    Some(SolveMode::Fresh {
+                        why: FreshReason::NoCache
+                    }),
+                    "{} on {}",
+                    s.analysis,
+                    b.name
+                );
+            }
+        }
+    }
 }

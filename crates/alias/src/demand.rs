@@ -8,7 +8,7 @@
 //! 1. **Slice.** From the queried output, chase value dependencies
 //!    *backwards* — matched load/store parentheses ride the existing
 //!    transfer functions, assignment edges are epsilon — using a
-//!    conservative may-call relation ([`crate::fingerprint::call_targets`]
+//!    conservative may-call relation (`fingerprint::call_targets`
 //!    style) for call/return boundaries. The result is a set of outputs
 //!    closed under "my committed pairs can influence yours".
 //! 2. **Restricted fixpoint.** Run the ordinary CI solver with an

@@ -19,7 +19,7 @@
 //!    [`PathTable`] of another. Each solver has its own fact shape
 //!    ([`crate::summary::FuncFacts`]); this module owns the CI shape
 //!    and the shared classification/cone machinery the other solvers'
-//!    planners build on ([`plan_base`], [`compute_cone_for`]).
+//!    planners build on (`plan_base`, `compute_cone_for`).
 //! 3. **The dirty cone** ([`compute_cone`]): the forward closure, over
 //!    static consumer edges plus call/return boundaries, of every
 //!    output owned by a changed function. Outputs *outside* the cone
@@ -876,7 +876,7 @@ pub(crate) enum ConeVocab {
 /// - an in-cone input of `Return{f}` puts the outputs of `f`'s
 ///   previously recorded callers in the cone.
 ///
-/// See [`ConeVocab`] for the CS and k=1 extensions.
+/// See `ConeVocab` for the CS and k=1 extensions.
 pub fn compute_cone(
     g: &Graph,
     index: &GraphIndex,

@@ -90,7 +90,7 @@ const SPILL: usize = 64;
 ///
 /// Small sets are a sorted `Vec<u32>` (binary-search membership, most
 /// outputs hold a handful of pairs and never allocate a bitset); past
-/// [`SPILL`] elements the set becomes a bitset indexed by id with O(1)
+/// `SPILL` elements the set becomes a bitset indexed by id with O(1)
 /// membership and insertion. Iteration is always in ascending id order,
 /// so downstream consumption is deterministic.
 #[derive(Debug, Clone, Default)]

@@ -19,7 +19,7 @@
 //! Passing the CI result is optional but meaningful twice over: the CS
 //! solver *requires* CI facts for its §4.2 pruning (it computes its own
 //! when given `None`), and the pair-based baselines seed their
-//! [`PathTable`] from the CI one so that [`Pair`] ids remain comparable
+//! [`PathTable`] from the CI one so that [`Pair`](crate::path::Pair) ids remain comparable
 //! across solutions of the same graph.
 //!
 //! The concrete result types are still reachable — [`Solution::as_ci`]

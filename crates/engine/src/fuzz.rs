@@ -713,7 +713,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
             .specs(std::slice::from_ref(&spec))
             .ci_spec(spec);
         let prev = eng.solve_prepared(
-            vec![crate::Prepared {
+            vec![BenchOutput {
                 name: job.clone(),
                 source: src.to_string(),
                 input: Vec::new(),
@@ -723,6 +723,7 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
                 ci_wall,
                 frontend,
                 lowering,
+                solutions: Vec::new(),
             }],
             t_run,
         );

@@ -28,21 +28,25 @@
 //! without stable summaries, a rejected plan — falls back to a fresh
 //! solve with the typed [`FreshReason`] recorded in its [`SolveMode`].
 //!
+//! The tiers are not a second pipeline: an incremental run is the
+//! engine's one pipeline ([`Engine::run`]) given a cache. Tiers 1–2
+//! and CI's resume are decided in its stage 1, every other solver's
+//! resume happens in its stage 2, and stage 3 folds the solved
+//! benchmarks back into the cache.
+//!
 //! Reuse is sound only when the same [`Engine`] configuration produced
 //! the cached facts; the cache records the engine's full solver spec
 //! key and resets itself when it changes.
 
 use crate::report::IncrementalStats;
-use crate::{compose, pool, BenchOutput, Engine, EngineReport, EngineRun, Job, Solved};
+use crate::{compose, BenchOutput, Engine, EngineRun, Job, Tier};
 use alias::ci::CiResult;
 use alias::fingerprint::{fnv64, GraphIndex};
-use alias::solver::{solution_fingerprint, Solution, SolutionBox};
+use alias::solver::{solution_fingerprint, Solution, SolutionBox, Solver};
 use alias::summary::{ResumeStats, SolverSummaries};
 use alias::{AnalysisError, Fault, HeapNaming};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use vdg::build::lower;
 use vdg::graph::Graph;
 
 /// Why a solver solved from scratch instead of reusing cached facts.
@@ -386,7 +390,7 @@ impl SummaryCache {
     /// Absorbs one benchmark, summarizing each solution over `threads`
     /// workers via the bottom-up composition driver
     /// ([`compose::summarize`]).
-    fn absorb_bench(&mut self, b: &BenchOutput, index: Arc<GraphIndex>, threads: usize) {
+    pub(crate) fn absorb_bench(&mut self, b: &BenchOutput, index: Arc<GraphIndex>, threads: usize) {
         let mut summaries: HashMap<String, Arc<SolverSummaries>> = HashMap::new();
         if index.unsafe_reason.is_none() {
             if let Some(s) = compose::summarize(&b.graph, &index, b.ci.as_ref(), None, threads) {
@@ -442,42 +446,161 @@ impl SummaryCache {
 
 /// The `Sync` subset of a cache entry that pool workers may read.
 /// Solutions stay behind on the driver thread.
-#[derive(Clone)]
-struct PrevMeta {
+pub(crate) struct PrevMeta {
     source_hash: u64,
     graph_fp: u64,
+    pub(crate) program: Arc<cfront::Program>,
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) ci: Arc<CiResult>,
     summaries: HashMap<String, Arc<SolverSummaries>>,
 }
 
-/// Stage-1 product of one benchmark in an incremental run.
-enum IncPrep {
-    /// Source text unchanged: reuse the whole cache entry.
-    ReplaySource {
-        /// Time spent hashing the source to discover the match.
-        frontend: Duration,
-    },
-    /// Recompiled, but the VDG fingerprint is unchanged: reuse every
-    /// cached solution against the fresh artifacts.
-    ReplayGraph {
-        program: Arc<cfront::Program>,
-        graph: Arc<Graph>,
-        frontend: Duration,
-        lowering: Duration,
-    },
-    /// The graph changed: CI was re-solved (resumed or fresh) and every
-    /// other solver gets a stage-2 resume-or-solve.
-    Solve {
-        program: Arc<cfront::Program>,
-        graph: Arc<Graph>,
-        index: Arc<GraphIndex>,
-        ci: Arc<CiResult>,
-        ci_wall: Duration,
-        ci_mode: SolveMode,
-        frontend: Duration,
-        lowering: Duration,
-        funcs_reused: usize,
-        funcs_dirty: usize,
-    },
+impl PrevMeta {
+    /// Whether `source` is the cached source text (by hash).
+    pub(crate) fn same_source(&self, source: &str) -> bool {
+        fnv64(source.as_bytes()) == self.source_hash
+    }
+
+    /// Whether the cached graph is id-for-id the one `index` describes.
+    pub(crate) fn same_graph(&self, index: &GraphIndex) -> bool {
+        index.unsafe_reason.is_none() && index.graph_fp == self.graph_fp
+    }
+}
+
+/// A job's cached run as stage 1 sees it: its entry, or why it has
+/// none.
+pub(crate) type Prior = Result<PrevMeta, FreshReason>;
+
+/// What a cached run keeps of a benchmark it had to solve: the graph
+/// index the resumes and the fold read, how CI was obtained, and the
+/// summaries the other solvers resume from.
+pub(crate) struct Reuse {
+    pub(crate) index: Arc<GraphIndex>,
+    pub(crate) ci_mode: SolveMode,
+    funcs_reused: usize,
+    funcs_dirty: usize,
+    /// The cached entry's summaries, or why the benchmark has none.
+    prev: Result<HashMap<String, Arc<SolverSummaries>>, FreshReason>,
+}
+
+impl Reuse {
+    /// What `analysis` resumes from, or why it solves fresh.
+    pub(crate) fn prev(
+        &self,
+        analysis: &str,
+    ) -> Result<(&GraphIndex, &SolverSummaries), FreshReason> {
+        match &self.prev {
+            Ok(sums) => sums
+                .get(analysis)
+                .map(|p| (&*self.index, &**p))
+                .ok_or(FreshReason::NoSummaries),
+            Err(why) => Err(why.clone()),
+        }
+    }
+}
+
+/// Resumes `s` from `prev` (the next graph's index and the solver's
+/// cached summaries) when the solver can, else solves fresh. Returns the
+/// outcome with the resume's stats, or with why it solved fresh.
+pub(crate) fn resume_or_solve(
+    s: &dyn Solver,
+    graph: &Graph,
+    prev: Result<(&GraphIndex, &SolverSummaries), FreshReason>,
+    ci: Option<&CiResult>,
+) -> (
+    Result<SolutionBox, AnalysisError>,
+    Result<ResumeStats, FreshReason>,
+) {
+    let why = match prev {
+        Ok((index, prev)) => match s.resume(graph, index, prev, ci) {
+            Some(Ok(out)) => return (Ok(out.solution), Ok(out.stats)),
+            Some(Err(_)) => FreshReason::StepBudget,
+            None => match &index.unsafe_reason {
+                Some(r) => FreshReason::UnstableNaming(r.clone()),
+                None => FreshReason::PlanRejected,
+            },
+        },
+        Err(why) => why,
+    };
+    (s.solve(graph, ci), Err(why))
+}
+
+impl SolveMode {
+    /// The mode of a [`resume_or_solve`] outcome.
+    pub(crate) fn of(how: Result<ResumeStats, FreshReason>) -> SolveMode {
+        match how {
+            Ok(stats) => SolveMode::from_stats(&stats),
+            Err(why) => SolveMode::Fresh { why },
+        }
+    }
+}
+
+impl SummaryCache {
+    /// Each job's cached run, after resetting the cache if `engine`'s
+    /// solver specs changed since it was filled.
+    pub(crate) fn priors(&mut self, engine: &Engine, jobs: &[Job]) -> Vec<Prior> {
+        let mut missing = FreshReason::NoCache;
+        if self.spec_key != engine.spec_key() {
+            // Cached facts were computed under different knobs; none
+            // are sound to reuse.
+            self.entries.clear();
+            self.spec_key = engine.spec_key();
+            missing = FreshReason::SpecChange;
+        }
+        jobs.iter()
+            .map(|j| {
+                let e = self.entries.get(&j.name).ok_or_else(|| missing.clone())?;
+                Ok(PrevMeta {
+                    source_hash: e.source_hash,
+                    graph_fp: e.graph_fp,
+                    program: Arc::clone(&e.arts.program),
+                    graph: Arc::clone(&e.arts.graph),
+                    ci: Arc::clone(&e.arts.ci),
+                    summaries: e.summaries.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// Stage-3 bookkeeping for one assembled benchmark of a cached run:
+    /// counts it into `stats`, and re-keys a replayed entry to the job.
+    pub(crate) fn settle(&mut self, out: &BenchOutput, tier: &Tier, stats: &mut IncrementalStats) {
+        match tier {
+            Tier::Plain => {}
+            Tier::Replay => {
+                stats.benches_replayed += 1;
+                // Re-key the entry to the new source text so the next
+                // step of an edit chain replays from the source hash.
+                // Equal graph fingerprints mean id-for-id isomorphism, so
+                // the cached summaries, CI result, solutions and their
+                // fingerprints all remain exact.
+                let e = self.entries.get_mut(&out.name).expect("matched in stage 1");
+                if e.source != out.source {
+                    e.source.clone_from(&out.source);
+                    e.source_hash = fnv64(out.source.as_bytes());
+                }
+                e.input.clone_from(&out.input);
+                e.arts.program = Arc::clone(&out.program);
+                e.arts.graph = Arc::clone(&out.graph);
+            }
+            Tier::Solve(r) => {
+                if r.ci_mode.is_resumed() {
+                    stats.benches_seeded += 1;
+                } else {
+                    stats.benches_fresh += 1;
+                }
+                stats.funcs_reused += r.funcs_reused;
+                stats.funcs_dirty += r.funcs_dirty;
+            }
+        }
+        for s in &out.solutions {
+            match &s.mode {
+                Some(SolveMode::Replay) => stats.solutions_replayed += 1,
+                Some(m) if m.is_resumed() => stats.solutions_resumed += 1,
+                _ => {}
+            }
+        }
+    }
 }
 
 impl Engine {
@@ -505,7 +628,7 @@ impl Engine {
         let mut cache = self.cache();
         cache.absorb(prev);
         // The cache is dropped on return: skip folding this run into it.
-        self.run_incremental(&mut cache, jobs, false)
+        self.pipeline(Some(&mut cache), jobs, false)
     }
 
     /// Re-analyzes `jobs` against (and then into) `cache`. On return
@@ -520,455 +643,59 @@ impl Engine {
         cache: &mut SummaryCache,
         jobs: &[Job],
     ) -> Result<EngineRun, AnalysisError> {
-        self.run_incremental(cache, jobs, true)
+        self.pipeline(Some(cache), jobs, true)
     }
 
-    /// The incremental run behind both entry points; `fold` re-summarizes
-    /// the changed benchmarks into `cache` at the end.
-    fn run_incremental(
+    /// CI for a graph a cached run must solve: resumed from the clean
+    /// functions' summaries where that is sound, else solved fresh. The
+    /// reason gates are checked here (rather than trusting `resume`'s
+    /// opaque `None`) so the report can say *why* a fresh solve
+    /// happened.
+    pub(crate) fn resume_ci(
         &self,
-        cache: &mut SummaryCache,
-        jobs: &[Job],
-        fold: bool,
-    ) -> Result<EngineRun, AnalysisError> {
-        let t_run = Instant::now();
-        let threads = self.resolved_threads();
-        let mut spec_reset = false;
-        if cache.spec_key != self.spec_key() {
-            // Cached facts were computed under different knobs; none
-            // are sound to reuse.
-            cache.entries.clear();
-            cache.spec_key = self.spec_key();
-            spec_reset = true;
-        }
-
-        let metas: Vec<Option<PrevMeta>> = jobs
-            .iter()
-            .map(|j| {
-                cache.entries.get(&j.name).map(|e| PrevMeta {
-                    source_hash: e.source_hash,
-                    graph_fp: e.graph_fp,
-                    summaries: e.summaries.clone(),
-                })
-            })
-            .collect();
-        let no_cache_why = || {
-            if spec_reset {
-                FreshReason::SpecChange
-            } else {
-                FreshReason::NoCache
-            }
-        };
-
-        // Stage 1 — prepare: hash, compile, fingerprint, and (for
-        // changed graphs) re-solve CI seeded from the clean functions'
-        // summaries. Parallel over benchmarks.
-        let prepared: Vec<Result<IncPrep, AnalysisError>> =
-            pool::run_indexed(jobs.len(), threads, |i| {
-                self.prepare_incremental(&jobs[i], metas[i].as_ref(), no_cache_why())
-            });
-        let mut preps = Vec::with_capacity(jobs.len());
-        for p in prepared {
-            preps.push(p?);
-        }
-
-        // Stage 2 — resume-or-solve (benchmark × non-CI solver) jobs
-        // for the changed benchmarks only: each solver first tries to
-        // resume from its own cached vocabulary, falling back to a
-        // fresh solve with the typed reason.
-        let solve_jobs: Vec<(usize, usize)> = preps
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, IncPrep::Solve { .. }))
-            .flat_map(|(bi, _)| {
-                self.solvers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.name() != "ci")
-                    .map(move |(si, _)| (bi, si))
-            })
-            .collect();
-        let solved: Vec<(usize, usize, Solved)> =
-            pool::run_indexed(solve_jobs.len(), threads, |k| {
-                let (bi, si) = solve_jobs[k];
-                let (graph, index, ci) = match &preps[bi] {
-                    IncPrep::Solve {
-                        graph, index, ci, ..
-                    } => (graph, index, ci),
-                    _ => unreachable!("solve job on replayed benchmark"),
-                };
-                let s = &self.solvers[si];
-                let prev = metas[bi].as_ref().and_then(|m| m.summaries.get(s.name()));
-                let t = Instant::now();
-                let (outcome, mode) = match prev {
-                    None => {
-                        let why = if metas[bi].is_some() {
-                            FreshReason::NoSummaries
-                        } else {
-                            no_cache_why()
-                        };
-                        (s.solve(graph, Some(ci)), SolveMode::Fresh { why })
-                    }
-                    Some(prev) => match s.resume(graph, index, prev, Some(ci)) {
-                        Some(Ok(out)) => {
-                            let mode = SolveMode::from_stats(&out.stats);
-                            (Ok(out.solution), mode)
-                        }
-                        Some(Err(_)) => (
-                            s.solve(graph, Some(ci)),
-                            SolveMode::Fresh {
-                                why: FreshReason::StepBudget,
-                            },
-                        ),
-                        None => {
-                            let why = match &index.unsafe_reason {
-                                Some(r) => FreshReason::UnstableNaming(r.clone()),
-                                None => FreshReason::PlanRejected,
-                            };
-                            (s.solve(graph, Some(ci)), SolveMode::Fresh { why })
-                        }
-                    },
-                };
-                let wall = t.elapsed();
-                let solved = match outcome {
-                    Ok(solution) => Solved {
-                        analysis: s.name().to_string(),
-                        wall,
-                        solution: Some(solution),
-                        mode: Some(mode),
-                        error: None,
-                    },
-                    Err(e) => Solved {
-                        analysis: s.name().to_string(),
-                        wall,
-                        solution: None,
-                        mode: Some(mode),
-                        error: Some(e.in_context(s.name(), &jobs[bi].name).to_string()),
-                    },
-                };
-                (bi, si, solved)
-            });
-        let mut slots: Vec<Vec<Option<Solved>>> = preps
-            .iter()
-            .map(|_| self.solvers.iter().map(|_| None).collect())
-            .collect();
-        for (bi, si, s) in solved {
-            slots[bi][si] = Some(s);
-        }
-
-        // Stage 3 — assemble (driver thread: cached solutions are not
-        // `Sync`), then (if `fold`) fold the finished run into the cache,
-        // summarizing each fresh solution bottom-up in parallel.
-        let mut stats = IncrementalStats::default();
-        let mut outputs = Vec::with_capacity(jobs.len());
-        let mut indexes = Vec::with_capacity(jobs.len());
-        for ((job, prep), row) in jobs.iter().zip(preps).zip(slots) {
-            let (out, index) = self.assemble_bench(cache, job, prep, row, &mut stats)?;
-            outputs.push(out);
-            indexes.push(index);
-        }
-        if fold {
-            for (out, index) in outputs.iter().zip(indexes) {
-                if let Some(index) = index {
-                    cache.absorb_bench(out, index, threads);
-                }
-            }
-        }
-
-        let report = EngineReport {
-            threads,
-            total_wall: t_run.elapsed(),
-            benchmarks: outputs.iter().map(BenchOutput::report).collect(),
-            incremental: Some(stats),
-            serve: None,
-        };
-        Ok(EngineRun {
-            report,
-            benches: outputs,
-        })
-    }
-
-    fn prepare_incremental(
-        &self,
-        job: &Job,
-        meta: Option<&PrevMeta>,
-        no_cache_why: FreshReason,
-    ) -> Result<IncPrep, AnalysisError> {
-        let t0 = Instant::now();
-        if let Some(m) = meta {
-            if fnv64(job.source.as_bytes()) == m.source_hash {
-                return Ok(IncPrep::ReplaySource {
-                    frontend: t0.elapsed(),
-                });
-            }
-        }
-        let program = cfront::compile(&job.source)?;
-        let frontend = t0.elapsed();
-        let t1 = Instant::now();
-        let graph = lower(&program, &self.build)?;
-        let index = Arc::new(GraphIndex::build(&graph));
-        let lowering = t1.elapsed();
-        let program = Arc::new(program);
-        let graph = Arc::new(graph);
-
-        if let Some(m) = meta {
-            if index.unsafe_reason.is_none() && index.graph_fp == m.graph_fp {
-                return Ok(IncPrep::ReplayGraph {
-                    program,
-                    graph,
-                    frontend,
-                    lowering,
-                });
-            }
-        }
-
-        // The graph changed (or was never cached): re-solve CI through
-        // its own resume capability, seeded from fingerprint-matched
-        // functions when that is sound. The reason gates are checked
-        // here (rather than trusting `resume`'s opaque `None`) so the
-        // report can say *why* a fresh solve happened.
+        graph: &Graph,
+        index: Arc<GraphIndex>,
+        prior: &Prior,
+    ) -> (Arc<CiResult>, Tier) {
         let cfg = self.ci.ci_config();
-        let fresh = |why: FreshReason| SolveMode::Fresh { why };
-        let prev_ci = meta.and_then(|m| m.summaries.get("ci"));
-        let t2 = Instant::now();
-        let mut resumed: Option<(CiResult, ResumeStats)> = None;
-        let ci_mode = match (meta, prev_ci) {
-            (None, _) => fresh(no_cache_why),
-            _ if cfg.heap_naming != HeapNaming::Site => fresh(FreshReason::HeapNaming),
-            _ if cfg.fault != Fault::None => fresh(FreshReason::FaultInjection),
-            _ if index.unsafe_reason.is_some() => fresh(FreshReason::UnstableNaming(
-                index.unsafe_reason.clone().unwrap_or_default(),
-            )),
-            (Some(_), None) => fresh(FreshReason::NoSummaries),
-            (Some(_), Some(prev)) => {
-                let any_clean = graph.func_ids().any(|f| {
-                    prev.funcs
-                        .get(&graph.func(f).name)
-                        .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
-                });
-                if !any_clean {
-                    fresh(FreshReason::EveryFunctionChanged)
-                } else {
-                    let ci_solver = self.ci.build();
-                    match ci_solver.resume(&graph, &index, prev, None) {
-                        Some(Ok(out)) => {
-                            let mode = SolveMode::from_stats(&out.stats);
-                            let ci = out
-                                .solution
-                                .into_ci()
-                                .expect("the CI solver resumes to a CI result");
-                            resumed = Some((ci, out.stats));
-                            mode
-                        }
-                        Some(Err(_)) => fresh(FreshReason::StepBudget),
-                        None => fresh(FreshReason::PlanRejected),
-                    }
-                }
-            }
+        let prev = match prior {
+            Err(why) => Err(why.clone()),
+            Ok(_) if cfg.heap_naming != HeapNaming::Site => Err(FreshReason::HeapNaming),
+            Ok(_) if cfg.fault != Fault::None => Err(FreshReason::FaultInjection),
+            Ok(m) => match (&index.unsafe_reason, m.summaries.get("ci")) {
+                (Some(r), _) => Err(FreshReason::UnstableNaming(r.clone())),
+                (None, None) => Err(FreshReason::NoSummaries),
+                (None, Some(prev)) => Ok((&*index, &**prev)),
+            },
         };
-        let (funcs_reused, funcs_dirty) = match &resumed {
-            Some((_, stats)) => (stats.clean, stats.dirty.len()),
-            None => (0, graph.func_count()),
+        let any_clean = |(index, prev): (&GraphIndex, &SolverSummaries)| {
+            graph.func_ids().any(|f| {
+                prev.funcs
+                    .get(&graph.func(f).name)
+                    .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
+            })
         };
-        let ci = match resumed {
-            Some((ci, _)) => ci,
-            None => self
-                .ci
-                .solve(&graph, None)
-                .expect("the CI solver has no step budget")
-                .into_ci()
-                .expect("the engine's ci spec must describe the CI analysis"),
+        let prev = prev.and_then(|p| {
+            any_clean(p)
+                .then_some(p)
+                .ok_or(FreshReason::EveryFunctionChanged)
+        });
+        let (outcome, how) = resume_or_solve(&*self.ci.build(), graph, prev, None);
+        let (funcs_reused, funcs_dirty) = match &how {
+            Ok(stats) => (stats.clean, stats.dirty.len()),
+            Err(_) => (0, graph.func_count()),
         };
-        let ci_wall = t2.elapsed();
-        Ok(IncPrep::Solve {
-            program,
-            graph,
-            index,
-            ci: Arc::new(ci),
-            ci_wall,
-            ci_mode,
-            frontend,
-            lowering,
+        let reuse = Reuse {
+            ci_mode: SolveMode::of(how),
             funcs_reused,
             funcs_dirty,
-        })
-    }
-
-    /// Builds one benchmark's output, replaying cached solutions where
-    /// the prepare stage proved that sound. Returns the graph index for
-    /// changed benchmarks so the caller can fold the fresh run back
-    /// into the cache (`None` = cache entry already current).
-    fn assemble_bench(
-        &self,
-        cache: &mut SummaryCache,
-        job: &Job,
-        prep: IncPrep,
-        row: Vec<Option<Solved>>,
-        stats: &mut IncrementalStats,
-    ) -> Result<(BenchOutput, Option<Arc<GraphIndex>>), AnalysisError> {
-        match prep {
-            IncPrep::ReplaySource { frontend } => {
-                stats.benches_replayed += 1;
-                let e = cache.entries.get(&job.name).expect("matched in stage 1");
-                let a = &e.arts;
-                let mut out = BenchOutput {
-                    name: job.name.clone(),
-                    source: job.source.clone(),
-                    input: job.input.clone(),
-                    program: Arc::clone(&a.program),
-                    graph: Arc::clone(&a.graph),
-                    ci: Arc::clone(&a.ci),
-                    ci_wall: Duration::ZERO,
-                    frontend,
-                    lowering: Duration::ZERO,
-                    solutions: Vec::new(),
-                };
-                self.replay_solutions(cache, &mut out, stats);
-                let e = cache
-                    .entries
-                    .get_mut(&job.name)
-                    .expect("matched in stage 1");
-                e.input.clone_from(&job.input);
-                Ok((out, None))
-            }
-            IncPrep::ReplayGraph {
-                program,
-                graph,
-                frontend,
-                lowering,
-            } => {
-                stats.benches_replayed += 1;
-                let e = cache.entries.get(&job.name).expect("matched in stage 1");
-                let a = &e.arts;
-                let mut out = BenchOutput {
-                    name: job.name.clone(),
-                    source: job.source.clone(),
-                    input: job.input.clone(),
-                    program,
-                    graph,
-                    ci: Arc::clone(&a.ci),
-                    ci_wall: Duration::ZERO,
-                    frontend,
-                    lowering,
-                    solutions: Vec::new(),
-                };
-                self.replay_solutions(cache, &mut out, stats);
-                // Re-key the entry to the new source text so the next
-                // step of an edit chain replays at tier 1. Equal graph
-                // fingerprints mean id-for-id isomorphism, so the cached
-                // summaries, CI result, solutions and their fingerprints
-                // all remain exact — no re-extraction or re-cloning
-                // needed.
-                let e = cache
-                    .entries
-                    .get_mut(&job.name)
-                    .expect("matched in stage 1");
-                e.source.clone_from(&job.source);
-                e.input.clone_from(&job.input);
-                e.source_hash = fnv64(job.source.as_bytes());
-                e.arts.program = Arc::clone(&out.program);
-                e.arts.graph = Arc::clone(&out.graph);
-                Ok((out, None))
-            }
-            IncPrep::Solve {
-                program,
-                graph,
-                index,
-                ci,
-                ci_wall,
-                ci_mode,
-                frontend,
-                lowering,
-                funcs_reused,
-                funcs_dirty,
-            } => {
-                if ci_mode.is_resumed() {
-                    stats.benches_seeded += 1;
-                } else {
-                    stats.benches_fresh += 1;
-                }
-                stats.funcs_reused += funcs_reused;
-                stats.funcs_dirty += funcs_dirty;
-                let mut out = BenchOutput {
-                    name: job.name.clone(),
-                    source: job.source.clone(),
-                    input: job.input.clone(),
-                    program,
-                    graph,
-                    ci,
-                    ci_wall,
-                    frontend,
-                    lowering,
-                    solutions: Vec::new(),
-                };
-                for (si, slot) in row.into_iter().enumerate() {
-                    if let Some(s) = slot {
-                        out.solutions.push(s);
-                    } else if self.solvers[si].name() == "ci" {
-                        out.solutions.push(Solved {
-                            analysis: "ci".to_string(),
-                            wall: out.ci_wall,
-                            solution: Some(Box::new(out.ci.as_ref().clone())),
-                            mode: Some(ci_mode.clone()),
-                            error: None,
-                        });
-                    }
-                }
-                for s in &out.solutions {
-                    if s.mode.as_ref().is_some_and(SolveMode::is_resumed) {
-                        stats.solutions_resumed += 1;
-                    }
-                }
-                Ok((out, Some(index)))
-            }
-        }
-    }
-
-    /// Fills `out.solutions` for a replayed benchmark: cached solutions
-    /// clone verbatim; a solver missing from the cache (newly
-    /// configured, or failed last time) re-solves on the spot.
-    fn replay_solutions(
-        &self,
-        cache: &SummaryCache,
-        out: &mut BenchOutput,
-        stats: &mut IncrementalStats,
-    ) {
-        let e = cache.entries.get(&out.name).expect("replay needs an entry");
-        for s in &self.solvers {
-            let t = Instant::now();
-            if let Some(sol) = e.arts.solutions.get(s.name()) {
-                stats.solutions_replayed += 1;
-                out.solutions.push(Solved {
-                    analysis: s.name().to_string(),
-                    wall: t.elapsed(),
-                    solution: Some(sol.clone_box()),
-                    mode: Some(SolveMode::Replay),
-                    error: None,
-                });
-                continue;
-            }
-            let outcome = s.solve(&out.graph, Some(&out.ci));
-            let wall = t.elapsed();
-            let mode = Some(SolveMode::Fresh {
-                why: FreshReason::NotInCache,
-            });
-            out.solutions.push(match outcome {
-                Ok(solution) => Solved {
-                    analysis: s.name().to_string(),
-                    wall,
-                    solution: Some(solution),
-                    mode,
-                    error: None,
-                },
-                Err(err) => Solved {
-                    analysis: s.name().to_string(),
-                    wall,
-                    solution: None,
-                    mode,
-                    error: Some(err.in_context(s.name(), &out.name).to_string()),
-                },
-            });
-        }
+            prev: match prior {
+                Ok(m) => Ok(m.summaries.clone()),
+                Err(why) => Err(why.clone()),
+            },
+            index,
+        };
+        (Arc::new(crate::ci_result(outcome)), Tier::Solve(reuse))
     }
 }
 

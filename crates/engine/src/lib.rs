@@ -1,7 +1,7 @@
 //! # engine — the parallel analysis driver
 //!
-//! One engine invocation fans (benchmark × analysis) jobs across a
-//! work-stealing thread pool, shares each benchmark's immutable
+//! The engine has one pipeline. It fans (benchmark × analysis) jobs
+//! across a work-stealing thread pool, shares each benchmark's immutable
 //! `Program`/`Graph`/CI solution behind `Arc`s so five solvers reuse a
 //! single lowering, and records per-stage metrics into an
 //! [`EngineReport`] that serializes to JSON.
@@ -11,12 +11,23 @@
 //!   source ──lex/parse/sema──▶ Program ──lower──▶ Graph ──ci──▶ CiResult
 //!                                  │                 │              │
 //!                                  └── Arc ──────────┴── Arc ───────┘
+//!      [cache] unchanged source hash or graph fingerprint: replay the
+//!              entry's artifacts; changed graph: resume CI
 //!            stage 2: solve (parallel over benchmark × solver jobs)
 //!   (graph, ci) ──▶ weihl │ steensgaard │ k=1 │ cs   (dyn Solver)
+//!      [cache] resume each solver from its summaries; skip what replays
+//!            stage 3: assemble in solver order (driver thread)
+//!      [cache] tally replays and resumes; fold solved benchmarks back
 //!                                  │
 //!            EngineReport: frontend/lowering/solver wall times,
 //!            worklist iterations, pair counts — table or JSON
 //! ```
+//!
+//! [`Engine::run`] is the pipeline with no cache: the `[cache]` steps
+//! do not happen, and no source is hashed nor graph fingerprinted.
+//! [`Engine::analyze_incremental_with`] runs it against a
+//! [`SummaryCache`], whose reuse tiers ([`incremental`]) are the
+//! `[cache]` steps.
 //!
 //! The solvers themselves stay single-threaded, exactly as the paper's
 //! algorithms are described; all parallelism is across independent jobs,
@@ -57,8 +68,10 @@ pub use report::{BenchmarkReport, CheckMetrics, EngineReport, IncrementalStats, 
 
 use alias::ci::CiResult;
 use alias::cs::CsResult;
+use alias::fingerprint::GraphIndex;
 use alias::solver::{Solution, SolutionBox, Solver, SolverSpec};
 use alias::AnalysisError;
+use incremental::{resume_or_solve, Prior, Reuse};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vdg::build::{lower, BuildOptions};
@@ -225,18 +238,7 @@ impl Engine {
     ///
     /// Returns the first frontend/lowering error, if any.
     pub fn run(&self, jobs: &[Job]) -> Result<EngineRun, AnalysisError> {
-        let t_run = Instant::now();
-        let threads = self.resolved_threads();
-
-        // Stage 1 — prepare: one job per benchmark, each producing the
-        // shared immutable inputs every solver of stage 2 reuses.
-        let prepared: Vec<Result<Prepared, AnalysisError>> =
-            pool::run_indexed(jobs.len(), threads, |i| self.prepare(&jobs[i]));
-        let mut benches = Vec::with_capacity(jobs.len());
-        for p in prepared {
-            benches.push(p?);
-        }
-        Ok(self.solve_prepared(benches, t_run))
+        self.pipeline(None, jobs, false)
     }
 
     /// The configured thread count, with `0` resolved to one per core.
@@ -248,95 +250,233 @@ impl Engine {
         }
     }
 
+    /// The one pipeline behind [`Engine::run`] (no `cache`) and the
+    /// incremental entry points. With a cache, stage 1 replays or
+    /// resumes what the cache allows, and `fold` re-summarizes the
+    /// solved benchmarks into it at the end.
+    pub(crate) fn pipeline(
+        &self,
+        mut cache: Option<&mut SummaryCache>,
+        jobs: &[Job],
+        fold: bool,
+    ) -> Result<EngineRun, AnalysisError> {
+        let t_run = Instant::now();
+        let priors = cache.as_deref_mut().map(|c| c.priors(self, jobs));
+        // Stage 1 — prepare: one job per benchmark, each producing the
+        // shared immutable inputs every solver of stage 2 reuses.
+        let prepared = pool::run_indexed(jobs.len(), self.resolved_threads(), |i| {
+            self.prepare(&jobs[i], priors.as_ref().map(|p| &p[i]))
+        });
+        let mut preps = Vec::with_capacity(jobs.len());
+        for p in prepared {
+            preps.push(p?);
+        }
+        Ok(self.finish(preps, cache, fold, t_run))
+    }
+
     /// Stages 2 and 3 of [`Engine::run`] over benchmarks already
-    /// prepared: a harness that holds a program, its graph and its CI
-    /// solution (solved under this engine's CI spec and build options)
-    /// gets the run it would have got from `run`, without compiling,
-    /// lowering and solving CI again.
-    pub(crate) fn solve_prepared(&self, benches: Vec<Prepared>, t_run: Instant) -> EngineRun {
+    /// prepared (their `solutions` still empty): a harness that holds a
+    /// program, its graph and its CI solution (solved under this
+    /// engine's CI spec and build options) gets the run it would have
+    /// got from `run`, without compiling, lowering and solving CI again.
+    pub(crate) fn solve_prepared(&self, benches: Vec<BenchOutput>, t_run: Instant) -> EngineRun {
+        let preps = benches
+            .into_iter()
+            .map(|out| Prep {
+                out,
+                tier: Tier::Plain,
+            })
+            .collect();
+        self.finish(preps, None, false, t_run)
+    }
+
+    /// Stage 1 for one job: compile, lower and solve CI. Given the job's
+    /// cached run (`prior`), an unchanged source hash or graph
+    /// fingerprint replays instead, and a changed graph resumes CI.
+    fn prepare(&self, job: &Job, prior: Option<&Prior>) -> Result<Prep, AnalysisError> {
+        let t0 = Instant::now();
+        let prev = prior.and_then(|p| p.as_ref().ok());
+        // A source replay is a graph replay that takes its program and
+        // graph from the entry.
+        let same_source = prev.filter(|m| m.same_source(&job.source));
+        let (program, graph, index, frontend, lowering) = match same_source {
+            Some(m) => {
+                let (program, graph) = (Arc::clone(&m.program), Arc::clone(&m.graph));
+                (program, graph, None, t0.elapsed(), Duration::ZERO)
+            }
+            None => {
+                let program = cfront::compile(&job.source)?;
+                let frontend = t0.elapsed();
+                let t1 = Instant::now();
+                let graph = lower(&program, &self.build)?;
+                // Only a cached run fingerprints the graph.
+                let index = prior.map(|_| Arc::new(GraphIndex::build(&graph)));
+                let lowering = t1.elapsed();
+                (
+                    Arc::new(program),
+                    Arc::new(graph),
+                    index,
+                    frontend,
+                    lowering,
+                )
+            }
+        };
+        let replay = prev.filter(|m| index.as_ref().is_none_or(|ix| m.same_graph(ix)));
+        let t2 = Instant::now();
+        let (ci, tier) = match (replay, prior.zip(index)) {
+            (Some(m), _) => (Arc::clone(&m.ci), Tier::Replay),
+            (None, Some((prior, index))) => self.resume_ci(&graph, index, prior),
+            (None, None) => (
+                Arc::new(ci_result(self.ci.solve(&graph, None))),
+                Tier::Plain,
+            ),
+        };
+        let ci_wall = match tier {
+            Tier::Replay => Duration::ZERO,
+            _ => t2.elapsed(),
+        };
+        let out = BenchOutput {
+            name: job.name.clone(),
+            source: job.source.clone(),
+            input: job.input.clone(),
+            program,
+            graph,
+            ci,
+            ci_wall,
+            frontend,
+            lowering,
+            solutions: Vec::new(),
+        };
+        Ok(Prep { out, tier })
+    }
+
+    /// Stages 2 and 3: solve what the cache cannot replay, assemble each
+    /// benchmark's solutions in configured solver order, and report.
+    fn finish(
+        &self,
+        preps: Vec<Prep>,
+        mut cache: Option<&mut SummaryCache>,
+        fold: bool,
+        t_run: Instant,
+    ) -> EngineRun {
         let threads = self.resolved_threads();
 
-        // Stage 2 — solve: one job per (benchmark × non-CI solver),
-        // claimed dynamically so a slow CS run does not serialize the
-        // cheap baselines behind it.
-        let solve_jobs: Vec<(usize, usize)> = benches
+        // Stage 2 — solve: one job per (benchmark × solver) pair the
+        // cache cannot replay, claimed dynamically so a slow CS run does
+        // not serialize the cheap baselines behind it. That is every
+        // non-CI solver of a solved benchmark, and each solver of a
+        // replayed one the cache has no solution for (it failed last
+        // time).
+        let solve_jobs: Vec<(usize, usize)> = preps
             .iter()
             .enumerate()
-            .flat_map(|(bi, _)| {
+            .flat_map(|(bi, p)| {
+                let entry = match p.tier {
+                    Tier::Replay => cache.as_deref().and_then(|c| c.get(&p.out.name)),
+                    _ => None,
+                };
                 self.solvers
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.name() != "ci")
+                    .filter(move |(_, s)| match entry {
+                        Some(e) => e.solution(s.name()).is_none(),
+                        None => s.name() != "ci",
+                    })
                     .map(move |(si, _)| (bi, si))
             })
             .collect();
-        let solved: Vec<(usize, usize, Solved)> =
-            pool::run_indexed(solve_jobs.len(), threads, |k| {
-                let (bi, si) = solve_jobs[k];
-                let b = &benches[bi];
-                let s = &self.solvers[si];
-                let t = Instant::now();
-                let outcome = s.solve(&b.graph, Some(&b.ci));
-                let wall = t.elapsed();
-                let solved = match outcome {
-                    Ok(solution) => Solved {
-                        analysis: s.name().to_string(),
-                        wall,
-                        solution: Some(solution),
-                        mode: None,
-                        error: None,
-                    },
-                    Err(e) => Solved {
-                        analysis: s.name().to_string(),
-                        wall,
-                        solution: None,
-                        mode: None,
-                        // Attach solver + benchmark so the report's
-                        // one-liner is actionable on its own.
-                        error: Some(e.in_context(s.name(), &b.name).to_string()),
-                    },
-                };
-                (bi, si, solved)
-            });
-
-        // Assemble per-benchmark outputs in configured solver order.
-        let mut outputs: Vec<BenchOutput> = benches
-            .into_iter()
-            .map(|p| BenchOutput {
-                name: p.name,
-                source: p.source,
-                input: p.input,
-                program: p.program,
-                graph: p.graph,
-                ci: p.ci,
-                ci_wall: p.ci_wall,
-                frontend: p.frontend,
-                lowering: p.lowering,
-                solutions: Vec::new(),
-            })
+        // Solutions are not `Sync`: workers see only the shared inputs.
+        let inputs: Vec<(&str, &Graph, &CiResult, &Tier)> = preps
+            .iter()
+            .map(|p| (p.out.name.as_str(), &*p.out.graph, &*p.out.ci, &p.tier))
             .collect();
-        let mut slots: Vec<Vec<Option<Solved>>> = outputs
+        let solved: Vec<Solved> = pool::run_indexed(solve_jobs.len(), threads, |k| {
+            let (bi, si) = solve_jobs[k];
+            let (bench, graph, ci, tier) = inputs[bi];
+            let s = &*self.solvers[si];
+            let t = Instant::now();
+            let (outcome, mode) = match tier {
+                Tier::Plain => (s.solve(graph, Some(ci)), None),
+                Tier::Replay => {
+                    let why = FreshReason::NotInCache;
+                    (s.solve(graph, Some(ci)), Some(SolveMode::Fresh { why }))
+                }
+                Tier::Solve(r) => {
+                    let (outcome, how) = resume_or_solve(s, graph, r.prev(s.name()), Some(ci));
+                    (outcome, Some(SolveMode::of(how)))
+                }
+            };
+            let wall = t.elapsed();
+            let (solution, error) = match outcome {
+                Ok(solution) => (Some(solution), None),
+                // Attach solver + benchmark so the report's one-liner is
+                // actionable on its own.
+                Err(e) => (None, Some(e.in_context(s.name(), bench).to_string())),
+            };
+            Solved {
+                analysis: s.name().to_string(),
+                wall,
+                solution,
+                mode,
+                error,
+            }
+        });
+        let mut slots: Vec<Vec<Option<Solved>>> = preps
             .iter()
             .map(|_| self.solvers.iter().map(|_| None).collect())
             .collect();
-        for (bi, si, s) in solved {
+        for (&(bi, si), s) in solve_jobs.iter().zip(solved) {
             slots[bi][si] = Some(s);
         }
-        for (bi, row) in slots.into_iter().enumerate() {
-            for (si, slot) in row.into_iter().enumerate() {
-                if let Some(s) = slot {
-                    outputs[bi].solutions.push(s);
-                } else if self.solvers[si].name() == "ci" {
-                    // The shared prepare-stage run doubles as the CI
+
+        // Stage 3 — assemble on the driver thread (cached solutions are
+        // not `Sync`), then (if `fold`) fold the finished run into the
+        // cache, summarizing each solved benchmark bottom-up.
+        let mut stats = IncrementalStats::default();
+        let mut outputs = Vec::with_capacity(preps.len());
+        let mut tiers = Vec::with_capacity(preps.len());
+        for (Prep { mut out, tier }, row) in preps.into_iter().zip(slots) {
+            for (s, slot) in self.solvers.iter().zip(row) {
+                let solved = match (slot, &tier) {
+                    (Some(solved), _) => solved,
+                    (None, Tier::Replay) => {
+                        let t = Instant::now();
+                        let cached = cache.as_deref().and_then(|c| c.get(&out.name));
+                        let cached = cached.and_then(|e| e.solution(s.name()));
+                        Solved {
+                            analysis: s.name().to_string(),
+                            solution: Some(cached.expect("stage 2 solved the rest").clone_box()),
+                            wall: t.elapsed(),
+                            mode: Some(SolveMode::Replay),
+                            error: None,
+                        }
+                    }
+                    // The shared stage-1 CI run doubles as the listed CI
                     // solver's product.
-                    let b = &mut outputs[bi];
-                    b.solutions.push(Solved {
+                    (None, tier) => Solved {
                         analysis: "ci".to_string(),
-                        wall: b.ci_wall,
-                        solution: Some(Box::new(b.ci.as_ref().clone())),
-                        mode: None,
+                        wall: out.ci_wall,
+                        solution: Some(Box::new(out.ci.as_ref().clone())),
+                        mode: match tier {
+                            Tier::Solve(r) => Some(r.ci_mode.clone()),
+                            _ => None,
+                        },
                         error: None,
-                    });
+                    },
+                };
+                out.solutions.push(solved);
+            }
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.settle(&out, &tier, &mut stats);
+            }
+            outputs.push(out);
+            tiers.push(tier);
+        }
+        let incremental = cache.is_some().then_some(stats);
+        if let (Some(cache), true) = (cache, fold) {
+            for (out, tier) in outputs.iter().zip(tiers) {
+                if let Tier::Solve(r) = tier {
+                    cache.absorb_bench(out, r.index, threads);
                 }
             }
         }
@@ -345,7 +485,7 @@ impl Engine {
             threads,
             total_wall: t_run.elapsed(),
             benchmarks: outputs.iter().map(BenchOutput::report).collect(),
-            incremental: None,
+            incremental,
             serve: None,
         };
         EngineRun {
@@ -353,47 +493,33 @@ impl Engine {
             benches: outputs,
         }
     }
-
-    fn prepare(&self, job: &Job) -> Result<Prepared, AnalysisError> {
-        let t0 = Instant::now();
-        let program = cfront::compile(&job.source)?;
-        let frontend = t0.elapsed();
-        let t1 = Instant::now();
-        let graph = lower(&program, &self.build)?;
-        let lowering = t1.elapsed();
-        let t2 = Instant::now();
-        let ci = self
-            .ci
-            .solve(&graph, None)
-            .expect("the CI solver has no step budget")
-            .into_ci()
-            .expect("the engine's ci spec must describe the CI analysis");
-        let ci_wall = t2.elapsed();
-        Ok(Prepared {
-            name: job.name.clone(),
-            source: job.source.clone(),
-            input: job.input.clone(),
-            program: Arc::new(program),
-            graph: Arc::new(graph),
-            ci: Arc::new(ci),
-            ci_wall,
-            frontend,
-            lowering,
-        })
-    }
 }
 
-/// Stage-1 product for one benchmark.
-pub(crate) struct Prepared {
-    pub(crate) name: String,
-    pub(crate) source: String,
-    pub(crate) input: Vec<u8>,
-    pub(crate) program: Arc<cfront::Program>,
-    pub(crate) graph: Arc<Graph>,
-    pub(crate) ci: Arc<CiResult>,
-    pub(crate) ci_wall: Duration,
-    pub(crate) frontend: Duration,
-    pub(crate) lowering: Duration,
+/// The CI result of a solve under the engine's CI spec.
+fn ci_result(outcome: Result<SolutionBox, AnalysisError>) -> CiResult {
+    outcome
+        .expect("the CI solver has no step budget")
+        .into_ci()
+        .expect("the engine's ci spec must describe the CI analysis")
+}
+
+/// Stage-1 product for one benchmark: its shared inputs (no solutions
+/// yet) and how stages 2 and 3 obtain its solutions.
+struct Prep {
+    out: BenchOutput,
+    tier: Tier,
+}
+
+/// How a benchmark's solutions are obtained.
+pub(crate) enum Tier {
+    /// A plain run: every non-CI solver solves from scratch.
+    Plain,
+    /// The cached source hash or graph fingerprint matched: the cached
+    /// solutions replay, and a solver the cache lacks solves fresh.
+    Replay,
+    /// A cached run's changed or uncached graph: every non-CI solver
+    /// resumes from its cached summaries where it can.
+    Solve(Reuse),
 }
 
 /// One solver's outcome on one benchmark.
@@ -494,7 +620,7 @@ impl BenchOutput {
 /// An [`Engine::run`] result: the metrics report plus the underlying
 /// per-benchmark data for harnesses that post-process solutions.
 pub struct EngineRun {
-    /// Per-stage metrics, serializable with [`EngineReport::to_json`].
+    /// Per-stage metrics, serializable with [`EngineReport::to_value`].
     pub report: EngineReport,
     /// Shared inputs and boxed solutions, one entry per job.
     pub benches: Vec<BenchOutput>,

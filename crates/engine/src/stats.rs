@@ -7,7 +7,7 @@
 //! each function gets its structural fingerprint
 //! ([`alias::fingerprint::GraphIndex`]), and checker diagnostics under
 //! the CI solution get their line-keyed dedup keys
-//! ([`crate::fuzz::diag_key`] — the same key the campaign report
+//! (`fuzz::diag_key` — the same key the campaign report
 //! aggregates). The fold reports totals, uniques, and the dedup ratio a
 //! content-addressed pool would realize.
 //!

@@ -28,11 +28,10 @@
 //! without stable summaries, a rejected plan — falls back to a fresh
 //! solve with the typed [`FreshReason`] recorded in its [`SolveMode`].
 //!
-//! The tiers are not a second pipeline: an incremental run is the
-//! engine's one pipeline ([`Engine::run`]) given a cache. Tiers 1–2
-//! and CI's resume are decided in its stage 1, every other solver's
-//! resume happens in its stage 2, and stage 3 folds the solved
-//! benchmarks back into the cache.
+//! An incremental run is the engine's one pipeline ([`Engine::run`])
+//! given a cache. Tiers 1–2 and CI's resume are decided in its stage 1,
+//! every other solver resumes in its stage 2, and stage 3 folds the
+//! solved benchmarks back into the cache.
 //!
 //! Reuse is sound only when the same [`Engine`] configuration produced
 //! the cached facts; the cache records the engine's full solver spec

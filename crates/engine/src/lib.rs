@@ -265,7 +265,7 @@ impl Engine {
         // Stage 1 — prepare: one job per benchmark, each producing the
         // shared immutable inputs every solver of stage 2 reuses.
         let prepared = pool::run_indexed(jobs.len(), self.resolved_threads(), |i| {
-            self.prepare(&jobs[i], priors.as_ref().map(|p| &p[i]))
+            self.prepare_job(&jobs[i], priors.as_ref().map(|p| &p[i]))
         });
         let mut preps = Vec::with_capacity(jobs.len());
         for p in prepared {
@@ -293,7 +293,7 @@ impl Engine {
     /// Stage 1 for one job: compile, lower and solve CI. Given the job's
     /// cached run (`prior`), an unchanged source hash or graph
     /// fingerprint replays instead, and a changed graph resumes CI.
-    fn prepare(&self, job: &Job, prior: Option<&Prior>) -> Result<Prep, AnalysisError> {
+    fn prepare_job(&self, job: &Job, prior: Option<&Prior>) -> Result<Prep, AnalysisError> {
         let t0 = Instant::now();
         let prev = prior.and_then(|p| p.as_ref().ok());
         // A source replay is a graph replay that takes its program and

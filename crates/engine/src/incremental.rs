@@ -664,21 +664,20 @@ impl Engine {
             Ok(m) => match (&index.unsafe_reason, m.summaries.get("ci")) {
                 (Some(r), _) => Err(FreshReason::UnstableNaming(r.clone())),
                 (None, None) => Err(FreshReason::NoSummaries),
-                (None, Some(prev)) => Ok((&*index, &**prev)),
+                (None, Some(prev)) => {
+                    let any_clean = graph.func_ids().any(|f| {
+                        prev.funcs
+                            .get(&graph.func(f).name)
+                            .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
+                    });
+                    if any_clean {
+                        Ok((&*index, &**prev))
+                    } else {
+                        Err(FreshReason::EveryFunctionChanged)
+                    }
+                }
             },
         };
-        let any_clean = |(index, prev): (&GraphIndex, &SolverSummaries)| {
-            graph.func_ids().any(|f| {
-                prev.funcs
-                    .get(&graph.func(f).name)
-                    .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
-            })
-        };
-        let prev = prev.and_then(|p| {
-            any_clean(p)
-                .then_some(p)
-                .ok_or(FreshReason::EveryFunctionChanged)
-        });
         let (outcome, how) = resume_or_solve(&*self.ci.build(), graph, prev, None);
         let (funcs_reused, funcs_dirty) = match &how {
             Ok(stats) => (stats.clean, stats.dirty.len()),
@@ -688,10 +687,10 @@ impl Engine {
             ci_mode: SolveMode::of(how),
             funcs_reused,
             funcs_dirty,
-            prev: match prior {
-                Ok(m) => Ok(m.summaries.clone()),
-                Err(why) => Err(why.clone()),
-            },
+            prev: prior
+                .as_ref()
+                .map(|m| m.summaries.clone())
+                .map_err(Clone::clone),
             index,
         };
         (Arc::new(crate::ci_result(outcome)), Tier::Solve(reuse))

@@ -7,13 +7,37 @@
 //! target must be covered by the analysis' prediction at the matching VDG
 //! node — an automated version of the soundness the paper argues
 //! informally.
+//!
+//! # Cost model
+//!
+//! A run is a budget of evaluation steps ([`Config::max_steps`]), and an
+//! edited program that stops terminating spends all of it, so the oracle
+//! costs whatever one step costs times ten million. A step therefore
+//! allocates nothing and hashes only small integers:
+//!
+//! - Expressions are matched by reference into the program; nothing of
+//!   the AST is cloned.
+//! - A [`Loc`]'s path holds up to four steps inline ([`crate::memory::CPath`]),
+//!   so reading a pointer, indexing and pointer arithmetic copy a few
+//!   words instead of allocating.
+//! - Each run interns the abstract locations it touches into dense ids
+//!   (a per-object root plus one `(parent, step)` lookup per step). The
+//!   trace and the last-writer table record ids; the public
+//!   [`Trace`] maps of [`AbsLoc`]s are built once, when the run stops.
+//! - Every map is an `alias::fxhash` map, not SipHash.
+//!
+//! A threaded run adds one OS thread per child slot, started at the
+//! slot's first `spawn` and reused after each `join`, so a program that
+//! spawns two threads pays for two, not for the pool's eight.
 
-use crate::memory::{AbsLoc, CStep, Loc, Memory, Origin, Value};
+use crate::memory::{AbsLoc, AbsTable, CStep, Loc, Memory, Origin, Value};
+use alias::fxhash::{HashMap, HashSet};
 use cfront::ast::*;
 use cfront::types::{TypeKind, TypeTable};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Condvar, Mutex};
+use std::thread::Scope;
 
 /// Interpreter limits and inputs.
 #[derive(Debug, Clone)]
@@ -200,7 +224,7 @@ pub fn run_traced(prog: &Program, cfg: &Config) -> RunRecord {
         steps: w.steps,
         error,
         fault: w.fault.take(),
-        trace: std::mem::take(&mut w.trace),
+        trace: w.take_trace(),
     }
 }
 
@@ -363,9 +387,17 @@ struct World {
     input_pos: usize,
     rng: u64,
     fault: Option<FaultInfo>,
-    /// Last traced write site per abstract location, for runtime
-    /// def/use ([`Trace::observed_writes`] / [`Trace::uninit_reads`]).
-    last_writer: HashMap<AbsLoc, ExprId>,
+    /// This run's abstract locations; the id sets below index it.
+    abs: AbsTable,
+    /// Traced `(site, location id)` reads, writes and frees, turned into
+    /// [`Trace::reads`], [`Trace::writes`] and [`Trace::frees`] when the
+    /// run stops.
+    read_ids: HashSet<(ExprId, u32)>,
+    write_ids: HashSet<(ExprId, u32)>,
+    free_ids: HashSet<(ExprId, u32)>,
+    /// Last traced write site per location id, for runtime def/use
+    /// ([`Trace::observed_writes`] / [`Trace::uninit_reads`]).
+    last_writer: Vec<Option<ExprId>>,
     /// Whether the program can spawn at all; `false` keeps every
     /// threading hook inert.
     threaded: bool,
@@ -399,7 +431,11 @@ impl Default for World {
             input_pos: 0,
             rng: 0x2545F4914F6CDD1D,
             fault: None,
-            last_writer: HashMap::new(),
+            abs: AbsTable::default(),
+            read_ids: HashSet::default(),
+            write_ids: HashSet::default(),
+            free_ids: HashSet::default(),
+            last_writer: Vec::new(),
             threaded: false,
             stop: None,
             sched_seed: 0,
@@ -409,7 +445,7 @@ impl Default for World {
             slots: Vec::new(),
             seq: 0,
             instances: Vec::new(),
-            access: HashMap::new(),
+            access: HashMap::default(),
         }
     }
 }
@@ -427,6 +463,29 @@ impl World {
             }],
             ..World::default()
         }
+    }
+
+    /// The run's trace, with each traced `(site, location id)` set
+    /// grouped into its per-site map of abstract locations.
+    fn take_trace(&mut self) -> Trace {
+        let mut t = std::mem::take(&mut self.trace);
+        for (map, ids) in [
+            (&mut t.reads, &self.read_ids),
+            (&mut t.writes, &self.write_ids),
+            (&mut t.frees, &self.free_ids),
+        ] {
+            for &(site, id) in ids {
+                map.entry(site)
+                    .or_default()
+                    .insert(self.abs.get(id).clone());
+            }
+        }
+        t
+    }
+
+    /// The location id of `loc`, interned on first sight.
+    fn loc_id(&mut self, loc: &Loc, types: &TypeTable) -> u32 {
+        self.abs.intern(&self.mem, loc, types)
     }
 
     fn next_srng(&mut self) -> u64 {
@@ -487,6 +546,10 @@ struct BatonState {
     shutdown: bool,
     /// Pending task per child thread id (index 0 unused).
     tasks: Vec<Option<Task>>,
+    /// Which child thread ids have a worker running (index 0 unused).
+    /// A slot's worker starts at its first `spawn`, so a program that
+    /// never fills the pool never pays for the idle threads.
+    started: Vec<bool>,
 }
 
 /// The lockstep hand-off point: a mailbox holding the [`World`] while no
@@ -501,6 +564,7 @@ impl Baton {
         Baton {
             state: Mutex::new(BatonState {
                 tasks: (0..=children).map(|_| None).collect(),
+                started: vec![false; children + 1],
                 ..BatonState::default()
             }),
             cv: Condvar::new(),
@@ -528,10 +592,14 @@ impl Baton {
         }
     }
 
-    fn deposit(&self, thread: usize, t: Task) {
+    /// Queues `t` for child thread `thread`; returns whether that
+    /// thread's worker still has to be started.
+    fn deposit(&self, thread: usize, t: Task) -> bool {
         let mut st = self.state.lock().unwrap();
         st.tasks[thread] = Some(t);
+        let start = !std::mem::replace(&mut st.started[thread], true);
         self.cv.notify_all();
+        start
     }
 
     /// Blocks until a task is queued for `me`; `None` on shutdown.
@@ -572,21 +640,13 @@ const INTERP_STACK: usize = 16 * 1024 * 1024;
 /// Runs the program to completion and returns the final [`World`] plus
 /// the folded outcome. The interpreter always runs on a dedicated
 /// thread with a known-large stack; threaded programs additionally get
-/// a scoped worker pool driven through the [`Baton`].
+/// a scoped worker pool driven through the [`Baton`], one worker per
+/// child slot, started at the slot's first `spawn`.
 fn run_raw(prog: &Program, cfg: &Config) -> (World, Result<i64, StopSig>) {
     let threaded = prog.uses_threads();
     let world = World::new(cfg, threaded);
     let baton = Baton::new(MAX_CHILDREN);
     std::thread::scope(|s| {
-        if threaded {
-            for i in 1..=MAX_CHILDREN {
-                let b = &baton;
-                std::thread::Builder::new()
-                    .stack_size(INTERP_STACK)
-                    .spawn_scoped(s, move || worker_loop(prog, cfg, b, i))
-                    .expect("spawn interpreter worker");
-            }
-        }
         let bref = &baton;
         let main = std::thread::Builder::new()
             .stack_size(INTERP_STACK)
@@ -596,7 +656,10 @@ fn run_raw(prog: &Program, cfg: &Config) -> (World, Result<i64, StopSig>) {
                     cfg,
                     me: 0,
                     instance: 0,
-                    baton: if threaded { Some(bref) } else { None },
+                    pool: threaded.then_some(Pool {
+                        baton: bref,
+                        scope: s,
+                    }),
                     holds: true,
                     w: world,
                     frames: Vec::new(),
@@ -625,14 +688,14 @@ fn run_raw(prog: &Program, cfg: &Config) -> (World, Result<i64, StopSig>) {
 /// Body of one pooled worker thread: wait for a task, wait for the
 /// baton, interpret the spawned call, then mark the slot finished and
 /// pass the world on. Exits on shutdown.
-fn worker_loop(prog: &Program, cfg: &Config, baton: &Baton, me: usize) {
-    while let Some(task) = baton.wait_task(me) {
+fn worker_loop<'s, 'e>(prog: &'s Program, cfg: &'s Config, pool: Pool<'s, 'e>, me: usize) {
+    while let Some(task) = pool.baton.wait_task(me) {
         let mut x = Exec {
             prog,
             cfg,
             me,
             instance: task.inst,
-            baton: Some(baton),
+            pool: Some(pool),
             holds: false,
             w: World::default(),
             frames: Vec::new(),
@@ -656,15 +719,23 @@ fn worker_loop(prog: &Program, cfg: &Config, baton: &Baton, me: usize) {
     }
 }
 
-struct Exec<'p> {
-    prog: &'p Program,
-    cfg: &'p Config,
+/// What a threaded run's interpreters share: the hand-off point, and
+/// the thread scope that a slot's worker is started in.
+#[derive(Clone, Copy)]
+struct Pool<'s, 'e> {
+    baton: &'s Baton,
+    scope: &'s Scope<'s, 'e>,
+}
+
+struct Exec<'s, 'e> {
+    prog: &'s Program,
+    cfg: &'s Config,
     /// Thread id: 0 is main, `i + 1` runs child slot `i`.
     me: usize,
     /// Spawn-instance id for race ordering (0 = main).
     instance: u32,
-    /// Hand-off point; `None` for sequential runs.
-    baton: Option<&'p Baton>,
+    /// The worker pool; `None` for sequential runs.
+    pool: Option<Pool<'s, 'e>>,
     /// Whether this thread currently owns `w` (the execution token).
     /// While parked, `w` is a dummy default value.
     holds: bool,
@@ -672,7 +743,7 @@ struct Exec<'p> {
     frames: Vec<Frame>,
 }
 
-impl<'p> Exec<'p> {
+impl<'s, 'e> Exec<'s, 'e> {
     /// Records the first memory-safety fault and returns the matching
     /// dynamic-error stop.
     fn fault(&mut self, kind: FaultKind, site: ExprId, msg: &str) -> Stop {
@@ -717,11 +788,11 @@ impl<'p> Exec<'p> {
     fn pass_to(&mut self, next: usize) {
         let w = std::mem::take(&mut self.w);
         self.holds = false;
-        self.baton.expect("threaded run").pass(w, next);
+        self.pool.expect("threaded run").baton.pass(w, next);
     }
 
     fn take_world(&mut self) -> R<()> {
-        match self.baton.expect("threaded run").take(self.me) {
+        match self.pool.expect("threaded run").baton.take(self.me) {
             Some(w) => {
                 self.w = w;
                 self.holds = true;
@@ -749,17 +820,18 @@ impl<'p> Exec<'p> {
     /// claim a free slot, open a new spawn instance on the logical
     /// clock, and queue the task for that slot's worker.
     fn exec_spawn(&mut self, call: ExprId) -> R<()> {
-        let ExprKind::Call { callee, args } = self.prog.exprs.get(call).kind.clone() else {
+        let prog = self.prog;
+        let ExprKind::Call { callee, args } = &prog.exprs.get(call).kind else {
             return Err(Stop::Error("spawn of a non-call expression".into()));
         };
-        let Value::Func(f) = self.eval(callee)? else {
+        let Value::Func(f) = self.eval(*callee)? else {
             return Err(Stop::Error("spawned callee is not a function".into()));
         };
         let mut argv = Vec::with_capacity(args.len());
-        for &a in &args {
+        for &a in args {
             argv.push(self.eval(a)?);
         }
-        let Some(baton) = self.baton else {
+        let Some(pool) = self.pool else {
             return Err(Stop::Error("spawn without a thread pool".into()));
         };
         let Some(slot) = self.w.slots.iter().position(|s| !s.live) else {
@@ -778,14 +850,18 @@ impl<'p> Exec<'p> {
             finished: false,
             inst,
         };
-        baton.deposit(
-            slot + 1,
-            Task {
-                func: f,
-                args: argv,
-                inst,
-            },
-        );
+        let task = Task {
+            func: f,
+            args: argv,
+            inst,
+        };
+        if pool.baton.deposit(slot + 1, task) {
+            let (prog, cfg) = (self.prog, self.cfg);
+            std::thread::Builder::new()
+                .stack_size(INTERP_STACK)
+                .spawn_scoped(pool.scope, move || worker_loop(prog, cfg, pool, slot + 1))
+                .expect("spawn interpreter worker");
+        }
         Ok(())
     }
 
@@ -958,23 +1034,26 @@ impl<'p> Exec<'p> {
     // ----- tracing helpers --------------------------------------------------
 
     fn record_read(&mut self, e: ExprId, loc: &Loc) {
-        let a = self.w.mem.abstract_loc(loc, &self.prog.types);
-        match self.w.last_writer.get(&a) {
-            Some(&w) => {
+        let id = self.w.loc_id(loc, &self.prog.types);
+        match self.w.last_writer.get(id as usize).copied().flatten() {
+            Some(w) => {
                 self.w.trace.observed_writes.insert(w);
             }
             None => {
                 self.w.trace.uninit_reads.insert(e);
             }
         }
-        self.w.trace.reads.entry(e).or_default().insert(a);
+        self.w.read_ids.insert((e, id));
         self.note_access(e, loc, false);
     }
 
     fn record_write(&mut self, e: ExprId, loc: &Loc) {
-        let a = self.w.mem.abstract_loc(loc, &self.prog.types);
-        self.w.last_writer.insert(a.clone(), e);
-        self.w.trace.writes.entry(e).or_default().insert(a);
+        let id = self.w.loc_id(loc, &self.prog.types);
+        if self.w.last_writer.len() <= id as usize {
+            self.w.last_writer.resize(self.w.abs.len(), None);
+        }
+        self.w.last_writer[id as usize] = Some(e);
+        self.w.write_ids.insert((e, id));
         self.note_access(e, loc, true);
     }
 
@@ -1181,25 +1260,24 @@ impl<'p> Exec<'p> {
     }
 
     fn run_initializer(&mut self, loc: &Loc, ty: cfront::types::TypeId, init: ExprId) -> R<()> {
-        let kind = self.prog.exprs.get(init).kind.clone();
-        match kind {
-            ExprKind::InitList(items) => match self.types().kind(ty).clone() {
+        let prog = self.prog;
+        match &prog.exprs.get(init).kind {
+            ExprKind::InitList(items) => match *prog.types.kind(ty) {
                 TypeKind::Array(elem, _) => {
-                    for (i, item) in items.into_iter().enumerate() {
+                    for (i, &item) in items.iter().enumerate() {
                         let el = loc.push(CStep::Elem(i as u32));
                         self.run_initializer(&el, elem, item)?;
                     }
                     Ok(())
                 }
                 TypeKind::Record(r) => {
-                    let fields: Vec<_> =
-                        self.types().record(r).fields.iter().map(|f| f.ty).collect();
-                    for (i, (item, fty)) in items.into_iter().zip(fields).enumerate() {
+                    let fields = &prog.types.record(r).fields;
+                    for (i, (&item, f)) in items.iter().zip(fields).enumerate() {
                         let fl = loc.push(CStep::Field {
                             rec: r,
                             idx: i as u32,
                         });
-                        self.run_initializer(&fl, fty, item)?;
+                        self.run_initializer(&fl, f.ty, item)?;
                     }
                     Ok(())
                 }
@@ -1239,8 +1317,8 @@ impl<'p> Exec<'p> {
     }
 
     fn eval_lvalue(&mut self, e: ExprId) -> R<Loc> {
-        let kind = self.prog.exprs.get(e).kind.clone();
-        match kind {
+        let prog = self.prog;
+        match &prog.exprs.get(e).kind {
             ExprKind::Ident { target, .. } => match target.expect("resolved") {
                 IdentTarget::Local(slot) => Ok(Loc::of(self.frame().locals[slot.0 as usize])),
                 IdentTarget::Global(g) => Ok(Loc::of(self.w.globals[g.0 as usize])),
@@ -1250,7 +1328,7 @@ impl<'p> Exec<'p> {
                 op: UnOp::Deref,
                 arg,
             } => {
-                let v = self.eval(arg)?;
+                let v = self.eval(*arg)?;
                 self.as_ptr_at(e, v)
             }
             ExprKind::Member {
@@ -1262,31 +1340,33 @@ impl<'p> Exec<'p> {
             } => {
                 let rec = record.expect("resolved");
                 let idx = field_index.expect("resolved") as u32;
-                let base_loc = if arrow {
-                    let v = self.eval(base)?;
+                let mut base_loc = if *arrow {
+                    let v = self.eval(*base)?;
                     self.as_ptr_at(e, v)?
                 } else {
-                    self.eval_lvalue(base)?
+                    self.eval_lvalue(*base)?
                 };
-                Ok(base_loc.push(CStep::Field { rec, idx }))
+                base_loc.path.push(CStep::Field { rec, idx });
+                Ok(base_loc)
             }
             ExprKind::Index { base, index } => {
-                let i = self.eval(index)?.as_int().map_err(Stop::Error)?;
-                let bt = self.prog.exprs.ty(base);
-                if self.types().is_array(bt) {
+                let i = self.eval(*index)?.as_int().map_err(Stop::Error)?;
+                let bt = prog.exprs.ty(*base);
+                if prog.types.is_array(bt) {
                     if i < 0 {
                         return Err(Stop::Error("negative array index".into()));
                     }
-                    let bl = self.eval_lvalue(base)?;
-                    Ok(bl.push(CStep::Elem(i as u32)))
+                    let mut bl = self.eval_lvalue(*base)?;
+                    bl.path.push(CStep::Elem(i as u32));
+                    Ok(bl)
                 } else {
-                    let v = self.eval(base)?;
+                    let v = self.eval(*base)?;
                     let l = self.as_ptr_at(e, v)?;
                     l.add(i).map_err(Stop::Error)
                 }
             }
             ExprKind::StrLit(s) => {
-                let o = self.w.mem.str_object(e, &s);
+                let o = self.w.mem.str_object(e, s);
                 Ok(Loc::of(o))
             }
             _ => Err(Stop::Error("expression is not an lvalue".into())),
@@ -1314,8 +1394,8 @@ impl<'p> Exec<'p> {
 
     fn eval(&mut self, e: ExprId) -> R<Value> {
         self.tick()?;
-        let kind = self.prog.exprs.get(e).kind.clone();
-        match kind {
+        let prog = self.prog;
+        match prog.exprs.get(e).kind {
             ExprKind::IntLit(v) => Ok(Value::Int(v)),
             ExprKind::FloatLit(v) => Ok(Value::Float(v)),
             ExprKind::SizeofType(t) => Ok(Value::Int(self.types().size_of(t) as i64)),
@@ -1392,7 +1472,7 @@ impl<'p> Exec<'p> {
                 self.write_at(arg, &loc, new.clone())?;
                 Ok(if pre { new } else { old })
             }
-            ExprKind::Call { callee, args } => self.eval_call(e, callee, &args),
+            ExprKind::Call { callee, ref args } => self.eval_call(e, callee, args),
             ExprKind::Member {
                 base,
                 record,
@@ -1772,8 +1852,8 @@ impl<'p> Exec<'p> {
                     }
                     // Record the free site first so the trace keys are
                     // exactly the executed frees, faulting or not.
-                    let a = self.w.mem.abstract_loc(&Loc::of(l.obj), self.types());
-                    self.w.trace.frees.entry(e).or_default().insert(a);
+                    let id = self.w.loc_id(&Loc::of(l.obj), &self.prog.types);
+                    self.w.free_ids.insert((e, id));
                     if !self.w.mem.free(l.obj) {
                         return Err(self.fault(
                             FaultKind::DoubleFree,

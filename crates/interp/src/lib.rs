@@ -754,3 +754,86 @@ mod fault_tests {
         assert_eq!(base.steps, seeded.steps);
     }
 }
+
+#[cfg(test)]
+mod trace_tests {
+    use super::*;
+    use cfront::ast::{ExprId, ExprKind, Program, UnOp};
+
+    fn compile(src: &str) -> Program {
+        cfront::compile(src).expect("compiles")
+    }
+
+    /// The `base.field` member expressions of `p`.
+    fn member_sites(p: &Program, base: &str, field: &str) -> Vec<ExprId> {
+        p.exprs
+            .iter()
+            .filter(|(_, e)| match &e.kind {
+                ExprKind::Member { base: b, field: f, .. } => {
+                    f == field
+                        && matches!(&p.exprs.get(*b).kind, ExprKind::Ident { name, .. } if name == base)
+                }
+                _ => false,
+            })
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    #[test]
+    fn two_sites_on_one_location_record_one_abstract_location() {
+        let p = compile("int main(void) { int x; int *p; p = &x; x = 1; *p = 2; return x; }");
+        let rec = run_traced(&p, &Config::default());
+        assert_eq!(rec.exit, Some(2));
+        let lhs = |want_deref: bool| {
+            p.exprs
+                .iter()
+                .find_map(|(_, e)| match e.kind {
+                    ExprKind::Assign { lhs, .. } => {
+                        let deref = matches!(
+                            p.exprs.get(lhs).kind,
+                            ExprKind::Unary {
+                                op: UnOp::Deref,
+                                ..
+                            }
+                        );
+                        let is_x = matches!(
+                            &p.exprs.get(lhs).kind,
+                            ExprKind::Ident { name, .. } if name == "x"
+                        );
+                        (deref == want_deref && (deref || is_x)).then_some(lhs)
+                    }
+                    _ => None,
+                })
+                .expect("assignment site")
+        };
+        let direct = &rec.trace.writes[&lhs(false)];
+        let through = &rec.trace.writes[&lhs(true)];
+        assert_eq!(direct.len(), 1);
+        assert_eq!(direct, through, "both sites record the same location");
+        let x = direct.iter().next().unwrap();
+        assert!(matches!(x.origin, memory::Origin::Local { .. }));
+        assert!(x.steps.is_empty());
+    }
+
+    #[test]
+    fn def_use_evidence_sees_through_union_members() {
+        let p = compile(
+            "union u { int a; int b; };\n\
+             union u g; union u h;\n\
+             int main(void) { int r; g.a = 5; r = h.b; h.a = 1; r = r + g.b; return r; }",
+        );
+        let rec = run_traced(&p, &Config::default());
+        assert_eq!(rec.exit, Some(5));
+        let site = |base, field| member_sites(&p, base, field)[0];
+        let t = &rec.trace;
+        // One abstract location per union: the member step vanishes.
+        assert_eq!(t.writes[&site("g", "a")], t.reads[&site("g", "b")]);
+        assert_eq!(t.reads[&site("h", "b")], t.writes[&site("h", "a")]);
+        // `g.a` is read back through `g.b`; `h.a` never is.
+        assert!(t.observed_writes.contains(&site("g", "a")));
+        assert!(!t.observed_writes.contains(&site("h", "a")));
+        // `h.b` runs before any write to `h`; `g.b` after one to `g`.
+        assert!(t.uninit_reads.contains(&site("h", "b")));
+        assert!(!t.uninit_reads.contains(&site("g", "b")));
+    }
+}

@@ -28,11 +28,9 @@
 //! procedure even though they are filtered at every return.
 
 use crate::cs::span;
-use crate::fingerprint::GraphIndex;
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, StableCtx, Vocab};
 use std::collections::VecDeque;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
@@ -119,17 +117,6 @@ pub struct CallStringResult {
     /// `pairs[pair_start[o]..pair_start[o + 1]]`.
     pairs: Vec<Pair>,
     pair_start: Vec<usize>,
-    /// The per-context view, kept because the stripped view loses
-    /// exactly what the summary vocabulary has to preserve. Output `o`
-    /// owns the rows `row_start[o]..row_start[o + 1]`; row `r` is the
-    /// context `row_ctx[r]` with its committed pairs
-    /// `row_pairs[row_pair_start[r]..row_pair_start[r + 1]]`, unsorted.
-    row_ctx: Vec<Ctx>,
-    row_start: Vec<usize>,
-    row_pairs: Vec<Pair>,
-    row_pair_start: Vec<usize>,
-    /// Discovered call edges, sorted per call site (for summaries).
-    pub(crate) callees: HashMap<NodeId, Vec<VFuncId>>,
     /// Transfer-function applications.
     pub flow_ins: u64,
     /// Successful meets; redundant emission attempts are counted in
@@ -161,16 +148,6 @@ impl CallStringResult {
         refs.sort_unstable();
         refs.dedup();
         refs
-    }
-
-    /// Output `o`'s contexts, each with its committed pairs.
-    fn ctx_rows(&self, o: u32) -> impl Iterator<Item = (Ctx, &[Pair])> {
-        span(&self.row_start, o as usize).map(move |r| {
-            (
-                self.row_ctx[r],
-                &self.row_pairs[span(&self.row_pair_start, r)],
-            )
-        })
     }
 }
 
@@ -261,8 +238,6 @@ struct K1<'g> {
     out_wl: VecDeque<(u32, Ctx)>,
     /// Reusable emission buffer (one delivery at a time).
     em: Vec<(OutputId, Ctx, Pair)>,
-    /// A resume boundary source's committed pairs.
-    committed: Vec<(Ctx, PairId)>,
     /// See [`activation_index`].
     act_nodes: Vec<NodeId>,
     act_start: Vec<usize>,
@@ -291,7 +266,6 @@ impl<'g> K1<'g> {
             naive_wl: VecDeque::new(),
             out_wl: VecDeque::new(),
             em: Vec::new(),
-            committed: Vec::new(),
             act_nodes,
             act_start,
             active: HashMap::default(),
@@ -421,31 +395,12 @@ impl<'g> K1<'g> {
         self.em = em;
     }
 
-    /// Pushes `src`'s committed pairs — in every context — through
-    /// `(node, port)` without queueing `src` itself: the resume boundary
-    /// delivery. Redundant emissions dedup against the committed slots.
-    fn deliver_committed(&mut self, node: NodeId, port: usize, src: OutputId) {
-        // Snapshot first: the deliveries may grow `src` itself.
-        let mut items = std::mem::take(&mut self.committed);
-        items.clear();
-        for (ctx, set) in self.p[src.0 as usize].iter() {
-            items.extend(set.iter().map(|id| (ctx, id)));
-        }
-        for &(ctx, id) in &items {
-            self.flow_ins += 1;
-            let pair = self.interner.resolve(id);
-            self.deliver(node, port, ctx, pair);
-        }
-        self.committed = items;
-    }
-
     fn finish(self) -> CallStringResult {
         let K1 {
             paths,
             start_paths,
             interner,
             p,
-            mut callees,
             active,
             cfg,
             flow_ins,
@@ -456,73 +411,53 @@ impl<'g> K1<'g> {
         } = self;
         let contexts = active.values().map(|c| c.len()).sum();
         let n_outputs = p.len();
-        // The per-context view, resolved in slot order.
+        // The stripped view, resolved in slot order: an output's pairs
+        // are its contexts' committed pairs, one slice of the arena.
         let committed: usize = p.iter().flat_map(|m| m.iter()).map(|(_, s)| s.len()).sum();
-        let mut row_ctx = Vec::new();
-        let mut row_start = Vec::with_capacity(n_outputs + 1);
-        let mut row_pairs = Vec::with_capacity(committed);
-        let mut row_pair_start = vec![0];
-        row_start.push(0);
+        let mut pairs = Vec::with_capacity(committed);
+        let mut pair_start = Vec::with_capacity(n_outputs + 1);
+        pair_start.push(0);
         for m in &p {
-            for (ctx, set) in m.iter() {
-                row_ctx.push(ctx);
-                row_pairs.extend(set.iter().map(|id| interner.resolve(id)));
-                row_pair_start.push(row_pairs.len());
+            for (_, set) in m.iter() {
+                pairs.extend(set.iter().map(|id| interner.resolve(id)));
             }
-            row_start.push(row_ctx.len());
+            pair_start.push(pairs.len());
         }
         drop(p);
         drop(interner);
         // Canonical ids over the starting table plus the used paths, so
         // they do not depend on the order this schedule interned paths in.
         let mut used: HashSet<PathId> = (0..start_paths as u32).map(PathId).collect();
-        for pr in &row_pairs {
+        for pr in &pairs {
             used.insert(pr.path);
             used.insert(pr.referent);
         }
         let (paths, remap) = paths.canonicalize(&used);
         let at = |p: PathId| PathId(remap[p.0 as usize]);
-        for pr in &mut row_pairs {
+        for pr in &mut pairs {
             *pr = Pair::new(at(pr.path), at(pr.referent));
         }
-        // The stripped view: an output's rows are contiguous, so its
-        // pairs are one slice of the row arena; sort it, and dedup only
-        // when more than one context contributed.
-        let mut pairs = Vec::with_capacity(committed);
-        let mut pair_start = Vec::with_capacity(n_outputs + 1);
-        pair_start.push(0);
+        // Sort each output's slice and compact it, keeping one copy of a
+        // pair that several contexts hold.
+        let mut w = 0;
         for o in 0..n_outputs {
-            let rows = span(&row_start, o);
-            let from = pairs.len();
-            pairs.extend_from_slice(
-                &row_pairs[row_pair_start[rows.start]..row_pair_start[rows.end]],
-            );
-            pairs[from..].sort_unstable();
-            if rows.len() > 1 {
-                let mut w = from + 1;
-                for r in from + 1..pairs.len() {
-                    if pairs[r] != pairs[w - 1] {
-                        pairs[w] = pairs[r];
-                        w += 1;
-                    }
+            let (from, to) = (pair_start[o], pair_start[o + 1]);
+            pairs[from..to].sort_unstable();
+            pair_start[o] = w;
+            for r in from..to {
+                if w == pair_start[o] || pairs[r] != pairs[w - 1] {
+                    pairs[w] = pairs[r];
+                    w += 1;
                 }
-                pairs.truncate(w);
             }
-            pair_start.push(pairs.len());
         }
+        pair_start[n_outputs] = w;
+        pairs.truncate(w);
         pairs.shrink_to_fit();
-        for v in callees.values_mut() {
-            v.sort_unstable_by_key(|f| f.0);
-        }
         CallStringResult {
             paths,
             pairs,
             pair_start,
-            row_ctx,
-            row_start,
-            row_pairs,
-            row_pair_start,
-            callees,
             flow_ins,
             flow_outs,
             dedup_hits,
@@ -802,247 +737,6 @@ impl<'g> K1<'g> {
             }
         }
     }
-}
-
-/// Extracts function `f`'s k=1 summary: per output, each context's
-/// committed pairs, with contexts rewritten into stable vocabulary —
-/// the root, or `(owning function name, call-node offset)`.
-pub(crate) fn extract_func(
-    k1: &CallStringResult,
-    graph: &Graph,
-    index: &GraphIndex,
-    f: VFuncId,
-) -> Option<FunctionSummary> {
-    let fi = f.0 as usize;
-    let (os, oe) = (index.out_start[fi], index.out_end[fi]);
-    let mut outputs = Vec::with_capacity((oe - os) as usize);
-    for o in os..oe {
-        let mut row = Vec::new();
-        for (ctx, pairs) in k1.ctx_rows(o) {
-            let sc = if ctx == Ctx::ROOT {
-                StableCtx::Root
-            } else {
-                let call = NodeId(ctx.0 - 1);
-                let owner = index.node_owner[call.0 as usize];
-                StableCtx::Call {
-                    func: graph.func(owner).name.clone(),
-                    offset: call.0 - index.node_start[owner.0 as usize],
-                }
-            };
-            let mut sp = Vec::with_capacity(pairs.len());
-            for &p in pairs {
-                sp.push(crate::fingerprint::stable_pair(&k1.paths, graph, index, p)?);
-            }
-            sp.sort_unstable();
-            row.push((sc, sp));
-        }
-        row.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        outputs.push(row);
-    }
-    Some(FunctionSummary {
-        fingerprint: index.func_fps[fi],
-        calls: crate::fingerprint::stable_calls(graph, index, f, &k1.callees),
-        facts: FuncFacts::K1(outputs),
-    })
-}
-
-/// Translated k=1 facts of one clean function: per output offset, each
-/// context's committed pairs over next-graph ids.
-type K1Row = Vec<(Ctx, Vec<Pair>)>;
-
-/// Seeded resume of the k=1 call-string analysis.
-///
-/// The per-context partition adds one wrinkle to the subset-seeding
-/// argument: a context is an *activation*, created outside the output
-/// edge relation the dirty cone tracks (a call site's owner activates
-/// its callees). Two rules close that channel. First, the cone
-/// computation marks a dirty call's callees across their *full* output
-/// range (not just their entries), so any function whose context set
-/// can have changed is recomputed wholesale. Second, a summarized
-/// context owned by a dirty or deleted function is dropped during
-/// translation rather than failing the plan — sound precisely because
-/// of the first rule: that owner's callees are in the cone, so the
-/// dropped rows would never be installed as seeds anyway.
-///
-/// Activations are replayed before the boundary deliveries (root plus
-/// every function under the root context, plus each seeded call edge's
-/// callee under that call's context); `activate` then performs the
-/// return-boundary deliveries itself via `pull_returns` against the
-/// already-committed seeds.
-///
-/// `None` when the plan is rejected; `Some(Err(_))` when the re-solve
-/// exhausts the step budget.
-pub(crate) fn analyze_callstring_resume(
-    graph: &Graph,
-    index: &GraphIndex,
-    prev: &SolverSummaries,
-    paths: PathTable,
-    config: &CallStringConfig,
-) -> Option<Result<(CallStringResult, ResumeStats), crate::cs::StepLimitExceeded>> {
-    use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != Vocab::K1 {
-        return None;
-    }
-    let mut paths = paths;
-    let base = plan_base(graph, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::K1(outputs) = &summary.facts else {
-            return None;
-        };
-        if outputs.len() != want {
-            return None;
-        }
-        let mut rows: Vec<K1Row> = Vec::with_capacity(want);
-        for row in outputs {
-            let mut r: K1Row = Vec::new();
-            for (sc, pairs) in row {
-                let ctx = match sc {
-                    StableCtx::Root => Ctx::ROOT,
-                    StableCtx::Call { func, offset } => {
-                        // Contexts owned by dirty or deleted functions
-                        // are dropped, not failures (see above).
-                        let Some(&owner) = index.func_by_name.get(func) else {
-                            continue;
-                        };
-                        let oi = owner.0 as usize;
-                        if prev.funcs.get(func).map(|s| s.fingerprint) != Some(index.func_fps[oi]) {
-                            continue;
-                        }
-                        Ctx::of_call(NodeId(index.node_start[oi] + offset))
-                    }
-                };
-                let mut ps = Vec::with_capacity(pairs.len());
-                for p in pairs {
-                    let a = intern_stable(graph, index, &mut paths, &p.path)?;
-                    let b = intern_stable(graph, index, &mut paths, &p.referent)?;
-                    ps.push(Pair::new(a, b));
-                }
-                r.push((ctx, ps));
-            }
-            rows.push(r);
-        }
-        Some(rows)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
-    let in_cone = compute_cone_for(
-        graph,
-        index,
-        &dirty,
-        &prev_edges,
-        &lost_callees,
-        ConeVocab::K1,
-        &[],
-    );
-
-    let mut s = K1::new(graph, paths, config);
-
-    // 1. Install out-of-cone per-context rows as silent seeds.
-    let mut seeded_outputs = 0;
-    for (&f, rows) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, row) in rows.iter().enumerate() {
-            let o = (os + i as u32) as usize;
-            if in_cone[o] {
-                continue;
-            }
-            for (ctx, pairs) in row {
-                for &pair in pairs {
-                    let id = s.interner.intern(pair);
-                    s.p[o].slot(*ctx).insert(id);
-                }
-                let slot = s.p[o].slot(*ctx);
-                let batch = slot.take_delta();
-                slot.recycle(batch);
-            }
-            seeded_outputs += 1;
-        }
-    }
-
-    // 2. Install call edges whose function input is out-of-cone.
-    let mut call_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for (n, fs) in &prev_edges {
-        if !in_cone[graph.input_src(*n, 0).0 as usize] {
-            call_edges.insert(*n, fs.clone());
-        }
-    }
-    for (&call, fs) in &call_edges {
-        for &f in fs {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Replay the activations (constants dedup against the seeds;
-    //    `pull_returns` inside `activate` performs the return-boundary
-    //    deliveries against the committed seeds).
-    s.activate(graph.root(), Ctx::ROOT);
-    for f in graph.func_ids() {
-        s.activate(f, Ctx::ROOT);
-    }
-    for (&call, fs) in &call_edges {
-        for &f in fs {
-            s.activate(f, Ctx::of_call(call));
-        }
-    }
-
-    // 4. Remaining boundary deliveries, mirroring the CI recipe.
-    for (id, n) in graph.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| in_cone[o.0 as usize]) {
-            continue;
-        }
-        for port in 0..n.inputs.len() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = graph.input_src(id, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(id, port, src);
-            }
-        }
-    }
-    for (&call, fs) in &call_edges {
-        let needed = fs.iter().any(|&f| {
-            graph
-                .node(graph.func(f).entry)
-                .outputs
-                .iter()
-                .any(|&o| in_cone[o.0 as usize])
-        });
-        if !needed {
-            continue;
-        }
-        for port in 1..graph.node(call).inputs.len() {
-            let src = graph.input_src(call, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(call, port, src);
-            }
-        }
-    }
-
-    // 5. Solve the cone.
-    if let Err(e) = s.run() {
-        return Some(Err(e));
-    }
-    let mut dirty_names: Vec<String> = dirty.iter().map(|f| graph.func(*f).name.clone()).collect();
-    dirty_names.sort_unstable();
-    let stats = ResumeStats {
-        clean: graph.func_count() - dirty.len(),
-        dirty: dirty_names,
-        cone_outputs: in_cone.iter().filter(|&&b| b).count(),
-        seeded_outputs,
-        total_outputs: graph.output_count(),
-    };
-    Some(Ok((s.finish(), stats)))
 }
 
 #[cfg(test)]

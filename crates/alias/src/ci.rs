@@ -156,144 +156,6 @@ pub fn analyze_ci(graph: &Graph, config: &CiConfig) -> CiResult {
     s.finish()
 }
 
-/// Resumes the context-insensitive analysis from a
-/// [`CiResumePlan`](crate::fingerprint::CiResumePlan): outputs outside
-/// the edit's dirty cone are installed with their (provably final)
-/// committed sets from the previous run, and only the cone is
-/// re-solved. Because the transfer system is monotone in the committed
-/// sets and the plan seeds a subset of the least fixpoint, the result
-/// is numerically identical to [`analyze_ci`] on the same graph — same
-/// canonical path ids, same sorted pair sets, same call graph. Flow
-/// counters (`flow_ins`/`flow_outs`/…) reflect only the resumed
-/// portion of the work and are *not* comparable to a fresh run's.
-///
-/// The caller must not use [`HeapNaming::CallString1`] or Cooper-style
-/// instance naming with a seeded plan; the planner refuses to build
-/// one for such graphs (see `GraphIndex::unsafe_reason`).
-pub fn analyze_ci_resume(
-    graph: &Graph,
-    config: &CiConfig,
-    plan: crate::fingerprint::CiResumePlan,
-) -> CiResult {
-    let crate::fingerprint::CiResumePlan {
-        paths,
-        seeds,
-        call_edges,
-        ..
-    } = plan;
-    let mut s = Solver::new(graph, config.clone());
-    s.paths = paths;
-    let in_cone: Vec<bool> = seeds.iter().map(|p| p.is_none()).collect();
-
-    // 1. Install seeds as committed facts — no deltas, no queueing.
-    //    These sets are final; re-delivering them wholesale would redo
-    //    the work the cache exists to skip.
-    for (o, pairs) in seeds.iter().enumerate() {
-        let Some(pairs) = pairs else { continue };
-        for &p in pairs {
-            let id = s.interner.intern(p);
-            s.sets[o].insert(id);
-        }
-        let d = s.sets[o].take_delta();
-        s.sets[o].recycle(d);
-    }
-
-    // 2. Install call edges whose callee sets are provably final (the
-    //    call's function input is outside the cone). `register_callee`
-    //    treats them as already known, skipping the push/pull replay.
-    for (&call, callees) in &call_edges {
-        for &f in callees {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Constant seeds. On out-of-cone outputs the `(ε, base)` pair is
-    //    already committed and dedups silently.
-    s.seed();
-
-    // 4. Boundary deliveries: an out-of-cone output's committed set was
-    //    installed silently, so any consumer that can emit into the
-    //    cone must have it delivered by hand, exactly once, after every
-    //    seed is in place (so sibling-set reads in the Lookup/Update/
-    //    CopyMem transfers see complete out-of-cone sets).
-    //
-    //    Plain nodes: deliver out-of-cone inputs of any node with an
-    //    in-cone output. Calls and returns route emissions across
-    //    function boundaries and are handled by the rules below; Primop
-    //    emits nothing; PassThrough only forwards port 0.
-    for (id, n) in graph.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| in_cone[o.0 as usize]) {
-            continue;
-        }
-        for (port, &inp) in n.inputs.iter().enumerate() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = graph.input(inp).src;
-            if !in_cone[src.0 as usize] {
-                deliver_committed(&mut s, id, port, src);
-            }
-        }
-    }
-    //    Seeded calls: if any callee entry output is in the cone, the
-    //    formals need the actuals from out-of-cone actual inputs.
-    //    (Calls whose function input is in-cone have no seeded edges;
-    //    `register_callee` pushes the committed actual sets when the
-    //    edge is re-discovered during the run.)
-    for (&call, callees) in &call_edges {
-        let needed = callees.iter().any(|&f| {
-            graph
-                .node(graph.func(f).entry)
-                .outputs
-                .iter()
-                .any(|&o| in_cone[o.0 as usize])
-        });
-        if !needed {
-            continue;
-        }
-        for port in 1..graph.node(call).inputs.len() {
-            let src = graph.input_src(call, port);
-            if !in_cone[src.0 as usize] {
-                deliver_committed(&mut s, call, port, src);
-            }
-        }
-    }
-    //    Returns: a seeded caller whose call outputs are in the cone
-    //    needs the callee's out-of-cone return inputs forwarded.
-    //    (Emissions to out-of-cone callers of the same function dedup.)
-    let mut ret_needed: crate::fxhash::HashSet<VFuncId> = crate::fxhash::HashSet::default();
-    for (&call, callees) in &call_edges {
-        if graph
-            .node(call)
-            .outputs
-            .iter()
-            .any(|&o| in_cone[o.0 as usize])
-        {
-            ret_needed.extend(callees.iter().copied());
-        }
-    }
-    for &f in &ret_needed {
-        for &ret in &graph.func(f).returns {
-            let n_inputs = graph.node(ret).inputs.len();
-            for port in 0..n_inputs {
-                let src = graph.input_src(ret, port);
-                if !in_cone[src.0 as usize] {
-                    deliver_committed(&mut s, ret, port, src);
-                }
-            }
-        }
-    }
-
-    // 5. Solve the cone to its fixpoint and canonicalize.
-    s.run();
-    s.finish()
-}
-
 /// Delivers the full committed set of `src` to `(node, port)`.
 pub(crate) fn deliver_committed(s: &mut Solver, node: NodeId, port: usize, src: OutputId) {
     let pairs: Vec<Pair> = s.sets[src.0 as usize]
@@ -1542,166 +1404,5 @@ mod tests {
             p = path.paths.child(p, AccessOp::Index);
         }
         assert!(!same_fixpoint(&g, &r, &path), "one extra path entry");
-    }
-
-    /// Full incremental round trip at the solver level: analyze A,
-    /// memoize, fingerprint B against A, seed a resume, and require the
-    /// result to be *numerically* identical to a fresh solve of B.
-    fn check_resume(src_a: &str, src_b: &str, want_dirty: &[&str]) {
-        use crate::fingerprint::{extract_ci_summaries, plan_ci_resume, GraphIndex};
-        let cfg = CiConfig::default();
-        let pa = cfront::compile(src_a).expect("A compiles");
-        let ga = lower(&pa, &BuildOptions::default()).expect("A lowers");
-        let ra = analyze_ci(&ga, &cfg);
-        let ia = GraphIndex::build(&ga);
-        assert_eq!(ia.unsafe_reason, None);
-        let prev = extract_ci_summaries(&ga, &ia, &ra).expect("summaries");
-
-        let pb = cfront::compile(src_b).expect("B compiles");
-        let gb = lower(&pb, &BuildOptions::default()).expect("B lowers");
-        let ib = GraphIndex::build(&gb);
-        let plan = plan_ci_resume(&gb, &ib, &prev).expect("plan");
-        let dirty_names: Vec<&str> = plan
-            .dirty
-            .iter()
-            .map(|&f| gb.func(f).name.as_str())
-            .collect();
-        assert_eq!(dirty_names, want_dirty, "dirty set");
-        if !want_dirty.is_empty() {
-            assert!(plan.seeded_outputs > 0, "nothing was reused");
-        }
-
-        let fresh = analyze_ci(&gb, &cfg);
-        let resumed = analyze_ci_resume(&gb, &cfg, plan);
-        for o in gb.output_ids() {
-            assert_eq!(fresh.pairs(o), resumed.pairs(o), "pairs at {o}");
-        }
-        assert_eq!(fresh.callees, resumed.callees, "call graph");
-        assert!(
-            crate::solver::same_fixpoint(&gb, &fresh, &resumed),
-            "a resumed fixpoint is canonical, path table included"
-        );
-        for o in gb.output_ids() {
-            for (a, b) in fresh.pairs(o).iter().zip(resumed.pairs(o)) {
-                assert_eq!(
-                    fresh.paths.display(a.referent, &gb),
-                    resumed.paths.display(b.referent, &gb),
-                    "rendering at {o}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn resume_after_editing_one_function_matches_fresh() {
-        let a = "int g1; int g2; int *gp;\n\
-             int *id(int *p) { return p; }\n\
-             void setg(int x) { if (x) { gp = &g1; } }\n\
-             int main(void) { int l; int *q; q = id(&l); setg(1); *q = 3; *gp = 4; return 0; }";
-        let b = "int g1; int g2; int *gp;\n\
-             int *id(int *p) { return p; }\n\
-             void setg(int x) { if (x) { gp = &g2; } }\n\
-             int main(void) { int l; int *q; q = id(&l); setg(1); *q = 3; *gp = 4; return 0; }";
-        check_resume(a, b, &["setg"]);
-    }
-
-    #[test]
-    fn resume_after_editing_caller_of_pointer_returning_callee() {
-        // The edited function is the *caller*; the callee's facts are
-        // replayed and must still flow into the re-solved caller.
-        let a = "int g1; int g2;\n\
-             int *pick(int c) { if (c) { return &g1; } return &g2; }\n\
-             int main(void) { int *p; p = pick(0); *p = 1; return 0; }";
-        let b = "int g1; int g2;\n\
-             int *pick(int c) { if (c) { return &g1; } return &g2; }\n\
-             int main(void) { int *p; int x; x = 5; p = pick(x); *p = 1; return 0; }";
-        check_resume(a, b, &["main"]);
-    }
-
-    #[test]
-    fn resume_with_identical_sources_reuses_everything() {
-        let a = "int g; int main(void) { int *p; p = &g; return *p; }";
-        check_resume(a, a, &[]);
-    }
-
-    #[test]
-    fn resume_with_indirect_calls_matches_fresh() {
-        let a = "int g1; int g2;\n\
-             void f1(void) { g1 = 1; }\n\
-             void f2(void) { g2 = 2; }\n\
-             int main(void) { void (*fp)(void); int c; c = getchar();\n\
-               if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }";
-        // Note `g1 = 7` alone would NOT dirty f1: scalar constants carry
-        // no payload in the VDG, so the graphs would be identical and
-        // full replay is the correct outcome. Add a statement instead.
-        let b = "int g1; int g2;\n\
-             void f1(void) { g1 = 7; g2 = 8; }\n\
-             void f2(void) { g2 = 2; }\n\
-             int main(void) { void (*fp)(void); int c; c = getchar();\n\
-               if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }";
-        check_resume(a, b, &["f1"]);
-    }
-
-    #[test]
-    fn resume_after_deleting_a_call_site_shrinks_the_callee() {
-        // `store`'s facts depend on its actuals. Deleting one call site
-        // makes them *shrink*; the edge is gone from the next graph, so
-        // only the lost-callee rule can pull `store` into the cone. A
-        // stale seed would keep gp ↦ g2 alive.
-        let a = "int g1; int g2; int *gp;
-             void store(int *p) { gp = p; }
-             int main(void) { store(&g1); store(&g2); return 0; }";
-        let b = "int g1; int g2; int *gp;
-             void store(int *p) { gp = p; }
-             int main(void) { store(&g1); return 0; }";
-        check_resume(a, b, &["main"]);
-    }
-
-    #[test]
-    fn resume_after_deleting_a_function_invalidates_its_callees() {
-        // The deleted function is absent from the next graph entirely,
-        // yet the calls recorded in its summary still gate `store`'s
-        // facts: they must be treated as lost edges.
-        let a = "int g1; int g2; int *gp;
-             void store(int *p) { gp = p; }
-             void extra(void) { store(&g2); }
-             int main(void) { store(&g1); extra(); return 0; }";
-        let b = "int g1; int g2; int *gp;
-             void store(int *p) { gp = p; }
-             int main(void) { store(&g1); return 0; }";
-        check_resume(a, b, &["main"]);
-    }
-
-    #[test]
-    fn resume_keeps_literal_facts_local_to_the_edited_function() {
-        // Deleting a statement that contains a string literal shifts
-        // the program-wide literal sequence numbers, so under global
-        // `s:<index>` keys `setb`'s `"three"` would re-key and demote
-        // `setb`. The per-function literal keys (`s:<owner>:<k>`) keep
-        // the edit local: only the edited function goes dirty. The
-        // deleted literal's facts must not escape `seta` (p is a
-        // register local), or translating any summary that mentions
-        // them would rightly demote its owner too.
-        let a = "char *gb;\n\
-             void seta(void) { char *p; p = \"one\"; p = \"two\"; }\n\
-             void setb(void) { gb = \"three\"; }\n\
-             int main(void) { seta(); setb(); return 0; }";
-        let b = "char *gb;\n\
-             void seta(void) { char *p; p = \"two\"; }\n\
-             void setb(void) { gb = \"three\"; }\n\
-             int main(void) { seta(); setb(); return 0; }";
-        check_resume(a, b, &["seta"]);
-    }
-
-    #[test]
-    fn resume_after_deleting_a_function_matches_fresh() {
-        let a = "int g; int *gp;\n\
-             void seta(void) { gp = &g; }\n\
-             void noop(void) { }\n\
-             int main(void) { seta(); noop(); *gp = 1; return 0; }";
-        let b = "int g; int *gp;\n\
-             void seta(void) { gp = &g; }\n\
-             int main(void) { seta(); *gp = 1; return 0; }";
-        check_resume(a, b, &["main"]);
     }
 }

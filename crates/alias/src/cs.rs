@@ -18,12 +18,8 @@
 //!    through without new assumptions.
 
 use crate::ci::CiResult;
-use crate::fingerprint::GraphIndex;
 use crate::fxhash::{HashMap, HashSet};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::summary::{
-    FuncFacts, FunctionSummary, MemOpPruning, ResumeStats, SolverSummaries, StableAssum, Vocab,
-};
 use std::collections::VecDeque;
 use std::fmt;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
@@ -113,8 +109,6 @@ pub struct CsResult {
     /// Every interned assumption set, in interning order.
     arena: Vec<Assumption>,
     set_start: Vec<usize>,
-    /// Discovered call edges, sorted per call site (for summaries).
-    pub(crate) callees: HashMap<NodeId, Vec<VFuncId>>,
     /// Transfer-function applications (`flow-in`s).
     pub flow_ins: u64,
     /// Retained meets (`flow-out`s): emissions that survived the
@@ -471,8 +465,6 @@ struct CsSolver<'g> {
 struct Scratch {
     /// Emissions of the delivery in progress.
     em: Vec<(OutputId, Pair, SetId)>,
-    /// A resume boundary source's committed facts, one per set.
-    committed: Vec<(Pair, SetId)>,
     /// Actual pairs forwarded to a newly registered callee.
     actuals: Vec<Pair>,
     /// Return pairs selected by a return scan: `(port, pair, set)`.
@@ -584,32 +576,11 @@ impl<'g> CsSolver<'g> {
         self.scratch.em = em;
     }
 
-    /// Pushes `src`'s committed qualified pairs through `(node, port)`
-    /// without queueing `src` itself — the resume boundary delivery.
-    /// Over-delivery is harmless: any assumption set the transfer can
-    /// emit from a committed fact is a superset of (or equal to) some
-    /// held minimal antichain element downstream, so subsumption or the
-    /// exact-dedup path absorbs it.
-    fn deliver_committed(&mut self, node: NodeId, port: usize, src: OutputId) {
-        // Snapshot first: the deliveries may grow `src` itself.
-        let mut items = std::mem::take(&mut self.scratch.committed);
-        items.clear();
-        for (&pair, chain) in &self.p[src.0 as usize] {
-            items.extend(chain.iter().map(|&set| (pair, set)));
-        }
-        for &(pair, set) in &items {
-            self.flow_ins += 1;
-            self.deliver(node, port, pair, set);
-        }
-        self.scratch.committed = items;
-    }
-
     fn finish(self) -> CsResult {
         let CsSolver {
             paths,
             assums,
             p,
-            mut callees,
             flow_ins,
             flow_outs,
             dedup_hits,
@@ -643,9 +614,6 @@ impl<'g> CsSolver<'g> {
             }));
             set_start.push(arena.len());
         }
-        for v in callees.values_mut() {
-            v.sort_unstable_by_key(|f| f.0);
-        }
         CsResult {
             paths,
             pairs,
@@ -654,7 +622,6 @@ impl<'g> CsSolver<'g> {
             chain_start,
             arena,
             set_start,
-            callees,
             flow_ins,
             flow_outs,
             dedup_hits,
@@ -1256,310 +1223,6 @@ impl<'g> CsSolver<'g> {
         }
         self.scratch.combo = combo;
     }
-}
-
-/// Extracts function `f`'s CS summary: per output, each qualified pair
-/// with its minimal antichain of assumption sets (assumptions rewritten
-/// onto formal *indices* — the §4 invariant that facts inside `f` only
-/// carry assumptions on `f`'s own formals is verified, not trusted),
-/// plus the CI pruning facts each of `f`'s memory operations was solved
-/// under, so a resume can detect pruning drift.
-pub(crate) fn extract_func(
-    cs: &CsResult,
-    graph: &Graph,
-    index: &GraphIndex,
-    ci: &CiResult,
-    f: VFuncId,
-) -> Option<FunctionSummary> {
-    let fi = f.0 as usize;
-    let entry_outs = &graph.node(graph.func(f).entry).outputs;
-    let (os, oe) = (index.out_start[fi], index.out_end[fi]);
-    let mut outputs = Vec::with_capacity((oe - os) as usize);
-    for o in os..oe {
-        let mut row = Vec::new();
-        for (pair, sets) in cs.qualified_pairs(OutputId(o)) {
-            let sp = crate::fingerprint::stable_pair(&cs.paths, graph, index, pair)?;
-            let mut stable_sets = Vec::with_capacity(sets.len());
-            for &sid in sets {
-                let set = cs.assumption_set(sid);
-                let mut ss = Vec::with_capacity(set.len());
-                for a in set {
-                    let formal = entry_outs.iter().position(|&e| e == a.formal)? as u32;
-                    ss.push(StableAssum {
-                        formal,
-                        pair: crate::fingerprint::stable_pair(&cs.paths, graph, index, a.pair)?,
-                    });
-                }
-                ss.sort_unstable();
-                stable_sets.push(ss);
-            }
-            stable_sets.sort_unstable();
-            row.push((sp, stable_sets));
-        }
-        outputs.push(row);
-    }
-    let mut memops = Vec::new();
-    for (node, _) in graph.all_mem_ops() {
-        if index.node_owner[node.0 as usize] != f {
-            continue;
-        }
-        let mut refs = Vec::new();
-        for r in ci.loc_referents(graph, node) {
-            refs.push(crate::fingerprint::stable_path(&ci.paths, graph, index, r)?);
-        }
-        refs.sort_unstable();
-        memops.push(MemOpPruning {
-            offset: node.0 - index.node_start[fi],
-            single: refs.len() == 1,
-            loc_refs: refs,
-        });
-    }
-    Some(FunctionSummary {
-        fingerprint: index.func_fps[fi],
-        calls: crate::fingerprint::stable_calls(graph, index, f, &cs.callees),
-        facts: FuncFacts::Cs { outputs, memops },
-    })
-}
-
-/// Translated CS facts of one clean function: per output offset, each
-/// pair with its antichain of assumption sets over next-graph formals.
-type CsRow = Vec<(Pair, Vec<Vec<(OutputId, Pair)>>)>;
-
-/// Seeded resume of the assumption-set analysis.
-///
-/// The subset-seeding argument extends to the qualified lattice: each
-/// output's value is a map from pairs to minimal antichains of
-/// assumption sets, ordered by antichain refinement, and every transfer
-/// function is monotone in it. Installing a clean function's final
-/// antichains outside the dirty cone and iterating the cone converges
-/// to exactly the fresh fixpoint — any combination `propagate-return`
-/// could emit is subsumed by a held minimal set, so re-deliveries dedup.
-///
-/// Beyond the CI cone rules, two CS-specific invalidation channels are
-/// closed: an in-cone actual re-derives the call's own outputs (the
-/// `repropagate_new_actual` product can qualify new return pairs), and
-/// a clean function whose recorded CI pruning facts drifted from the
-/// *current* CI solution roots the affected memory operation's outputs
-/// in the cone (§4.2 pruning decisions are baked into the assumption
-/// sets).
-///
-/// `None` when the plan is rejected (wrong vocabulary, unstable naming,
-/// call-string heap naming); `Some(Err(_))` when the re-solve exhausts
-/// the step budget — both are fresh-solve fallbacks for the caller.
-pub(crate) fn analyze_cs_resume(
-    graph: &Graph,
-    index: &GraphIndex,
-    ci: &CiResult,
-    prev: &SolverSummaries,
-    config: &CsConfig,
-) -> Option<Result<(CsResult, ResumeStats), StepLimitExceeded>> {
-    use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != Vocab::Cs || config.heap_naming != crate::ci::HeapNaming::Site {
-        return None;
-    }
-    let mut paths = ci.paths.clone();
-    let base = plan_base(graph, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::Cs { outputs, .. } = &summary.facts else {
-            return None;
-        };
-        if outputs.len() != want {
-            return None;
-        }
-        let entry_outs = &graph.node(graph.func(f).entry).outputs;
-        let mut rows: Vec<CsRow> = Vec::with_capacity(want);
-        for row in outputs {
-            let mut r: CsRow = Vec::with_capacity(row.len());
-            for (sp, sets) in row {
-                let a = intern_stable(graph, index, &mut paths, &sp.path)?;
-                let b = intern_stable(graph, index, &mut paths, &sp.referent)?;
-                let mut tsets = Vec::with_capacity(sets.len());
-                for set in sets {
-                    let mut ts = Vec::with_capacity(set.len());
-                    for assum in set {
-                        let formal = *entry_outs.get(assum.formal as usize)?;
-                        let pa = intern_stable(graph, index, &mut paths, &assum.pair.path)?;
-                        let pb = intern_stable(graph, index, &mut paths, &assum.pair.referent)?;
-                        ts.push((formal, Pair::new(pa, pb)));
-                    }
-                    tsets.push(ts);
-                }
-                r.push((Pair::new(a, b), tsets));
-            }
-            rows.push(r);
-        }
-        Some(rows)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
-
-    // Pruning drift: compare each clean function's recorded memop facts
-    // against the current CI solution; a drifted operation's outputs
-    // root the cone.
-    let mut extra: Vec<OutputId> = Vec::new();
-    for &f in translated.keys() {
-        let fi = f.0 as usize;
-        let summary = &prev.funcs[&graph.func(f).name];
-        let FuncFacts::Cs { memops, .. } = &summary.facts else {
-            continue;
-        };
-        for m in memops {
-            let node = NodeId(index.node_start[fi] + m.offset);
-            let mut refs = Vec::new();
-            let mut ok = true;
-            for r in ci.loc_referents(graph, node) {
-                match crate::fingerprint::stable_path(&ci.paths, graph, index, r) {
-                    Some(s) => refs.push(s),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            refs.sort_unstable();
-            if !ok || m.single != (refs.len() == 1) || m.loc_refs != refs {
-                extra.extend(graph.node(node).outputs.iter().copied());
-            }
-        }
-    }
-    let in_cone = compute_cone_for(
-        graph,
-        index,
-        &dirty,
-        &prev_edges,
-        &lost_callees,
-        ConeVocab::Cs,
-        &extra,
-    );
-
-    let mut s = CsSolver::new(graph, ci, config.clone());
-    s.paths = paths;
-
-    // 1. Install out-of-cone antichains as silent seeds (no worklist).
-    let mut seeded_outputs = 0;
-    for (&f, rows) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, row) in rows.iter().enumerate() {
-            let o = (os + i as u32) as usize;
-            if in_cone[o] {
-                continue;
-            }
-            for (pair, sets) in row {
-                let chain = s.p[o].entry(*pair).or_default();
-                for set in sets {
-                    let mut ids: Vec<u32> = set
-                        .iter()
-                        .map(|&(formal, p)| s.assums.assum(formal, p))
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    s.max_set = s.max_set.max(ids.len());
-                    chain.push(s.assums.intern_set(&ids));
-                }
-            }
-            seeded_outputs += 1;
-        }
-    }
-
-    // 2. Install call edges whose function input is out-of-cone.
-    let mut call_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for (n, fs) in &prev_edges {
-        if !in_cone[graph.input_src(*n, 0).0 as usize] {
-            call_edges.insert(*n, fs.clone());
-        }
-    }
-    for (&call, fs) in &call_edges {
-        for &f in fs {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Constants dedup against the seeds; in-cone ones queue.
-    s.seed();
-
-    // 4. Boundary deliveries, mirroring the CI recipe (see
-    //    `analyze_ci_resume`): plain nodes, then seeded-call actuals
-    //    (the Call transfer both forwards to formals and re-resolves
-    //    waiting returns through `repropagate_new_actual`), then return
-    //    inputs of callees whose seeded callers have in-cone outputs.
-    for (id, n) in graph.nodes() {
-        match n.kind {
-            NodeKind::Call | NodeKind::Return { .. } | NodeKind::Primop => continue,
-            _ => {}
-        }
-        if !n.outputs.iter().any(|&o| in_cone[o.0 as usize]) {
-            continue;
-        }
-        for port in 0..n.inputs.len() {
-            if matches!(n.kind, NodeKind::PassThrough) && port != 0 {
-                continue;
-            }
-            let src = graph.input_src(id, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(id, port, src);
-            }
-        }
-    }
-    for (&call, fs) in &call_edges {
-        let needed = fs.iter().any(|&f| {
-            graph
-                .node(graph.func(f).entry)
-                .outputs
-                .iter()
-                .any(|&o| in_cone[o.0 as usize])
-        });
-        if !needed {
-            continue;
-        }
-        for port in 1..graph.node(call).inputs.len() {
-            let src = graph.input_src(call, port);
-            if !in_cone[src.0 as usize] {
-                s.deliver_committed(call, port, src);
-            }
-        }
-    }
-    let mut ret_needed: HashSet<VFuncId> = HashSet::default();
-    for (&call, fs) in &call_edges {
-        if graph
-            .node(call)
-            .outputs
-            .iter()
-            .any(|&o| in_cone[o.0 as usize])
-        {
-            ret_needed.extend(fs.iter().copied());
-        }
-    }
-    for &f in &ret_needed {
-        for &ret in &graph.func(f).returns {
-            for port in 0..graph.node(ret).inputs.len() {
-                let src = graph.input_src(ret, port);
-                if !in_cone[src.0 as usize] {
-                    s.deliver_committed(ret, port, src);
-                }
-            }
-        }
-    }
-
-    // 5. Solve the cone.
-    if let Err(e) = s.run() {
-        return Some(Err(e));
-    }
-    let mut dirty_names: Vec<String> = dirty.iter().map(|f| graph.func(*f).name.clone()).collect();
-    dirty_names.sort_unstable();
-    let stats = ResumeStats {
-        clean: graph.func_count() - dirty.len(),
-        dirty: dirty_names,
-        cone_outputs: in_cone.iter().filter(|&&b| b).count(),
-        seeded_outputs,
-        total_outputs: graph.output_count(),
-    };
-    Some(Ok((s.finish(), stats)))
 }
 
 /// Checks that the stripped CS solution is contained in the CI solution

@@ -22,8 +22,7 @@
 //!    and discovered call edges persist in a [`DemandState`]; the next
 //!    query extends the solved region instead of starting over, with
 //!    boundary deliveries hand-carrying already-final sets into the
-//!    newly activated cone (the same discipline as
-//!    [`analyze_ci_resume`](crate::ci::analyze_ci_resume)).
+//!    newly activated region.
 //!
 //! Per-query budgets bound both the slice size and the number of
 //! worklist deliveries. On exhaustion the state falls back to the
@@ -395,8 +394,7 @@ impl DemandState {
 }
 
 /// Hand-delivers already-final committed sets across the boundary into
-/// the newly activated region, exactly once — the demand counterpart
-/// of [`analyze_ci_resume`](crate::ci::analyze_ci_resume)'s step 4.
+/// the newly activated region, exactly once.
 /// `prev` is the solved region before this query, `now` after; a
 /// source in `prev` is final and will never deliver again on its own.
 fn install_boundary(g: &Graph, s: &mut Solver, prev: &[bool], now: &[bool]) {

@@ -46,17 +46,15 @@ pub mod path;
 pub mod solver;
 pub mod stats;
 pub mod steensgaard;
-pub mod summary;
 pub mod weihl;
 
 pub use ci::{analyze_ci, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder};
 pub use cs::{analyze_cs, cs_subset_of_ci, CsConfig, CsResult, StepLimitExceeded};
 pub use demand::{DemandConfig, DemandSolution, DemandSolver, DemandState, DemandStats};
-pub use fingerprint::{GraphIndex, StablePair, StablePath};
+pub use fingerprint::GraphIndex;
 pub use pairset::{PairId, PairInterner, PairSet, Propagation};
 pub use path::{AccessOp, Pair, PathId, PathTable};
-pub use solver::{ResumeOutcome, Solution, SolutionBox, Solver, SolverKind, SolverSpec};
-pub use summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, Vocab};
+pub use solver::{Solution, SolutionBox, Solver, SolverKind, SolverSpec};
 
 use std::fmt;
 use vdg::graph::Graph;

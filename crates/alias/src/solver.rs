@@ -28,35 +28,16 @@
 //! boxed solutions of every pair-based solver.
 
 use crate::callstring::{analyze_callstring_from, CallStringConfig, CallStringResult};
-use crate::ci::{
-    analyze_ci, analyze_ci_resume, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder,
-};
+use crate::ci::{analyze_ci, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder};
 use crate::cs::{analyze_cs, CsConfig, CsResult};
-use crate::fingerprint::{plan_ci_resume, GraphIndex, StablePair};
 use crate::pairset::Propagation;
 use crate::path::{PathId, PathTable};
 use crate::stats::PointsToSolution;
 use crate::steensgaard::{analyze_steensgaard, SteensResult};
-use crate::summary::{FunctionSummary, ResumeStats, SolverSummaries, Vocab};
 use crate::weihl::{analyze_weihl_with, WeihlResult};
 use crate::AnalysisError;
 use std::cell::RefCell;
-use vdg::graph::{BaseId, Graph, NodeId, VFuncId};
-
-/// A per-function summary extractor over one solution: `Sync` so the
-/// engine's bottom-up composition driver can summarize independent
-/// call-graph subtrees in parallel with no shared worklist.
-pub type FuncExtractor<'a> = Box<dyn Fn(VFuncId) -> Option<FunctionSummary> + Sync + 'a>;
-
-/// The product of a successful seeded resume: the re-solved solution
-/// plus the reuse statistics the engine surfaces in `SolveMode` and
-/// `ruf95 stats`.
-pub struct ResumeOutcome {
-    /// The resumed solution, fixpoint-identical to a fresh solve.
-    pub solution: SolutionBox,
-    /// Which functions re-summarized, and how much was seeded.
-    pub stats: ResumeStats,
-}
+use vdg::graph::{BaseId, Graph, NodeId};
 
 /// A solved analysis, boxed behind the uniform [`Solution`] view.
 pub type SolutionBox = Box<dyn Solution>;
@@ -81,70 +62,6 @@ pub trait Solver: Send + Sync {
     /// [`AnalysisError::StepLimit`] if the solver exhausts its step
     /// budget; the always-terminating solvers never fail.
     fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError>;
-
-    /// **Summarize capability.** Extracts whole-program
-    /// [`SolverSummaries`] from `sol` (a solution this solver produced
-    /// over `graph`) in the solver's own stable vocabulary. `None` when
-    /// the solution cannot be summarized: unstable naming, a vocabulary
-    /// the solver does not define (the demand solver), or facts rooted
-    /// at synthetic bases.
-    ///
-    /// The default serial implementation drives the solution's
-    /// [`Solution::func_extractor`]; the engine's bottom-up composition
-    /// driver uses the same extractor to summarize independent
-    /// call-graph subtrees in parallel.
-    fn summarize(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        sol: &dyn Solution,
-        ci: Option<&CiResult>,
-    ) -> Option<SolverSummaries> {
-        summarize_serial(graph, index, sol, ci)
-    }
-
-    /// **Summarize capability.** Re-solves `graph` seeded from a
-    /// previous run's summaries: clean functions' facts replay as
-    /// silent seeds, only the dirty cone iterates, and the result is
-    /// fixpoint-identical to a fresh solve (the subset-seeding
-    /// argument, per vocabulary — see `DESIGN.md` §12).
-    ///
-    /// Returns `None` when this solver cannot resume from `prev` (wrong
-    /// vocabulary, configuration without stable naming, rejected plan):
-    /// the caller falls back to a fresh solve. `Some(Err(_))` means the
-    /// resume itself exhausted a step budget — also a fresh-solve
-    /// fallback, but worth distinguishing for diagnostics.
-    fn resume(
-        &self,
-        _graph: &Graph,
-        _index: &GraphIndex,
-        _prev: &SolverSummaries,
-        _ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        None
-    }
-}
-
-/// Serial whole-program summary extraction via
-/// [`Solution::func_extractor`]: the default [`Solver::summarize`] body
-/// and the oracle the parallel composition driver cross-checks against.
-pub fn summarize_serial(
-    graph: &Graph,
-    index: &GraphIndex,
-    sol: &dyn Solution,
-    ci: Option<&CiResult>,
-) -> Option<SolverSummaries> {
-    if index.unsafe_reason.is_some() {
-        return None;
-    }
-    let vocab = sol.vocab()?;
-    let extract = sol.func_extractor(graph, index, ci)?;
-    let mut out = SolverSummaries::new(vocab);
-    for f in graph.func_ids() {
-        out.funcs.insert(graph.func(f).name.clone(), extract(f)?);
-    }
-    out.store = sol.summary_store(graph, index)?;
-    Some(out)
 }
 
 /// Uniform read-side view of any solver's result.
@@ -308,34 +225,6 @@ pub trait Solution: Send {
         None
     }
 
-    /// The summary vocabulary this solution can be expressed in, `None`
-    /// when it has none (the demand solver's lazy view).
-    fn vocab(&self) -> Option<Vocab> {
-        None
-    }
-
-    /// A `Sync` per-function summary extractor over this solution, or
-    /// `None` when the solution cannot be summarized (no vocabulary, or
-    /// a required companion — the CS extractor needs the CI solution it
-    /// was pruned by — is missing). Drives both the serial
-    /// [`summarize_serial`] and the engine's parallel bottom-up
-    /// composition.
-    fn func_extractor<'a>(
-        &'a self,
-        _graph: &'a Graph,
-        _index: &'a GraphIndex,
-        _ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        None
-    }
-
-    /// The program-wide store relation in stable vocabulary (Weihl
-    /// only; everyone else returns an empty vec). `None` when a store
-    /// fact cannot be expressed stably.
-    fn summary_store(&self, _graph: &Graph, _index: &GraphIndex) -> Option<Vec<StablePair>> {
-        Some(Vec::new())
-    }
-
     /// A deep copy of the boxed solution. The incremental engine uses
     /// this to replay a cached solution without consuming the cache
     /// entry.
@@ -347,8 +236,7 @@ pub trait Solution: Send {
 ///
 /// Everything is rendered to strings against `graph` and sorted, so the
 /// dump is independent of solver schedule, path-id numbering, and of
-/// *how* the solution was obtained (fresh, seeded resume, or cache
-/// replay) — but changes whenever any answer the solution gives
+/// *how* the solution was obtained (fresh or cache replay) — but changes whenever any answer the solution gives
 /// changes. Flow counters are deliberately excluded: they describe the
 /// work done, not the solution. For the CI solver the dump additionally
 /// includes every per-output pair set and the discovered call graph.
@@ -420,7 +308,7 @@ pub fn solution_fingerprint(sol: &dyn Solution, graph: &Graph) -> u64 {
 /// equal, so those are compared first. Pair-level solutions then compare
 /// pairs output by output, and two CI results their discovered call
 /// graphs too; the rest compare referents at every memory operation.
-/// CI (after `finish`, resumes included) and k=1 canonicalize their
+/// CI (after `finish`) and k=1 canonicalize their
 /// tables, so equal answers give equal ids. Weihl does not: its ids
 /// follow the order it interned paths in, so a `false` for two Weihl
 /// solutions can still come with equal [`solution_dump`]s.
@@ -471,42 +359,6 @@ impl Solver for CiSolver {
     fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
         Ok(Box::new(analyze_ci(graph, &self.config)))
     }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        _ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        // Call-string heap naming keys allocations by caller, which the
-        // stable vocabulary does not carry; fault injection would make
-        // the seeded and fresh runs observe different graphs.
-        if self.config.heap_naming != HeapNaming::Site || self.config.fault != Fault::None {
-            return None;
-        }
-        let plan = plan_ci_resume(graph, index, prev)?;
-        let stats = ResumeStats {
-            dirty: {
-                let mut d: Vec<String> = plan
-                    .dirty
-                    .iter()
-                    .map(|f| graph.func(*f).name.clone())
-                    .collect();
-                d.sort_unstable();
-                d
-            },
-            clean: graph.func_count() - plan.dirty.len(),
-            cone_outputs: plan.cone_outputs,
-            seeded_outputs: plan.seeded_outputs,
-            total_outputs: graph.output_count(),
-        };
-        let result = analyze_ci_resume(graph, &self.config, plan);
-        Some(Ok(ResumeOutcome {
-            solution: Box::new(result),
-            stats,
-        }))
-    }
 }
 
 impl Solution for CiResult {
@@ -550,19 +402,6 @@ impl Solution for CiResult {
     fn into_ci(self: Box<Self>) -> Option<CiResult> {
         Some(*self)
     }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Ci)
-    }
-    fn func_extractor<'a>(
-        &'a self,
-        graph: &'a Graph,
-        index: &'a GraphIndex,
-        _ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        Some(Box::new(move |f| {
-            crate::fingerprint::extract_ci_func(graph, index, self, f)
-        }))
-    }
     fn clone_box(&self) -> SolutionBox {
         Box::new(self.clone())
     }
@@ -597,40 +436,6 @@ impl Solver for CsSolver {
                     ..CiConfig::default()
                 },
             )),
-        }
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        // The seeded CS needs the *current* CI companion both for
-        // pruning and for the pruning-drift check; compute one with
-        // matching knobs if the caller has none, exactly as `solve`.
-        let owned;
-        let ci = match ci {
-            Some(ci) => ci,
-            None => {
-                owned = analyze_ci(
-                    graph,
-                    &CiConfig {
-                        strong_updates: self.config.strong_updates,
-                        heap_naming: self.config.heap_naming,
-                        ..CiConfig::default()
-                    },
-                );
-                &owned
-            }
-        };
-        match crate::cs::analyze_cs_resume(graph, index, ci, prev, &self.config)? {
-            Ok((result, stats)) => Some(Ok(ResumeOutcome {
-                solution: Box::new(result),
-                stats,
-            })),
-            Err(e) => Some(Err(e.into())),
         }
     }
 }
@@ -673,22 +478,6 @@ impl Solution for CsResult {
     fn into_cs(self: Box<Self>) -> Option<CsResult> {
         Some(*self)
     }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Cs)
-    }
-    fn func_extractor<'a>(
-        &'a self,
-        graph: &'a Graph,
-        index: &'a GraphIndex,
-        ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        // The extractor records the CI pruning facts each memory
-        // operation was solved under, so the CI companion is required.
-        let ci = ci?;
-        Some(Box::new(move |f| {
-            crate::cs::extract_func(self, graph, index, ci, f)
-        }))
-    }
     fn clone_box(&self) -> SolutionBox {
         Box::new(self.clone())
     }
@@ -712,25 +501,6 @@ impl Solver for WeihlSolver {
             None => PathTable::for_graph(graph),
         };
         Ok(Box::new(analyze_weihl_with(graph, paths, self.propagation)))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        let (result, stats) =
-            crate::weihl::analyze_weihl_resume(graph, index, prev, paths, self.propagation)?;
-        Some(Ok(ResumeOutcome {
-            solution: Box::new(result),
-            stats,
-        }))
     }
 }
 
@@ -772,22 +542,6 @@ impl Solution for WeihlResult {
     fn into_weihl(self: Box<Self>) -> Option<WeihlResult> {
         Some(*self)
     }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Weihl)
-    }
-    fn func_extractor<'a>(
-        &'a self,
-        graph: &'a Graph,
-        index: &'a GraphIndex,
-        _ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        Some(Box::new(move |f| {
-            crate::weihl::extract_func(self, graph, index, f)
-        }))
-    }
-    fn summary_store(&self, graph: &Graph, index: &GraphIndex) -> Option<Vec<StablePair>> {
-        crate::weihl::extract_store(self, graph, index)
-    }
     fn clone_box(&self) -> SolutionBox {
         Box::new(self.clone())
     }
@@ -805,22 +559,6 @@ impl Solver for SteensgaardSolver {
     fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
         Ok(Box::new(SteensSolution {
             inner: RefCell::new(analyze_steensgaard(graph)),
-        }))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        _ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        let (result, stats) = crate::steensgaard::replay_steensgaard(graph, index, prev)?;
-        Some(Ok(ResumeOutcome {
-            solution: Box::new(SteensSolution {
-                inner: RefCell::new(result),
-            }),
-            stats,
         }))
     }
 }
@@ -871,21 +609,6 @@ impl Solution for SteensSolution {
     fn into_steens(self: Box<Self>) -> Option<SteensResult> {
         Some(self.inner.into_inner())
     }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::Steens)
-    }
-    fn func_extractor<'a>(
-        &'a self,
-        graph: &'a Graph,
-        index: &'a GraphIndex,
-        _ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        // Purely syntactic: the atoms come from the graph alone, so the
-        // closure captures no union-find state and is trivially `Sync`.
-        Some(Box::new(move |f| {
-            Some(crate::steensgaard::extract_func(graph, index, f))
-        }))
-    }
     fn clone_box(&self) -> SolutionBox {
         Box::new(SteensSolution {
             inner: RefCell::new(self.inner.borrow().clone()),
@@ -912,27 +635,6 @@ impl Solver for CallStringSolver {
         };
         let k1 = analyze_callstring_from(graph, paths, &self.config)?;
         Ok(Box::new(k1))
-    }
-
-    fn resume(
-        &self,
-        graph: &Graph,
-        index: &GraphIndex,
-        prev: &SolverSummaries,
-        ci: Option<&CiResult>,
-    ) -> Option<Result<ResumeOutcome, AnalysisError>> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        match crate::callstring::analyze_callstring_resume(graph, index, prev, paths, &self.config)?
-        {
-            Ok((result, stats)) => Some(Ok(ResumeOutcome {
-                solution: Box::new(result),
-                stats,
-            })),
-            Err(e) => Some(Err(e.into())),
-        }
     }
 }
 
@@ -976,19 +678,6 @@ impl Solution for CallStringResult {
     }
     fn into_k1(self: Box<Self>) -> Option<CallStringResult> {
         Some(*self)
-    }
-    fn vocab(&self) -> Option<Vocab> {
-        Some(Vocab::K1)
-    }
-    fn func_extractor<'a>(
-        &'a self,
-        graph: &'a Graph,
-        index: &'a GraphIndex,
-        _ci: Option<&'a CiResult>,
-    ) -> Option<FuncExtractor<'a>> {
-        Some(Box::new(move |f| {
-            crate::callstring::extract_func(self, graph, index, f)
-        }))
     }
     fn clone_box(&self) -> SolutionBox {
         Box::new(self.clone())

@@ -16,12 +16,8 @@
 //! representative (ECR), and every value move unifies the pointees of
 //! its endpoints.
 
-use crate::fingerprint::GraphIndex;
 use crate::fxhash::HashMap;
-use crate::summary::{
-    FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, SteensConstraint, Vocab,
-};
-use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
+use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, ValueKind};
 
 /// An equivalence-class representative id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -280,288 +276,6 @@ pub fn analyze_steensgaard(graph: &Graph) -> SteensResult {
         base_ecr,
         out_ecr,
     }
-}
-
-/// Extracts function `f`'s unification constraint atoms — a purely
-/// *syntactic* summary over the function's own output offsets, so it
-/// needs only the graph, never a solved result. Atoms are sorted and
-/// deduplicated: unification is idempotent and order-independent, so
-/// the deduplicated replay reaches the identical partition while doing
-/// strictly less union-find work than a fresh node walk.
-pub(crate) fn extract_func(graph: &Graph, index: &GraphIndex, f: VFuncId) -> FunctionSummary {
-    let fi = f.0 as usize;
-    let off = |o: OutputId| o.0 - index.out_start[fi];
-    let src_off = |n: NodeId, port: usize| off(graph.input_src(n, port));
-    let mut atoms: Vec<SteensConstraint> = Vec::new();
-    for id in index.node_start[fi]..index.node_end[fi] {
-        let id = NodeId(id);
-        let n = graph.node(id);
-        match &n.kind {
-            NodeKind::Base(b) | NodeKind::Alloc(b) | NodeKind::FuncConst(b) => {
-                atoms.push(SteensConstraint::Base {
-                    out: off(n.outputs[0]),
-                    base: index.base_keys[b.0 as usize].clone(),
-                });
-            }
-            NodeKind::Member(_)
-            | NodeKind::IndexElem
-            | NodeKind::ExtractField(_)
-            | NodeKind::ExtractElem
-            | NodeKind::PassThrough => {
-                let src = graph.input_src(id, 0);
-                if !matches!(graph.output(src).kind, ValueKind::Store) {
-                    atoms.push(SteensConstraint::Move {
-                        dst: off(n.outputs[0]),
-                        src: off(src),
-                    });
-                }
-            }
-            NodeKind::Gamma => {
-                if matches!(graph.output(n.outputs[0]).kind, ValueKind::Store) {
-                    continue;
-                }
-                for port in 0..n.inputs.len() {
-                    atoms.push(SteensConstraint::Move {
-                        dst: off(n.outputs[0]),
-                        src: src_off(id, port),
-                    });
-                }
-            }
-            NodeKind::Lookup { .. } => atoms.push(SteensConstraint::Load {
-                out: off(n.outputs[0]),
-                loc: src_off(id, 0),
-            }),
-            NodeKind::Update { .. } => atoms.push(SteensConstraint::Store {
-                loc: src_off(id, 0),
-                val: src_off(id, 2),
-            }),
-            NodeKind::CopyMem => atoms.push(SteensConstraint::Copy {
-                dst: src_off(id, 1),
-                src: src_off(id, 2),
-            }),
-            NodeKind::Call => {
-                let args: Vec<u32> = (2..n.inputs.len()).map(|p| src_off(id, p)).collect();
-                let result = (n.outputs.len() > 1).then(|| off(n.outputs[1]));
-                let fnode = graph.output(graph.input_src(id, 0)).node;
-                match &graph.node(fnode).kind {
-                    NodeKind::FuncConst(b) => match &graph.base(*b).kind {
-                        vdg::graph::BaseKind::Func { func } => {
-                            atoms.push(SteensConstraint::CallTo {
-                                callee: graph.func(*func).name.clone(),
-                                args,
-                                result,
-                            });
-                        }
-                        _ => atoms.push(SteensConstraint::CallIndirect { args, result }),
-                    },
-                    _ => atoms.push(SteensConstraint::CallIndirect { args, result }),
-                }
-            }
-            _ => {}
-        }
-    }
-    atoms.sort_unstable();
-    atoms.dedup();
-    FunctionSummary {
-        fingerprint: index.func_fps[fi],
-        // Unification has no dynamic call discovery; targets are bound
-        // syntactically inside the atoms, so no call edges to record.
-        calls: Vec::new(),
-        facts: FuncFacts::Steens(atoms),
-    }
-}
-
-/// Replays a program's constraint atoms onto a fresh union-find:
-/// stored atoms for clean functions, freshly extracted atoms for dirty
-/// ones, indirect calls bound to the *current* address-taken set —
-/// exactly the unifications of a fresh solve, modulo idempotent
-/// duplicates, so the final partition is identical. Returns `None`
-/// when stable naming is unsafe or `prev` speaks another vocabulary.
-pub(crate) fn replay_steensgaard(
-    graph: &Graph,
-    index: &GraphIndex,
-    prev: &SolverSummaries,
-) -> Option<(SteensResult, ResumeStats)> {
-    if index.unsafe_reason.is_some() || prev.vocab != Vocab::Steens {
-        return None;
-    }
-    let mut ecrs = Ecrs::new();
-    let base_ecr: Vec<u32> = graph.base_ids().map(|_| ecrs.fresh()).collect();
-    let mut out_ecr: HashMap<u32, u32> = HashMap::default();
-    let addr_taken: Vec<VFuncId> = graph
-        .func_ids()
-        .filter(|f| graph.func(*f).address_taken)
-        .collect();
-
-    let mut stats = ResumeStats {
-        total_outputs: graph.output_count(),
-        ..ResumeStats::default()
-    };
-    let mut fresh_atoms: Vec<FunctionSummary> = Vec::new();
-    let mut plan: Vec<(VFuncId, &FunctionSummary)> = Vec::new();
-    for f in graph.func_ids() {
-        let name = &graph.func(f).name;
-        let clean = prev
-            .funcs
-            .get(name)
-            .filter(|s| s.fingerprint == index.func_fps[f.0 as usize])
-            .filter(|s| matches!(s.facts, FuncFacts::Steens(_)));
-        match clean {
-            Some(_) => stats.clean += 1,
-            None => {
-                stats.dirty.push(name.clone());
-                let fi = f.0 as usize;
-                stats.cone_outputs += (index.out_end[fi] - index.out_start[fi]) as usize;
-                fresh_atoms.push(extract_func(graph, index, f));
-            }
-        }
-    }
-    stats.dirty.sort_unstable();
-    stats.seeded_outputs = stats.total_outputs - stats.cone_outputs;
-    let mut fresh_it = fresh_atoms.iter();
-    for f in graph.func_ids() {
-        let name = &graph.func(f).name;
-        let summary = prev
-            .funcs
-            .get(name)
-            .filter(|s| s.fingerprint == index.func_fps[f.0 as usize])
-            .filter(|s| matches!(s.facts, FuncFacts::Steens(_)))
-            .unwrap_or_else(|| fresh_it.next().expect("fresh atoms per dirty func"));
-        plan.push((f, summary));
-    }
-    for (f, summary) in plan {
-        apply_atoms(
-            graph,
-            index,
-            f,
-            summary,
-            &mut ecrs,
-            &base_ecr,
-            &mut out_ecr,
-            &addr_taken,
-        )?;
-    }
-    Some((
-        SteensResult {
-            ecrs,
-            base_ecr,
-            out_ecr,
-        },
-        stats,
-    ))
-}
-
-/// Applies one function's atoms to the union-find. `None` when a base
-/// key or callee name no longer resolves (only reachable from stale
-/// stored atoms; freshly extracted atoms always resolve).
-#[allow(clippy::too_many_arguments)]
-fn apply_atoms(
-    graph: &Graph,
-    index: &GraphIndex,
-    f: VFuncId,
-    summary: &FunctionSummary,
-    ecrs: &mut Ecrs,
-    base_ecr: &[u32],
-    out_ecr: &mut HashMap<u32, u32>,
-    addr_taken: &[VFuncId],
-) -> Option<()> {
-    let FuncFacts::Steens(atoms) = &summary.facts else {
-        return None;
-    };
-    let fi = f.0 as usize;
-    let n_outs = index.out_end[fi] - index.out_start[fi];
-    let at = |off: u32| -> Option<OutputId> { (off < n_outs).then(|| index.output_at(f, off)) };
-    fn ecr_of(out_ecr: &mut HashMap<u32, u32>, ecrs: &mut Ecrs, o: OutputId) -> u32 {
-        *out_ecr.entry(o.0).or_insert_with(|| ecrs.fresh())
-    }
-    fn bind_call(
-        graph: &Graph,
-        out_ecr: &mut HashMap<u32, u32>,
-        ecrs: &mut Ecrs,
-        at: &dyn Fn(u32) -> Option<OutputId>,
-        targets: &[VFuncId],
-        args: &[u32],
-        result: Option<u32>,
-    ) -> Option<()> {
-        for &t in targets {
-            let entry = graph.func(t).entry;
-            let formals = graph.node(entry).outputs.clone();
-            // `args[0]` is call port 2 = first *value* actual; formal 0
-            // is the store formal, so value formals start at 1.
-            for (idx, &a) in args.iter().enumerate() {
-                if idx + 1 >= formals.len() {
-                    break;
-                }
-                let a = ecr_of(out_ecr, ecrs, at(a)?);
-                let p = ecr_of(out_ecr, ecrs, formals[idx + 1]);
-                let (pa, pp) = (ecrs.pts_of(a), ecrs.pts_of(p));
-                ecrs.unify(pa, pp);
-            }
-            if let Some(res) = result {
-                let res = ecr_of(out_ecr, ecrs, at(res)?);
-                for &ret in &graph.func(t).returns {
-                    if graph.has_input(ret, 1) {
-                        let v = ecr_of(out_ecr, ecrs, graph.input_src(ret, 1));
-                        let (pv, pr) = (ecrs.pts_of(v), ecrs.pts_of(res));
-                        ecrs.unify(pv, pr);
-                    }
-                }
-            }
-        }
-        Some(())
-    }
-    for atom in atoms {
-        match atom {
-            SteensConstraint::Base { out, base } => {
-                let b = *index.base_by_key.get(base)?;
-                let out = ecr_of(out_ecr, ecrs, at(*out)?);
-                let p = ecrs.pts_of(out);
-                ecrs.unify(p, base_ecr[b as usize]);
-            }
-            SteensConstraint::Move { dst, src } => {
-                let a = ecr_of(out_ecr, ecrs, at(*src)?);
-                let b = ecr_of(out_ecr, ecrs, at(*dst)?);
-                let (pa, pb) = (ecrs.pts_of(a), ecrs.pts_of(b));
-                ecrs.unify(pa, pb);
-            }
-            SteensConstraint::Load { out, loc } => {
-                let loc = ecr_of(out_ecr, ecrs, at(*loc)?);
-                let out = ecr_of(out_ecr, ecrs, at(*out)?);
-                let obj = ecrs.pts_of(loc);
-                let contents = ecrs.pts_of(obj);
-                let po = ecrs.pts_of(out);
-                ecrs.unify(contents, po);
-            }
-            SteensConstraint::Store { loc, val } => {
-                let loc = ecr_of(out_ecr, ecrs, at(*loc)?);
-                let val = ecr_of(out_ecr, ecrs, at(*val)?);
-                let obj = ecrs.pts_of(loc);
-                let contents = ecrs.pts_of(obj);
-                let pv = ecrs.pts_of(val);
-                ecrs.unify(contents, pv);
-            }
-            SteensConstraint::Copy { dst, src } => {
-                let dst = ecr_of(out_ecr, ecrs, at(*dst)?);
-                let src = ecr_of(out_ecr, ecrs, at(*src)?);
-                let od = ecrs.pts_of(dst);
-                let os = ecrs.pts_of(src);
-                let (cd, cs) = (ecrs.pts_of(od), ecrs.pts_of(os));
-                ecrs.unify(cd, cs);
-            }
-            SteensConstraint::CallTo {
-                callee,
-                args,
-                result,
-            } => {
-                let t = *index.func_by_name.get(callee)?;
-                bind_call(graph, out_ecr, ecrs, &at, &[t], args, *result)?;
-            }
-            SteensConstraint::CallIndirect { args, result } => {
-                bind_call(graph, out_ecr, ecrs, &at, addr_taken, args, *result)?;
-            }
-        }
-    }
-    Some(())
 }
 
 /// Collapses a CI referent set to its base-locations, for comparison

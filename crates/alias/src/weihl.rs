@@ -13,13 +13,11 @@
 //! paper's "how much of the precision is program-point-specificity?"
 //! question.
 
-use crate::fingerprint::GraphIndex;
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use crate::summary::{FuncFacts, FunctionSummary, ResumeStats, SolverSummaries, Vocab};
 use std::collections::VecDeque;
-use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
+use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
 /// Result of the program-wide analysis.
 #[derive(Debug, Clone)]
@@ -32,8 +30,6 @@ pub struct WeihlResult {
     store: Vec<Pair>,
     /// Outputs of store kind (their pairs live in `store`).
     store_outputs: std::collections::HashSet<u32>,
-    /// Discovered call edges, sorted per call site (for summaries).
-    pub(crate) callees: HashMap<NodeId, Vec<VFuncId>>,
     /// Transfer-function applications.
     pub flow_ins: u64,
     /// Successful meets (emissions that grew a set); redundant attempts
@@ -479,28 +475,6 @@ impl<'g> Weihl<'g> {
         }
     }
 
-    /// Resume boundary delivery: re-runs the transfer function of
-    /// `node`'s `port` for every committed (seeded) pair at the feeding
-    /// output, skipping in-cone sources (their pairs arrive through the
-    /// live worklist when recomputed).
-    fn deliver_committed(&mut self, node: NodeId, port: usize, in_cone: &[bool]) {
-        if port >= self.g.node(node).inputs.len() {
-            return;
-        }
-        let src = self.g.input_src(node, port);
-        if in_cone[src.0 as usize] {
-            return;
-        }
-        let pairs: Vec<Pair> = self.values[src.0 as usize]
-            .iter()
-            .map(|id| self.interner.resolve(id))
-            .collect();
-        for p in pairs {
-            self.flow_ins += 1;
-            self.transfer_value(node, port, p);
-        }
-    }
-
     fn finish(self) -> WeihlResult {
         let store_outputs = self
             .g
@@ -520,16 +494,11 @@ impl<'g> Weihl<'g> {
             .collect();
         let mut store: Vec<Pair> = self.store.iter().map(|id| it.resolve(id)).collect();
         store.sort_unstable();
-        let mut callees = self.callees;
-        for v in callees.values_mut() {
-            v.sort_unstable_by_key(|f| f.0);
-        }
         WeihlResult {
             paths: self.paths,
             values,
             store,
             store_outputs,
-            callees,
             flow_ins: self.flow_ins,
             flow_outs: self.flow_outs,
             dedup_hits: self.dedup_hits,
@@ -602,291 +571,6 @@ pub fn ci_subset_of_weihl(graph: &Graph, ci: &crate::ci::CiResult, w: &WeihlResu
         }
     }
     true
-}
-
-/// Extracts function `f`'s Weihl summary: committed value pairs per
-/// output offset (store-typed outputs get an empty row — their facts
-/// live in the program-wide store relation on the container) plus the
-/// discovered call edges.
-pub(crate) fn extract_func(
-    w: &WeihlResult,
-    graph: &Graph,
-    index: &GraphIndex,
-    f: VFuncId,
-) -> Option<FunctionSummary> {
-    let fi = f.0 as usize;
-    let (os, oe) = (index.out_start[fi], index.out_end[fi]);
-    let mut outputs = Vec::with_capacity((oe - os) as usize);
-    for o in os..oe {
-        let o = OutputId(o);
-        if matches!(graph.output(o).kind, ValueKind::Store) {
-            outputs.push(Vec::new());
-            continue;
-        }
-        let mut pairs = Vec::new();
-        for &pr in w.value_pairs(o) {
-            pairs.push(crate::fingerprint::stable_pair(&w.paths, graph, index, pr)?);
-        }
-        outputs.push(pairs);
-    }
-    Some(FunctionSummary {
-        fingerprint: index.func_fps[fi],
-        calls: crate::fingerprint::stable_calls(graph, index, f, &w.callees),
-        facts: FuncFacts::Weihl(outputs),
-    })
-}
-
-/// Renders the program-wide store relation in stable vocabulary.
-pub(crate) fn extract_store(
-    w: &WeihlResult,
-    graph: &Graph,
-    index: &GraphIndex,
-) -> Option<Vec<crate::fingerprint::StablePair>> {
-    w.store_pairs()
-        .iter()
-        .map(|&pr| crate::fingerprint::stable_pair(&w.paths, graph, index, pr))
-        .collect()
-}
-
-/// Seeded resume of the program-wide analysis.
-///
-/// Two regimes. When every function replays clean and none was deleted,
-/// the store relation is provably unchanged: install every value set,
-/// the store, and all call edges as silent seeds — the worklist starts
-/// and stays empty (pure replay). Otherwise the single global store is
-/// *dirty* — flow-insensitivity means any edit can grow or shrink it —
-/// so it is rebuilt from scratch: every `Lookup` result joins the dirty
-/// cone as a root (its value reads the store), value facts outside the
-/// cone are seeded, and boundary deliveries re-fire the transfer
-/// functions that feed the store (`Update` contributions cross seeded
-/// location and value sets; `Lookup`/`CopyMem` re-derive through the
-/// store-consumer rule as every store pair re-enters). Iterating from
-/// this subset of the previous fixpoint converges to exactly the fresh
-/// fixpoint: Weihl's per-node emissions are monotone in the committed
-/// sets and a subset of the CI closure's, so the value-space cone
-/// computed under the CI rules over-approximates every path a change
-/// can take.
-pub(crate) fn analyze_weihl_resume(
-    graph: &Graph,
-    index: &GraphIndex,
-    prev: &SolverSummaries,
-    paths: PathTable,
-    propagation: Propagation,
-) -> Option<(WeihlResult, ResumeStats)> {
-    use crate::fingerprint::{compute_cone_for, intern_stable, plan_base, ConeVocab, PlanBase};
-    if prev.vocab != Vocab::Weihl {
-        return None;
-    }
-    let mut paths = paths;
-    let base = plan_base(graph, index, prev, |f, summary| {
-        let fi = f.0 as usize;
-        let want = (index.out_end[fi] - index.out_start[fi]) as usize;
-        let FuncFacts::Weihl(rows) = &summary.facts else {
-            return None;
-        };
-        if rows.len() != want {
-            return None;
-        }
-        let mut outs = Vec::with_capacity(want);
-        for pairs in rows {
-            let mut v = Vec::with_capacity(pairs.len());
-            for sp in pairs {
-                let a = intern_stable(graph, index, &mut paths, &sp.path)?;
-                let b = intern_stable(graph, index, &mut paths, &sp.referent)?;
-                v.push(Pair::new(a, b));
-            }
-            outs.push(v);
-        }
-        Some(outs)
-    })?;
-    let PlanBase {
-        translated,
-        dirty,
-        prev_edges,
-        lost_callees,
-    } = base;
-
-    let deleted = prev
-        .funcs
-        .keys()
-        .any(|n| !index.func_by_name.contains_key(n));
-    let mut store_dirty = !dirty.is_empty() || deleted;
-    let mut store_seed: Vec<Pair> = Vec::new();
-    if !store_dirty {
-        for sp in &prev.store {
-            match (
-                intern_stable(graph, index, &mut paths, &sp.path),
-                intern_stable(graph, index, &mut paths, &sp.referent),
-            ) {
-                (Some(a), Some(b)) => store_seed.push(Pair::new(a, b)),
-                _ => {
-                    store_dirty = true;
-                    store_seed.clear();
-                    break;
-                }
-            }
-        }
-    }
-
-    // Value-space cone; a dirty store additionally invalidates every
-    // Lookup result, which reads the store.
-    let mut extra: Vec<OutputId> = Vec::new();
-    if store_dirty {
-        for (_, n) in graph.nodes() {
-            if matches!(n.kind, NodeKind::Lookup { .. }) {
-                extra.push(n.outputs[0]);
-            }
-        }
-    }
-    let in_cone = compute_cone_for(
-        graph,
-        index,
-        &dirty,
-        &prev_edges,
-        &lost_callees,
-        ConeVocab::Ci,
-        &extra,
-    );
-
-    let mut s = Weihl {
-        g: graph,
-        paths,
-        propagation,
-        interner: PairInterner::new(),
-        values: vec![PairSet::new(); graph.output_count()],
-        store: PairSet::new(),
-        naive_wl: VecDeque::new(),
-        out_wl: VecDeque::new(),
-        queued: vec![false; graph.output_count()],
-        store_queued: false,
-        store_consumers: Vec::new(),
-        callees: HashMap::default(),
-        callers: HashMap::default(),
-        flow_ins: 0,
-        flow_outs: 0,
-        dedup_hits: 0,
-        delta_batches: 0,
-    };
-    s.collect_store_consumers();
-
-    // 1. Install out-of-cone value facts as silent seeds.
-    let mut seeded_outputs = 0;
-    for (&f, outs) in &translated {
-        let os = index.out_start[f.0 as usize];
-        for (i, pairs) in outs.iter().enumerate() {
-            let o = (os + i as u32) as usize;
-            if in_cone[o] {
-                continue;
-            }
-            for &p in pairs {
-                let id = s.interner.intern(p);
-                s.values[o].insert(id);
-            }
-            let d = s.values[o].take_delta();
-            s.values[o].recycle(d);
-            seeded_outputs += 1;
-        }
-    }
-    if !store_dirty {
-        for p in store_seed {
-            let id = s.interner.intern(p);
-            s.store.insert(id);
-        }
-        let d = s.store.take_delta();
-        s.store.recycle(d);
-    }
-
-    // 2. Install call edges whose function input is out-of-cone.
-    let mut call_edges: HashMap<NodeId, Vec<VFuncId>> = HashMap::default();
-    for (n, callees) in &prev_edges {
-        let src = graph.input_src(*n, 0);
-        if !in_cone[src.0 as usize] {
-            call_edges.insert(*n, callees.clone());
-        }
-    }
-    for (&call, callees) in &call_edges {
-        for &f in callees {
-            s.callees.entry(call).or_default().push(f);
-            s.callers.entry(f).or_default().push(call);
-        }
-    }
-
-    // 3. Constants dedup against the seeds; in-cone ones queue.
-    s.seed();
-
-    // 4. Boundary deliveries (only the dirty-store regime has a
-    //    non-empty cone to feed).
-    if store_dirty {
-        for (id, n) in graph.nodes() {
-            match &n.kind {
-                NodeKind::Member(_)
-                | NodeKind::IndexElem
-                | NodeKind::ExtractField(_)
-                | NodeKind::ExtractElem
-                | NodeKind::Gamma
-                    if n.outputs.iter().any(|o| in_cone[o.0 as usize]) =>
-                {
-                    for port in 0..n.inputs.len() {
-                        s.deliver_committed(id, port, &in_cone);
-                    }
-                }
-                NodeKind::PassThrough if n.outputs.iter().any(|o| in_cone[o.0 as usize]) => {
-                    s.deliver_committed(id, 0, &in_cone);
-                }
-                // The store is rebuilt from scratch: every Update
-                // re-derives its contribution from the committed
-                // location and value sets. Lookup and CopyMem need no
-                // value-side deliveries — each store pair re-enters the
-                // empty store and re-fires the store-consumer rule
-                // against the committed sets.
-                NodeKind::Update { .. } => {
-                    s.deliver_committed(id, 0, &in_cone);
-                    s.deliver_committed(id, 2, &in_cone);
-                }
-                _ => {}
-            }
-        }
-        let mut ret_needed: HashSet<VFuncId> = HashSet::default();
-        for (&call, callees) in &call_edges {
-            let n = graph.node(call);
-            let formals_in_cone = callees.iter().any(|&f| {
-                graph
-                    .node(graph.func(f).entry)
-                    .outputs
-                    .iter()
-                    .any(|o| in_cone[o.0 as usize])
-            });
-            if formals_in_cone {
-                for port in 2..n.inputs.len() {
-                    s.deliver_committed(call, port, &in_cone);
-                }
-            }
-            if n.outputs.len() > 1 && in_cone[n.outputs[1].0 as usize] {
-                for &f in callees {
-                    ret_needed.insert(f);
-                }
-            }
-        }
-        for f in ret_needed {
-            for &ret in &graph.func(f).returns {
-                if graph.has_input(ret, 1) {
-                    s.deliver_committed(ret, 1, &in_cone);
-                }
-            }
-        }
-    }
-
-    s.run();
-    let mut dirty_names: Vec<String> = dirty.iter().map(|f| graph.func(*f).name.clone()).collect();
-    dirty_names.sort_unstable();
-    let stats = ResumeStats {
-        clean: graph.func_count() - dirty.len(),
-        dirty: dirty_names,
-        cone_outputs: in_cone.iter().filter(|&&b| b).count(),
-        seeded_outputs,
-        total_outputs: graph.output_count(),
-    };
-    Some((s.finish(), stats))
 }
 
 #[cfg(test)]

@@ -150,9 +150,8 @@ pub fn cmd_analyze(cx: &crate::Ctx) -> Result<(), String> {
         } => {
             print_bench_fps(&benches);
             println!(
-                "replayed {} / seeded {} / fresh {} bench(es), {} solution(s) verbatim{}",
+                "replayed {} / fresh {} bench(es), {} solution(s) verbatim{}",
                 serve.benches_replayed,
-                serve.benches_seeded,
                 serve.benches_fresh,
                 serve.solutions_replayed,
                 if serve.restored {
@@ -392,7 +391,7 @@ pub fn cmd_incremental(cx: &crate::Ctx) -> Result<(), String> {
         })
         .map_err(|m| render_service_err(m, &base))?;
     if !json {
-        println!("base: {} analyzed, summary cache primed", cx.name);
+        println!("base: {} analyzed, cache primed", cx.name);
     }
     let mut rows = Vec::new();
     let mut mismatches = 0usize;
@@ -444,14 +443,14 @@ pub fn cmd_incremental(cx: &crate::Ctx) -> Result<(), String> {
             continue;
         }
         println!("\nstep {}/{}: {}", i + 1, steps.len(), desc);
-        for s in inc_benches.iter().flat_map(|b| &b.solvers) {
+        let solvers: Vec<_> = inc_benches.iter().flat_map(|b| &b.solvers).collect();
+        for s in &solvers {
             println!("  {:<12} {}", s.analysis, s.mode.as_deref().unwrap_or("-"));
         }
+        let replayed = serve.solutions_replayed as usize;
         println!(
-            "  summaries reused {}/{} functions; {} solution(s) replayed verbatim",
-            serve.funcs_reused,
-            serve.funcs_reused + serve.funcs_dirty,
-            serve.solutions_replayed
+            "  {replayed} solution(s) replayed verbatim, {} solved fresh",
+            solvers.len() - replayed
         );
         println!(
             "  from-scratch cross-check: {}",

@@ -236,7 +236,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "incremental",
         synopsis: "<file.c | bench:NAME> [--edits N] [--seed N] [--next FILE] [--json]",
-        about: "re-analyze after edits, reusing memoized summaries",
+        about: "re-analyze after edits, replaying what an edit left unchanged",
         flag_help: &[
             "--edits N       length of the seeded edit chain (default 3)",
             "--seed N        seed for the edit generator (default 1995)",

@@ -700,9 +700,9 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
     lap(&mut f, "step:p3-naive", &mut clock);
 
     // Property 4 — incremental re-analysis is invisible: after one
-    // random edit, `Engine::analyze_incremental` (memoized summaries,
-    // dirty-cone seeding) must reach the same CI solution as a
-    // from-scratch solve of the edited program. The pre-edit run is
+    // random edit, `Engine::analyze_incremental` (a replay when the
+    // graph is unchanged, else a fresh solve) must reach the same CI
+    // solution as a from-scratch solve of the edited program. The pre-edit run is
     // this seed's own program, graph and CI solution, which the engine
     // would have recomputed identically (same CI spec, default build
     // options).
@@ -1195,7 +1195,7 @@ mod tests {
     #[test]
     fn incremental_property_reports_a_real_divergence() {
         // The over-strong-update fault changes this program's CI
-        // solution; standing in for a broken resume, it must yield
+        // solution; standing in for a broken replay, it must yield
         // exactly one finding with the campaign's detail text.
         let src = include_str!("../../../tests/fixtures/weakened_strong_update.c");
         let scratch = ci_bench(Fault::None, src);
@@ -1222,7 +1222,7 @@ mod tests {
     #[test]
     fn incremental_property_is_silent_on_equal_solutions() {
         let eng = ci_engine(Fault::None);
-        let mut resumed = 0;
+        let (mut replayed, mut fresh) = (0, 0);
         for seed in 0..12 {
             let src = generate(seed, &GenConfig::campaign());
             let step = suite::edit::apply_random_edit(&src, seed).expect("an edit applies");
@@ -1231,20 +1231,19 @@ mod tests {
                 .expect("runs");
             let jobs = [crate::Job::new("p", step.source.as_str())];
             let scratch = eng.run(&jobs).expect("edited program runs");
-            let inc = eng.analyze_incremental(&prev, &jobs).expect("resumes");
-            if inc.benches[0].solutions[0]
-                .mode
-                .as_ref()
-                .is_some_and(|m| m.is_resumed())
-            {
-                resumed += 1;
+            let inc = eng.analyze_incremental(&prev, &jobs).expect("re-analyzes");
+            match inc.benches[0].solutions[0].mode {
+                Some(crate::SolveMode::Replay) => replayed += 1,
+                Some(crate::SolveMode::Fresh { .. }) => fresh += 1,
+                None => {}
             }
             assert!(
                 incremental_divergence(&inc.benches[0], &scratch.benches[0], "e", "j").is_none(),
                 "seed {seed}: equal solutions reported as divergent"
             );
         }
-        assert!(resumed > 0, "no edit exercised a seeded resume");
+        assert!(replayed > 0, "no edit exercised a replay");
+        assert!(fresh > 0, "no edit exercised a fresh solve");
 
         // Two sources that differ only in a comment skip the id-for-id
         // comparison; the rendered dumps agree, so nothing is reported.

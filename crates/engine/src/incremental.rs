@@ -1,54 +1,47 @@
-//! Incremental re-analysis with memoized per-function summaries.
+//! Incremental re-analysis: replay what an edit left unchanged, solve
+//! the rest fresh.
 //!
 //! An incremental run answers "the same jobs, after an edit" without
-//! repeating work that the edit provably did not invalidate. Three
-//! reuse tiers, cheapest first:
+//! repeating work the edit provably did not invalidate. Per benchmark it
+//! does one of two things:
 //!
-//! 1. **Source replay** — the job's source text hashes identically to
-//!    the cached run: every artifact (program, graph, CI solution, all
-//!    solver solutions) replays verbatim. Nothing is recompiled.
-//! 2. **Graph replay** — the source changed but the lowered VDG's
-//!    content fingerprint is unchanged (comment, whitespace, or
-//!    literal-only edits: `ScalarConst` carries no payload). Equal
-//!    graph fingerprints mean the graphs are isomorphic id-for-id, so
-//!    every cached solution is still exact and replays verbatim.
-//! 3. **Seeded resume** — the graph changed. Functions are
-//!    re-fingerprinted; fingerprint-matched functions contribute their
-//!    memoized [`SolverSummaries`] facts as seeds, the dirty cone
-//!    (changed functions plus everything their facts can reach) is
-//!    re-solved from a delta worklist, and the per-vocabulary
-//!    subset-seeding argument (`DESIGN.md` §12) guarantees the result
-//!    is numerically identical to a from-scratch solve.
+//! 1. **Replay.** Either the job's source text hashes identically to
+//!    the cached run (tier 1: the cached program and graph are reused,
+//!    nothing is recompiled), or the source changed but the lowered
+//!    VDG's content fingerprint is unchanged (tier 2: comment,
+//!    whitespace or literal-only edits; `ScalarConst` carries no
+//!    payload). Equal graph fingerprints mean the graphs are isomorphic
+//!    id-for-id, so the cached CI result and every cached solver
+//!    solution are still exact and replay verbatim.
+//! 2. **Fresh solve.** The graph changed, so every solver, the listed
+//!    `ci` included, solves from scratch and reports
+//!    [`FreshReason::GraphChanged`].
 //!
-//! **All five solvers support tier 3** through the uniform
-//! [`Solver::resume`] capability: each resumes from summaries in its
-//! own stable vocabulary (CI/Weihl pair rows, k=1 per-context rows, CS
-//! qualified antichains, Steensgaard constraint atoms). A solver that
-//! cannot resume a particular edit — unstable naming, a configuration
-//! without stable summaries, a rejected plan — falls back to a fresh
-//! solve with the typed [`FreshReason`] recorded in its [`SolveMode`].
+//! There is no seeded resume from per-function summaries: on every
+//! program measured, resuming and folding summaries into the cache cost
+//! more than the fresh solve (`DESIGN.md` §12).
 //!
 //! An incremental run is the engine's one pipeline ([`Engine::run`])
-//! given a cache. Tiers 1–2 and CI's resume are decided in its stage 1,
-//! every other solver resumes in its stage 2, and stage 3 folds the
+//! given a cache. The replay check happens in its stage 1, fresh solves
+//! in stages 1 (CI) and 2 (every other solver), and stage 3 folds the
 //! solved benchmarks back into the cache.
 //!
 //! Reuse is sound only when the same [`Engine`] configuration produced
-//! the cached facts; the cache records the engine's full solver spec
-//! key and resets itself when it changes.
+//! the cached solutions; the cache records the engine's full solver
+//! spec key and resets itself when it changes.
 
 use crate::report::IncrementalStats;
-use crate::{compose, BenchOutput, Engine, EngineRun, Job, Tier};
+use crate::{BenchOutput, Engine, EngineRun, Job, Tier};
 use alias::ci::CiResult;
 use alias::fingerprint::{fnv64, GraphIndex};
-use alias::solver::{solution_fingerprint, Solution, SolutionBox, Solver};
-use alias::summary::{ResumeStats, SolverSummaries};
-use alias::{AnalysisError, Fault, HeapNaming};
+use alias::solver::{solution_fingerprint, Solution, SolutionBox};
+use alias::AnalysisError;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vdg::graph::Graph;
 
-/// Why a solver solved from scratch instead of reusing cached facts.
+/// Why a solver solved from scratch instead of replaying its cached
+/// solution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FreshReason {
     /// No cached run for this benchmark.
@@ -58,42 +51,19 @@ pub enum FreshReason {
     /// The benchmark was cached, but a replayed solution for this
     /// solver was not (newly configured, or failed last time).
     NotInCache,
-    /// The cache entry carries no summaries in this solver's
-    /// vocabulary.
-    NoSummaries,
-    /// Call-string heap naming keys heap paths to call sites, defeating
-    /// stable cross-edit summaries.
-    HeapNaming,
-    /// Fault injection is active; planted bugs must not be masked by
-    /// cached facts.
-    FaultInjection,
-    /// The graph's naming is unstable (the recorded reason), so
-    /// function fingerprints cannot be trusted across edits.
-    UnstableNaming(String),
-    /// No function's fingerprint survived the edit; seeding would win
-    /// nothing.
-    EveryFunctionChanged,
-    /// The solver rejected the resume plan (vocabulary mismatch, facts
-    /// outside the stable vocabulary, …).
-    PlanRejected,
-    /// The resume itself exhausted the solver's step budget.
-    StepBudget,
+    /// The lowered graph differs from the cached one (or its naming is
+    /// too ambiguous to prove it equal).
+    GraphChanged,
 }
 
 impl FreshReason {
     /// Compact report rendering.
-    pub fn render(&self) -> String {
+    pub fn render(&self) -> &'static str {
         match self {
-            FreshReason::NoCache => "no cached run for this benchmark".into(),
-            FreshReason::SpecChange => "solver spec changed".into(),
-            FreshReason::NotInCache => "not in cache".into(),
-            FreshReason::NoSummaries => "no summaries for this solver".into(),
-            FreshReason::HeapNaming => "call-string heap naming defeats stable summaries".into(),
-            FreshReason::FaultInjection => "fault injection active".into(),
-            FreshReason::UnstableNaming(r) => format!("unstable naming: {r}"),
-            FreshReason::EveryFunctionChanged => "every function changed".into(),
-            FreshReason::PlanRejected => "resume plan rejected".into(),
-            FreshReason::StepBudget => "resume exhausted its step budget".into(),
+            FreshReason::NoCache => "no cached run for this benchmark",
+            FreshReason::SpecChange => "solver spec changed",
+            FreshReason::NotInCache => "not in cache",
+            FreshReason::GraphChanged => "graph changed",
         }
     }
 }
@@ -104,84 +74,18 @@ pub enum SolveMode {
     /// Replayed verbatim from the cache (source or graph fingerprint
     /// match).
     Replay,
-    /// Resumed from summaries with an *empty* dirty cone: every
-    /// function's facts replayed as seeds (an edit, such as renaming a
-    /// local, that changed the graph fingerprint but no function's).
-    Reseeded {
-        /// Outputs seeded from the previous summaries.
-        seeded_outputs: usize,
-        /// Total value outputs in the graph.
-        total_outputs: usize,
-    },
-    /// Resumed from summaries: clean functions seeded, the dirty cone
-    /// re-solved.
-    DirtyCone {
-        /// Functions whose fingerprints (or fact translation) changed.
-        dirty: usize,
-        /// Functions whose memoized summaries were reused as seeds.
-        clean: usize,
-        /// Value outputs inside the dirty cone (re-solved).
-        cone_outputs: usize,
-        /// Outputs seeded from the previous summaries.
-        seeded_outputs: usize,
-        /// Total value outputs in the graph.
-        total_outputs: usize,
-    },
     /// Solved from scratch, with the typed reason.
     Fresh {
-        /// Why cached facts could not be used.
+        /// Why the cached solution could not be replayed.
         why: FreshReason,
     },
 }
 
 impl SolveMode {
-    /// The mode a successful [`Solver::resume`] outcome reports.
-    pub fn from_stats(stats: &ResumeStats) -> SolveMode {
-        if stats.dirty.is_empty() {
-            SolveMode::Reseeded {
-                seeded_outputs: stats.seeded_outputs,
-                total_outputs: stats.total_outputs,
-            }
-        } else {
-            SolveMode::DirtyCone {
-                dirty: stats.dirty.len(),
-                clean: stats.clean,
-                cone_outputs: stats.cone_outputs,
-                seeded_outputs: stats.seeded_outputs,
-                total_outputs: stats.total_outputs,
-            }
-        }
-    }
-
-    /// Whether the solution came out of a seeded resume (either
-    /// flavor).
-    pub fn is_resumed(&self) -> bool {
-        matches!(
-            self,
-            SolveMode::Reseeded { .. } | SolveMode::DirtyCone { .. }
-        )
-    }
-
-    /// Compact report rendering: `"replayed"`,
-    /// `"reseeded(seeded=800/840)"`,
-    /// `"seeded(dirty=1/9, cone=120/840)"`, or `"fresh(<reason>)"`.
+    /// Compact report rendering: `"replayed"` or `"fresh(<reason>)"`.
     pub fn render(&self) -> String {
         match self {
             SolveMode::Replay => "replayed".into(),
-            SolveMode::Reseeded {
-                seeded_outputs,
-                total_outputs,
-            } => format!("reseeded(seeded={seeded_outputs}/{total_outputs})"),
-            SolveMode::DirtyCone {
-                dirty,
-                clean,
-                cone_outputs,
-                total_outputs,
-                ..
-            } => format!(
-                "seeded(dirty={dirty}/{}, cone={cone_outputs}/{total_outputs})",
-                dirty + clean
-            ),
             SolveMode::Fresh { why } => format!("fresh({})", why.render()),
         }
     }
@@ -193,8 +97,8 @@ impl SolveMode {
 pub type SolverFps = (String, Option<u64>, Option<u64>);
 
 /// One benchmark's record in a [`SummaryCache`]: the job it was last
-/// analyzed for, its memoized summaries and solutions, and the
-/// fingerprints and check rows derived from them.
+/// analyzed for, its solutions, and the fingerprints and check rows
+/// derived from them.
 pub struct ProgramEntry {
     /// The job's source text.
     pub source: String,
@@ -205,19 +109,12 @@ pub struct ProgramEntry {
     pub source_hash: u64,
     /// VDG content fingerprint.
     pub graph_fp: u64,
-    /// Memoized per-solver summaries by [`Solver::name`]. Matching
-    /// stays content-addressed — a summary seeds a next-graph function
-    /// only when its recorded fingerprint (which hashes the name and
-    /// full VDG shape) matches — but the planners also need the
-    /// *unmatched* summaries, to invalidate the callees of edited and
-    /// deleted functions.
-    pub summaries: HashMap<String, Arc<SolverSummaries>>,
-    /// The live run's artifacts, which tiers 1–2 replay.
+    /// The live run's artifacts, which replays hand back.
     arts: EntryArtifacts,
     /// Per-solver fingerprints in the run's solver order, filled on
     /// first use ([`SummaryCache::fingerprinted`]) and kept across
-    /// tier-1 and tier-2 replays: a replayed solution is the one
-    /// fingerprinted before. A tier-3 re-solve clears it.
+    /// replays: a replayed solution is the one fingerprinted before. A
+    /// fresh solve clears it.
     pub fps: Option<Vec<SolverFps>>,
     /// The oracle-labelled check rows (see [`crate::check`]).
     pub(crate) checks: Option<EntryChecks>,
@@ -284,9 +181,9 @@ struct EntryArtifacts {
     solutions: HashMap<String, SolutionBox>,
 }
 
-/// Persistent in-memory cache of per-function summaries and solutions,
-/// keyed by benchmark name. Feed it successive runs with
-/// [`Engine::analyze_incremental_with`] to analyze an edit chain.
+/// Persistent in-memory cache of solutions, keyed by benchmark name.
+/// Feed it successive runs with [`Engine::analyze_incremental_with`] to
+/// analyze an edit chain.
 pub struct SummaryCache {
     spec_key: String,
     entries: HashMap<String, ProgramEntry>,
@@ -334,29 +231,23 @@ impl SummaryCache {
     }
 
     /// Order-of-magnitude estimate of this cache's resident memory, in
-    /// bytes. Counts the dominant owners — VDG nodes/outputs, memoized
-    /// summary fact rows, and cached solution pairs — at fixed per-item
-    /// costs; auxiliary structure (hash tables, Arc headers, strings)
-    /// rides in the constants. Used by the serving layer's LRU eviction
-    /// budget, where relative session weight matters and exact byte
-    /// counts do not.
+    /// bytes. Counts the dominant owners — VDG nodes/outputs and cached
+    /// solution pairs — at fixed per-item costs; auxiliary structure
+    /// (hash tables, Arc headers, strings) rides in the constants. Used
+    /// by the serving layer's LRU eviction budget, where relative
+    /// session weight matters and exact byte counts do not.
     pub fn approx_bytes(&self) -> usize {
         self.entries
             .values()
             .map(|e| {
-                let summaries: usize = e
-                    .summaries
-                    .values()
-                    .map(|s| 48 * s.fact_rows() + 64 * s.funcs.len() + 64)
-                    .sum();
                 let a = &e.arts;
-                let arts = 64 * a.graph.node_count()
+                64 * a.graph.node_count()
                     + 32 * a.graph.output_count()
                     + a.solutions
                         .values()
                         .map(|s| 32 * s.pairs().unwrap_or(a.graph.output_count()) + 256)
-                        .sum::<usize>();
-                summaries + arts + 512
+                        .sum::<usize>()
+                    + 512
             })
             .sum()
     }
@@ -376,40 +267,17 @@ impl SummaryCache {
         }
     }
 
-    /// Memoizes every benchmark of `run`: per-solver summaries are
-    /// extracted from each solution bottom-up, solutions are cloned for
+    /// Memoizes every benchmark of `run`: solutions are cloned for
     /// replay.
     pub fn absorb(&mut self, run: &EngineRun) {
         for b in &run.benches {
-            let index = Arc::new(GraphIndex::build(&b.graph));
-            self.absorb_bench(b, index, 1);
+            self.absorb_bench(b, GraphIndex::build(&b.graph).graph_fp);
         }
     }
 
-    /// Absorbs one benchmark, summarizing each solution over `threads`
-    /// workers via the bottom-up composition driver
-    /// ([`compose::summarize`]).
-    pub(crate) fn absorb_bench(&mut self, b: &BenchOutput, index: Arc<GraphIndex>, threads: usize) {
-        let mut summaries: HashMap<String, Arc<SolverSummaries>> = HashMap::new();
-        if index.unsafe_reason.is_none() {
-            if let Some(s) = compose::summarize(&b.graph, &index, b.ci.as_ref(), None, threads) {
-                summaries.insert("ci".into(), Arc::new(s));
-            }
-            for solved in &b.solutions {
-                if solved.analysis == "ci" {
-                    // The listed "ci" slot is a clone of the shared
-                    // prepare-stage run summarized above.
-                    continue;
-                }
-                if let Some(sol) = &solved.solution {
-                    if let Some(s) =
-                        compose::summarize(&b.graph, &index, sol.as_ref(), Some(&b.ci), threads)
-                    {
-                        summaries.insert(solved.analysis.clone(), Arc::new(s));
-                    }
-                }
-            }
-        }
+    /// Absorbs one benchmark whose lowered graph fingerprints to
+    /// `graph_fp`.
+    pub(crate) fn absorb_bench(&mut self, b: &BenchOutput, graph_fp: u64) {
         let solutions = b
             .solutions
             .iter()
@@ -428,8 +296,7 @@ impl SummaryCache {
                 source: b.source.clone(),
                 input: b.input.clone(),
                 source_hash: fnv64(b.source.as_bytes()),
-                graph_fp: index.graph_fp,
-                summaries,
+                graph_fp,
                 arts: EntryArtifacts {
                     program: Arc::clone(&b.program),
                     graph: Arc::clone(&b.graph),
@@ -451,7 +318,6 @@ pub(crate) struct PrevMeta {
     pub(crate) program: Arc<cfront::Program>,
     pub(crate) graph: Arc<Graph>,
     pub(crate) ci: Arc<CiResult>,
-    summaries: HashMap<String, Arc<SolverSummaries>>,
 }
 
 impl PrevMeta {
@@ -469,70 +335,6 @@ impl PrevMeta {
 /// A job's cached run as stage 1 sees it: its entry, or why it has
 /// none.
 pub(crate) type Prior = Result<PrevMeta, FreshReason>;
-
-/// What a cached run keeps of a benchmark it had to solve: the graph
-/// index the resumes and the fold read, how CI was obtained, and the
-/// summaries the other solvers resume from.
-pub(crate) struct Reuse {
-    pub(crate) index: Arc<GraphIndex>,
-    pub(crate) ci_mode: SolveMode,
-    funcs_reused: usize,
-    funcs_dirty: usize,
-    /// The cached entry's summaries, or why the benchmark has none.
-    prev: Result<HashMap<String, Arc<SolverSummaries>>, FreshReason>,
-}
-
-impl Reuse {
-    /// What `analysis` resumes from, or why it solves fresh.
-    pub(crate) fn prev(
-        &self,
-        analysis: &str,
-    ) -> Result<(&GraphIndex, &SolverSummaries), FreshReason> {
-        match &self.prev {
-            Ok(sums) => sums
-                .get(analysis)
-                .map(|p| (&*self.index, &**p))
-                .ok_or(FreshReason::NoSummaries),
-            Err(why) => Err(why.clone()),
-        }
-    }
-}
-
-/// Resumes `s` from `prev` (the next graph's index and the solver's
-/// cached summaries) when the solver can, else solves fresh. Returns the
-/// outcome with the resume's stats, or with why it solved fresh.
-pub(crate) fn resume_or_solve(
-    s: &dyn Solver,
-    graph: &Graph,
-    prev: Result<(&GraphIndex, &SolverSummaries), FreshReason>,
-    ci: Option<&CiResult>,
-) -> (
-    Result<SolutionBox, AnalysisError>,
-    Result<ResumeStats, FreshReason>,
-) {
-    let why = match prev {
-        Ok((index, prev)) => match s.resume(graph, index, prev, ci) {
-            Some(Ok(out)) => return (Ok(out.solution), Ok(out.stats)),
-            Some(Err(_)) => FreshReason::StepBudget,
-            None => match &index.unsafe_reason {
-                Some(r) => FreshReason::UnstableNaming(r.clone()),
-                None => FreshReason::PlanRejected,
-            },
-        },
-        Err(why) => why,
-    };
-    (s.solve(graph, ci), Err(why))
-}
-
-impl SolveMode {
-    /// The mode of a [`resume_or_solve`] outcome.
-    pub(crate) fn of(how: Result<ResumeStats, FreshReason>) -> SolveMode {
-        match how {
-            Ok(stats) => SolveMode::from_stats(&stats),
-            Err(why) => SolveMode::Fresh { why },
-        }
-    }
-}
 
 impl SummaryCache {
     /// Each job's cached run, after resetting the cache if `engine`'s
@@ -555,7 +357,6 @@ impl SummaryCache {
                     program: Arc::clone(&e.arts.program),
                     graph: Arc::clone(&e.arts.graph),
                     ci: Arc::clone(&e.arts.ci),
-                    summaries: e.summaries.clone(),
                 })
             })
             .collect()
@@ -571,8 +372,8 @@ impl SummaryCache {
                 // Re-key the entry to the new source text so the next
                 // step of an edit chain replays from the source hash.
                 // Equal graph fingerprints mean id-for-id isomorphism, so
-                // the cached summaries, CI result, solutions and their
-                // fingerprints all remain exact.
+                // the cached CI result, solutions and their fingerprints
+                // all remain exact.
                 let e = self.entries.get_mut(&out.name).expect("matched in stage 1");
                 if e.source != out.source {
                     e.source.clone_from(&out.source);
@@ -582,28 +383,21 @@ impl SummaryCache {
                 e.arts.program = Arc::clone(&out.program);
                 e.arts.graph = Arc::clone(&out.graph);
             }
-            Tier::Solve(r) => {
-                if r.ci_mode.is_resumed() {
-                    stats.benches_seeded += 1;
-                } else {
-                    stats.benches_fresh += 1;
-                }
-                stats.funcs_reused += r.funcs_reused;
-                stats.funcs_dirty += r.funcs_dirty;
+            Tier::Solve { .. } => {
+                stats.benches_fresh += 1;
+                stats.funcs_dirty += out.graph.func_count();
             }
         }
-        for s in &out.solutions {
-            match &s.mode {
-                Some(SolveMode::Replay) => stats.solutions_replayed += 1,
-                Some(m) if m.is_resumed() => stats.solutions_resumed += 1,
-                _ => {}
-            }
-        }
+        stats.solutions_replayed += out
+            .solutions
+            .iter()
+            .filter(|s| s.mode == Some(SolveMode::Replay))
+            .count();
     }
 }
 
 impl Engine {
-    /// An empty summary cache bound to this engine's solver specs.
+    /// An empty cache bound to this engine's solver specs.
     pub fn cache(&self) -> SummaryCache {
         SummaryCache {
             spec_key: self.spec_key(),
@@ -632,7 +426,7 @@ impl Engine {
 
     /// Re-analyzes `jobs` against (and then into) `cache`. On return
     /// the cache reflects this run, so successive calls analyze an edit
-    /// chain with each step paying only for its own dirty cone.
+    /// chain, each step replaying what its edit left unchanged.
     ///
     /// # Errors
     ///
@@ -643,57 +437,6 @@ impl Engine {
         jobs: &[Job],
     ) -> Result<EngineRun, AnalysisError> {
         self.pipeline(Some(cache), jobs, true)
-    }
-
-    /// CI for a graph a cached run must solve: resumed from the clean
-    /// functions' summaries where that is sound, else solved fresh. The
-    /// reason gates are checked here (rather than trusting `resume`'s
-    /// opaque `None`) so the report can say *why* a fresh solve
-    /// happened.
-    pub(crate) fn resume_ci(
-        &self,
-        graph: &Graph,
-        index: Arc<GraphIndex>,
-        prior: &Prior,
-    ) -> (Arc<CiResult>, Tier) {
-        let cfg = self.ci.ci_config();
-        let prev = match prior {
-            Err(why) => Err(why.clone()),
-            Ok(_) if cfg.heap_naming != HeapNaming::Site => Err(FreshReason::HeapNaming),
-            Ok(_) if cfg.fault != Fault::None => Err(FreshReason::FaultInjection),
-            Ok(m) => match (&index.unsafe_reason, m.summaries.get("ci")) {
-                (Some(r), _) => Err(FreshReason::UnstableNaming(r.clone())),
-                (None, None) => Err(FreshReason::NoSummaries),
-                (None, Some(prev)) => {
-                    let any_clean = graph.func_ids().any(|f| {
-                        prev.funcs
-                            .get(&graph.func(f).name)
-                            .is_some_and(|s| s.fingerprint == index.func_fps[f.0 as usize])
-                    });
-                    if any_clean {
-                        Ok((&*index, &**prev))
-                    } else {
-                        Err(FreshReason::EveryFunctionChanged)
-                    }
-                }
-            },
-        };
-        let (outcome, how) = resume_or_solve(&*self.ci.build(), graph, prev, None);
-        let (funcs_reused, funcs_dirty) = match &how {
-            Ok(stats) => (stats.clean, stats.dirty.len()),
-            Err(_) => (0, graph.func_count()),
-        };
-        let reuse = Reuse {
-            ci_mode: SolveMode::of(how),
-            funcs_reused,
-            funcs_dirty,
-            prev: prior
-                .as_ref()
-                .map(|m| m.summaries.clone())
-                .map_err(Clone::clone),
-            index,
-        };
-        (Arc::new(crate::ci_result(outcome)), Tier::Solve(reuse))
     }
 }
 
@@ -749,38 +492,55 @@ mod tests {
         assert_matches_fresh(&e, &inc, &jobs);
     }
 
-    #[test]
-    fn edited_function_resumes_every_solver_and_matches_fresh() {
-        let e = Engine::new().threads(2);
-        let prev = e.run(&[job("t", A)]).unwrap();
-        let jobs = vec![job("t", B)];
-        let inc = e.analyze_incremental(&prev, &jobs).unwrap();
-        let stats = inc.report.incremental.as_ref().expect("stats");
-        assert_eq!(stats.benches_seeded, 1);
-        assert_eq!(stats.funcs_dirty, 1, "only setg changed");
-        assert!(stats.funcs_reused >= 2);
-        let ci_mode = inc.benches[0]
+    /// Every solver of `run`'s only benchmark, with its rendered mode.
+    fn modes(run: &EngineRun) -> Vec<(String, String)> {
+        run.benches[0]
             .solutions
             .iter()
-            .find(|s| s.analysis == "ci")
-            .and_then(|s| s.mode.clone())
-            .expect("ci mode");
-        assert!(
-            matches!(ci_mode, SolveMode::DirtyCone { dirty: 1, .. }),
-            "{}",
-            ci_mode.render()
-        );
-        // Every solver — not just CI — resumes from its own vocabulary.
-        for s in &inc.benches[0].solutions {
-            let mode = s.mode.as_ref().expect("mode");
-            assert!(
-                mode.is_resumed(),
-                "{} fell back to {}",
-                s.analysis,
-                mode.render()
-            );
+            .map(|s| {
+                let mode = s.mode.as_ref().expect("a cached run sets modes");
+                (s.analysis.clone(), mode.render())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn graph_changing_edit_solves_every_solver_fresh() {
+        let e = Engine::new().threads(2);
+        let base = Job::named(&["part"]);
+        let prev = e.run(&base).unwrap();
+        let edited = format!("{}\nint *pick(int *p) {{ return p; }}\n", base[0].source);
+        let jobs = vec![job("part", &edited)];
+        let inc = e.analyze_incremental(&prev, &jobs).unwrap();
+        let stats = inc.report.incremental.as_ref().expect("stats");
+        assert_eq!(stats.benches_fresh, 1);
+        assert_eq!(stats.benches_replayed, 0);
+        assert_eq!(stats.funcs_dirty, inc.benches[0].graph.func_count());
+        let modes = modes(&inc);
+        assert_eq!(modes.len(), 5);
+        for (analysis, mode) in &modes {
+            assert_eq!(mode, "fresh(graph changed)", "{analysis}");
         }
-        assert_eq!(stats.solutions_resumed, 5);
+        assert_matches_fresh(&e, &inc, &jobs);
+    }
+
+    #[test]
+    fn literal_only_edit_replays_every_solver() {
+        let e = Engine::new().threads(2);
+        let base = Job::named(&["part"]);
+        let prev = e.run(&base).unwrap();
+        let edited = base[0].source.replace("(i * 7) % 13", "(i * 7) % 17");
+        assert_ne!(edited, base[0].source, "the literal is in `part`");
+        let jobs = vec![job("part", &edited)];
+        let inc = e.analyze_incremental(&prev, &jobs).unwrap();
+        let stats = inc.report.incremental.as_ref().expect("stats");
+        assert_eq!(stats.benches_replayed, 1);
+        assert_eq!(stats.solutions_replayed, 5);
+        let modes = modes(&inc);
+        assert_eq!(modes.len(), 5);
+        for (analysis, mode) in &modes {
+            assert_eq!(mode, "replayed", "{analysis}");
+        }
         assert_matches_fresh(&e, &inc, &jobs);
     }
 
@@ -795,9 +555,9 @@ mod tests {
         // Second step of the chain: the cache now holds step 1.
         let jobs = vec![job("t", B)];
         let r2 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
-        assert_eq!(r2.report.incremental.as_ref().unwrap().benches_seeded, 1);
+        assert_eq!(r2.report.incremental.as_ref().unwrap().benches_fresh, 1);
         assert_matches_fresh(&e, &r2, &jobs);
-        // Third step: no edit — replays step 2's seeded result.
+        // Third step: no edit — replays step 2's fresh result.
         let r3 = e.analyze_incremental_with(&mut cache, &jobs).unwrap();
         assert_eq!(r3.report.incremental.as_ref().unwrap().benches_replayed, 1);
         assert_matches_fresh(&e, &r3, &jobs);
@@ -848,7 +608,7 @@ mod tests {
         let inc = e.analyze_incremental(&prev, &jobs).unwrap();
         let stats = inc.report.incremental.as_ref().unwrap();
         assert_eq!(stats.benches_replayed, 1);
-        assert_eq!(stats.benches_seeded, 1);
+        assert_eq!(stats.benches_fresh, 1);
         assert_matches_fresh(&e, &inc, &jobs);
     }
 

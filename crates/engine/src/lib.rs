@@ -12,12 +12,12 @@
 //!                                  │                 │              │
 //!                                  └── Arc ──────────┴── Arc ───────┘
 //!      [cache] unchanged source hash or graph fingerprint: replay the
-//!              entry's artifacts; changed graph: resume CI
+//!              entry's artifacts; changed graph: solve CI fresh
 //!            stage 2: solve (parallel over benchmark × solver jobs)
 //!   (graph, ci) ──▶ weihl │ steensgaard │ k=1 │ cs   (dyn Solver)
-//!      [cache] resume each solver from its summaries; skip what replays
+//!      [cache] skip what replays
 //!            stage 3: assemble in solver order (driver thread)
-//!      [cache] tally replays and resumes; fold solved benchmarks back
+//!      [cache] tally replays and fresh solves; fold solved benchmarks back
 //!                                  │
 //!            EngineReport: frontend/lowering/solver wall times,
 //!            worklist iterations, pair counts — table or JSON
@@ -26,7 +26,7 @@
 //! [`Engine::run`] is the pipeline with no cache: the `[cache]` steps
 //! do not happen, and no source is hashed nor graph fingerprinted.
 //! [`Engine::analyze_incremental_with`] runs it against a
-//! [`SummaryCache`], whose reuse tiers ([`incremental`]) are the
+//! [`SummaryCache`], whose replay check ([`incremental`]) is the
 //! `[cache]` steps.
 //!
 //! The solvers themselves stay single-threaded, exactly as the paper's
@@ -49,7 +49,6 @@
 
 pub mod campaign;
 pub mod check;
-pub mod compose;
 pub mod envelope;
 pub mod fuzz;
 pub mod incremental;
@@ -71,7 +70,7 @@ use alias::cs::CsResult;
 use alias::fingerprint::GraphIndex;
 use alias::solver::{Solution, SolutionBox, Solver, SolverSpec};
 use alias::AnalysisError;
-use incremental::{resume_or_solve, Prior, Reuse};
+use incremental::Prior;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vdg::build::{lower, BuildOptions};
@@ -251,9 +250,9 @@ impl Engine {
     }
 
     /// The one pipeline behind [`Engine::run`] (no `cache`) and the
-    /// incremental entry points. With a cache, stage 1 replays or
-    /// resumes what the cache allows, and `fold` re-summarizes the
-    /// solved benchmarks into it at the end.
+    /// incremental entry points. With a cache, stage 1 replays what the
+    /// cache allows, and `fold` stores the solved benchmarks into it at
+    /// the end.
     pub(crate) fn pipeline(
         &self,
         mut cache: Option<&mut SummaryCache>,
@@ -292,7 +291,7 @@ impl Engine {
 
     /// Stage 1 for one job: compile, lower and solve CI. Given the job's
     /// cached run (`prior`), an unchanged source hash or graph
-    /// fingerprint replays instead, and a changed graph resumes CI.
+    /// fingerprint replays instead.
     fn prepare_job(&self, job: &Job, prior: Option<&Prior>) -> Result<Prep, AnalysisError> {
         let t0 = Instant::now();
         let prev = prior.and_then(|p| p.as_ref().ok());
@@ -310,7 +309,7 @@ impl Engine {
                 let t1 = Instant::now();
                 let graph = lower(&program, &self.build)?;
                 // Only a cached run fingerprints the graph.
-                let index = prior.map(|_| Arc::new(GraphIndex::build(&graph)));
+                let index = prior.map(|_| GraphIndex::build(&graph));
                 let lowering = t1.elapsed();
                 (
                     Arc::new(program),
@@ -322,18 +321,24 @@ impl Engine {
             }
         };
         let replay = prev.filter(|m| index.as_ref().is_none_or(|ix| m.same_graph(ix)));
-        let t2 = Instant::now();
-        let (ci, tier) = match (replay, prior.zip(index)) {
-            (Some(m), _) => (Arc::clone(&m.ci), Tier::Replay),
-            (None, Some((prior, index))) => self.resume_ci(&graph, index, prior),
-            (None, None) => (
-                Arc::new(ci_result(self.ci.solve(&graph, None))),
-                Tier::Plain,
-            ),
+        let tier = match (replay, prior.zip(index)) {
+            (Some(_), _) => Tier::Replay,
+            (None, Some((prior, index))) => Tier::Solve {
+                graph_fp: index.graph_fp,
+                why: match prior {
+                    Ok(_) => FreshReason::GraphChanged,
+                    Err(why) => why.clone(),
+                },
+            },
+            (None, None) => Tier::Plain,
         };
-        let ci_wall = match tier {
-            Tier::Replay => Duration::ZERO,
-            _ => t2.elapsed(),
+        let t2 = Instant::now();
+        let (ci, ci_wall) = match replay {
+            Some(m) => (Arc::clone(&m.ci), Duration::ZERO),
+            None => {
+                let ci = ci_result(self.ci.solve(&graph, None));
+                (Arc::new(ci), t2.elapsed())
+            }
         };
         let out = BenchOutput {
             name: job.name.clone(),
@@ -395,17 +400,7 @@ impl Engine {
             let (bench, graph, ci, tier) = inputs[bi];
             let s = &*self.solvers[si];
             let t = Instant::now();
-            let (outcome, mode) = match tier {
-                Tier::Plain => (s.solve(graph, Some(ci)), None),
-                Tier::Replay => {
-                    let why = FreshReason::NotInCache;
-                    (s.solve(graph, Some(ci)), Some(SolveMode::Fresh { why }))
-                }
-                Tier::Solve(r) => {
-                    let (outcome, how) = resume_or_solve(s, graph, r.prev(s.name()), Some(ci));
-                    (outcome, Some(SolveMode::of(how)))
-                }
-            };
+            let outcome = s.solve(graph, Some(ci));
             let wall = t.elapsed();
             let (solution, error) = match outcome {
                 Ok(solution) => (Some(solution), None),
@@ -417,7 +412,7 @@ impl Engine {
                 analysis: s.name().to_string(),
                 wall,
                 solution,
-                mode,
+                mode: tier.fresh_mode(),
                 error,
             }
         });
@@ -430,8 +425,8 @@ impl Engine {
         }
 
         // Stage 3 — assemble on the driver thread (cached solutions are
-        // not `Sync`), then (if `fold`) fold the finished run into the
-        // cache, summarizing each solved benchmark bottom-up.
+        // not `Sync`), then (if `fold`) fold each solved benchmark of the
+        // finished run into the cache.
         let mut stats = IncrementalStats::default();
         let mut outputs = Vec::with_capacity(preps.len());
         let mut tiers = Vec::with_capacity(preps.len());
@@ -457,10 +452,7 @@ impl Engine {
                         analysis: "ci".to_string(),
                         wall: out.ci_wall,
                         solution: Some(Box::new(out.ci.as_ref().clone())),
-                        mode: match tier {
-                            Tier::Solve(r) => Some(r.ci_mode.clone()),
-                            _ => None,
-                        },
+                        mode: tier.fresh_mode(),
                         error: None,
                     },
                 };
@@ -475,8 +467,8 @@ impl Engine {
         let incremental = cache.is_some().then_some(stats);
         if let (Some(cache), true) = (cache, fold) {
             for (out, tier) in outputs.iter().zip(tiers) {
-                if let Tier::Solve(r) = tier {
-                    cache.absorb_bench(out, r.index, threads);
+                if let Tier::Solve { graph_fp, .. } = tier {
+                    cache.absorb_bench(out, graph_fp);
                 }
             }
         }
@@ -517,9 +509,29 @@ pub(crate) enum Tier {
     /// The cached source hash or graph fingerprint matched: the cached
     /// solutions replay, and a solver the cache lacks solves fresh.
     Replay,
-    /// A cached run's changed or uncached graph: every non-CI solver
-    /// resumes from its cached summaries where it can.
-    Solve(Reuse),
+    /// A cached run's changed or uncached graph: every solver solves
+    /// fresh, and the fold stores the result under `graph_fp`.
+    Solve {
+        /// The lowered graph's content fingerprint.
+        graph_fp: u64,
+        /// Why the cache could not replay the benchmark.
+        why: FreshReason,
+    },
+}
+
+impl Tier {
+    /// The mode a solver of this benchmark reports when it solves:
+    /// `None` in a plain run, else fresh with the tier's reason (a
+    /// replayed benchmark's solver solves only when the cache lacks its
+    /// solution).
+    fn fresh_mode(&self) -> Option<SolveMode> {
+        let why = match self {
+            Tier::Plain => return None,
+            Tier::Replay => FreshReason::NotInCache,
+            Tier::Solve { why, .. } => why.clone(),
+        };
+        Some(SolveMode::Fresh { why })
+    }
 }
 
 /// One solver's outcome on one benchmark.

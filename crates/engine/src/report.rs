@@ -27,9 +27,9 @@ pub struct SolverMetrics {
     /// Total points-to pairs (`None` for the unification solver) — the
     /// solution-size / peak-pair metric.
     pub pairs: Option<usize>,
-    /// Transfer-function applications (worklist iterations). A seeded
-    /// resume reaches the same fixpoint in fewer applications than a
-    /// from-scratch solve, so the fingerprint nulls it.
+    /// Transfer-function applications (worklist iterations). They
+    /// describe the work done, not the solution, so the fingerprint
+    /// nulls them.
     pub flow_ins: Option<u64>,
     /// Meet operations (work-dependent like `flow_ins`; nulled in the
     /// fingerprint).
@@ -43,8 +43,8 @@ pub struct SolverMetrics {
     /// Worklist deliveries saved by delta batching:
     /// `flow_ins − delta_batches` (nulled in the fingerprint).
     pub deliveries_saved: Option<u64>,
-    /// How an incremental run obtained this solution (`"replayed"`,
-    /// `"seeded(..)"`, `"fresh(..)"`); `None` for plain runs. Describes
+    /// How an incremental run obtained this solution (`"replayed"` or
+    /// `"fresh(..)"`); `None` for plain runs. Describes
     /// the work done, not the solution, so the fingerprint nulls it.
     pub mode: Option<String>,
     /// Failure (e.g. a step-budget overflow), if the solve failed.
@@ -93,19 +93,12 @@ pub struct IncrementalStats {
     /// Benchmarks answered entirely from cache (source or graph
     /// fingerprint match).
     pub benches_replayed: usize,
-    /// Benchmarks re-solved from a seeded dirty cone.
-    pub benches_seeded: usize,
     /// Benchmarks solved from scratch.
     pub benches_fresh: usize,
-    /// Function summaries reused across all benchmarks.
-    pub funcs_reused: usize,
-    /// Functions re-fingerprinted as dirty across all benchmarks.
+    /// Functions of the benchmarks solved from scratch.
     pub funcs_dirty: usize,
     /// Individual solver solutions replayed from cache.
     pub solutions_replayed: usize,
-    /// Individual solver solutions obtained by a seeded resume
-    /// (`reseeded(..)` or `seeded(..)` modes), across all solvers.
-    pub solutions_resumed: usize,
 }
 
 /// Per-benchmark stage timings, sizes, and solver metrics.
@@ -160,8 +153,7 @@ impl EngineReport {
     /// the fields that describe the *work done* rather than the
     /// solution computed: timings and thread count, the fixpoint work
     /// counters (`flow_ins`, `flow_outs`) and delta-batch scheduling
-    /// counters (`dedup_hits`, `delta_batches`, `deliveries_saved`) —
-    /// a seeded resume reaches the same fixpoint with less work — the
+    /// counters (`dedup_hits`, `delta_batches`, `deliveries_saved`), the
     /// incremental `mode` strings and cache counters, and the daemon's
     /// [`ServeInfo`]. Everything else — sizes, pair counts, checker
     /// diagnostics, errors — is solution-derived and must survive.
@@ -209,12 +201,9 @@ impl EngineReport {
         let incremental = self.incremental.as_ref().map(|s| {
             Value::obj([
                 ("benches_replayed", s.benches_replayed.into()),
-                ("benches_seeded", s.benches_seeded.into()),
                 ("benches_fresh", s.benches_fresh.into()),
-                ("funcs_reused", s.funcs_reused.into()),
                 ("funcs_dirty", s.funcs_dirty.into()),
                 ("solutions_replayed", s.solutions_replayed.into()),
-                ("solutions_resumed", s.solutions_resumed.into()),
             ])
         });
         let solver = |s: &SolverMetrics| {
@@ -283,7 +272,7 @@ mod tests {
                         dedup_hits: Some(42),
                         delta_batches: Some(700),
                         deliveries_saved: Some(4300),
-                        mode: Some("seeded(dirty=1/5)".into()),
+                        mode: Some("fresh(graph changed)".into()),
                         error: None,
                         checks: Some(CheckMetrics {
                             diags: [1, 0, 2, 0, 0, 3, 1],
@@ -309,9 +298,8 @@ mod tests {
                 ],
             }],
             incremental: Some(IncrementalStats {
-                benches_seeded: 1,
-                funcs_reused: 4,
-                funcs_dirty: 1,
+                benches_fresh: 1,
+                funcs_dirty: 4,
                 ..IncrementalStats::default()
             }),
             serve: Some(ServeInfo {
@@ -358,8 +346,8 @@ mod tests {
             "\"dedup_hits\": 42",
             "\"delta_batches\": 700",
             "\"deliveries_saved\": 4300",
-            "\"mode\": \"seeded(dirty=1/5)\"",
-            "\"funcs_reused\": 4",
+            "\"mode\": \"fresh(graph changed)\"",
+            "\"funcs_dirty\": 4",
             "\"checks\": null",
         ] {
             assert!(j.contains(needle), "missing {needle} in\n{j}");

@@ -156,7 +156,7 @@ pub enum QueryKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Analyze `jobs` inside the named project's session, reusing the
-    /// session's summary cache (and the disk store, if configured).
+    /// session's cache (and the disk store, if configured).
     Analyze {
         /// Project (session) name; independent projects are isolated.
         project: String,
@@ -368,8 +368,8 @@ pub struct SolverFp {
     /// Canonical solution fingerprint (`alias::solver::solution_fingerprint`),
     /// hex; `None` when the solve failed.
     pub fp: Option<String>,
-    /// How the solution was obtained (`replayed`, `seeded(..)`,
-    /// `fresh(..)`), when the run was incremental.
+    /// How the solution was obtained (`replayed` or `fresh(..)`), when
+    /// the run was incremental.
     pub mode: Option<String>,
     /// Total points-to pairs, for pair-based solvers.
     pub pairs: Option<u64>,
@@ -395,15 +395,19 @@ pub struct ServeInfo {
     pub latency_us: u64,
     /// Benchmarks replayed verbatim from the session cache.
     pub benches_replayed: u64,
-    /// Benchmarks re-solved from a seeded dirty cone.
+    /// Always 0: a changed graph solves fresh, and no benchmark is
+    /// re-solved from seeds. Kept so the wire format, and clients that
+    /// read it, stay unchanged until the counter structs are merged.
     pub benches_seeded: u64,
     /// Benchmarks solved from scratch.
     pub benches_fresh: u64,
     /// Individual solver solutions replayed from cache.
     pub solutions_replayed: u64,
-    /// Function summaries reused as CI resume seeds.
+    /// Always 0, for the same reason as
+    /// [`benches_seeded`](ServeInfo::benches_seeded): no function
+    /// summary is reused.
     pub funcs_reused: u64,
-    /// Functions re-fingerprinted as dirty.
+    /// Functions of the benchmarks solved rather than replayed.
     pub funcs_dirty: u64,
     /// Whether this request warm-started the session from the disk
     /// store.

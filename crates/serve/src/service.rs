@@ -830,10 +830,8 @@ fn serve_info(run: &EngineRun, session: &ServeInfo, latency_us: u64) -> ServeInf
     };
     if let Some(st) = &run.report.incremental {
         info.benches_replayed = st.benches_replayed as u64;
-        info.benches_seeded = st.benches_seeded as u64;
         info.benches_fresh = st.benches_fresh as u64;
         info.solutions_replayed = st.solutions_replayed as u64;
-        info.funcs_reused = st.funcs_reused as u64;
         info.funcs_dirty = st.funcs_dirty as u64;
     }
     info

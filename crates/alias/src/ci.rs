@@ -1405,4 +1405,209 @@ mod tests {
         }
         assert!(!same_fixpoint(&g, &r, &path), "one extra path entry");
     }
+
+    /// What a cached CI run does with an edited program, at the solver
+    /// level. The graph fingerprint decides: unchanged, the solution of
+    /// `src_a` replays and must be exactly the solution of `src_b`;
+    /// changed, `src_b` is solved fresh. The per-function fingerprints
+    /// must change for exactly `want_changed` (functions of `src_b`
+    /// whose fingerprint differs from the same-named function's in
+    /// `src_a`, or that `src_a` lacks). Returns every distinct
+    /// `path -> referent` fact of the two solutions, rendered and
+    /// sorted, for the scenario's own checks.
+    fn check_resume(src_a: &str, src_b: &str, want_changed: &[&str]) -> [Vec<String>; 2] {
+        use crate::fingerprint::GraphIndex;
+        use crate::solver::solution_dump;
+        let (ga, ra) = analyze(src_a);
+        let (gb, rb) = analyze(src_b);
+        let (ia, ib) = (GraphIndex::build(&ga), GraphIndex::build(&gb));
+        assert_eq!((&ia.unsafe_reason, &ib.unsafe_reason), (&None, &None));
+        let mut changed: Vec<&str> = gb
+            .func_ids()
+            .filter(|&f| {
+                let name = &gb.func(f).name;
+                let before = ga.func_ids().find(|&g| &ga.func(g).name == name);
+                before.is_none_or(|g| ia.func_fps[g.0 as usize] != ib.func_fps[f.0 as usize])
+            })
+            .map(|f| gb.func(f).name.as_str())
+            .collect();
+        changed.sort_unstable();
+        assert_eq!(changed, want_changed, "functions the edit changed");
+        let replays = ia.graph_fp == ib.graph_fp;
+        assert_eq!(
+            replays,
+            src_a == src_b,
+            "the graph fingerprint sees every edit here"
+        );
+        if replays {
+            assert_eq!(
+                solution_dump(&ra, &ga),
+                solution_dump(&rb, &gb),
+                "replay is exact"
+            );
+        }
+        let facts = |g: &Graph, r: &CiResult| {
+            let mut v: Vec<String> = g
+                .output_ids()
+                .flat_map(|o| r.pairs(o).iter())
+                .map(|p| {
+                    format!(
+                        "{} -> {}",
+                        r.paths.display(p.path, g),
+                        r.paths.display(p.referent, g)
+                    )
+                })
+                .collect();
+            v.sort();
+            v.dedup();
+            v
+        };
+        [facts(&ga, &ra), facts(&gb, &rb)]
+    }
+
+    #[test]
+    fn resume_after_editing_one_function_matches_fresh() {
+        let a = "int g1; int g2; int *gp;\n\
+             int *id(int *p) { return p; }\n\
+             void setg(int x) { if (x) { gp = &g1; } }\n\
+             int main(void) { int l; int *q; q = id(&l); setg(1); *q = 3; *gp = 4; return 0; }";
+        let b = "int g1; int g2; int *gp;\n\
+             int *id(int *p) { return p; }\n\
+             void setg(int x) { if (x) { gp = &g2; } }\n\
+             int main(void) { int l; int *q; q = id(&l); setg(1); *q = 3; *gp = 4; return 0; }";
+        let [fa, fb] = check_resume(a, b, &["setg"]);
+        let has = |facts: &[String], f: &str| facts.iter().any(|x| x == f);
+        // A stale replay would keep `gp -> g1`.
+        assert!(has(&fa, "gp -> g1") && !has(&fa, "gp -> g2"));
+        assert!(has(&fb, "gp -> g2") && !has(&fb, "gp -> g1"));
+    }
+
+    #[test]
+    fn resume_after_editing_caller_of_pointer_returning_callee() {
+        let a = "int g1; int g2;\n\
+             int *pick(int c) { if (c) { return &g1; } return &g2; }\n\
+             int main(void) { int *p; p = pick(0); *p = 1; return 0; }";
+        let b = "int g1; int g2;\n\
+             int *pick(int c) { if (c) { return &g1; } return &g2; }\n\
+             int main(void) { int *p; int x; x = 5; p = pick(x); *p = 1; return 0; }";
+        // The edited function is the *caller*; the unchanged callee's
+        // facts must still flow into it.
+        let [fa, fb] = check_resume(a, b, &["main"]);
+        assert_eq!(fa, fb);
+        assert_eq!(indirect_ref_names(b), vec![vec!["g1", "g2"]]);
+    }
+
+    #[test]
+    fn resume_with_identical_sources_reuses_everything() {
+        let a = "int g; int main(void) { int *p; p = &g; return *p; }";
+        let [fa, fb] = check_resume(a, a, &[]);
+        assert_eq!(fa, fb);
+    }
+
+    #[test]
+    fn resume_with_indirect_calls_matches_fresh() {
+        let a = "int g1; int g2;\n\
+             void f1(void) { g1 = 1; }\n\
+             void f2(void) { g2 = 2; }\n\
+             int main(void) { void (*fp)(void); int c; c = getchar();\n\
+               if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }";
+        let b = "int g1; int g2;\n\
+             void f1(void) { g1 = 7; g2 = 8; }\n\
+             void f2(void) { g2 = 2; }\n\
+             int main(void) { void (*fp)(void); int c; c = getchar();\n\
+               if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }";
+        // `g1 = 7` alone would change nothing: scalar constants carry no
+        // payload in the VDG, so the graphs would be identical and a
+        // replay the correct outcome. The added statement changes `f1`.
+        let [fa, fb] = check_resume(a, b, &["f1"]);
+        assert_eq!(fa, fb, "the edit changes no pointer fact");
+        let (g, r) = analyze(b);
+        let mut callees: Vec<Vec<&str>> = r
+            .callees
+            .values()
+            .map(|fs| fs.iter().map(|&f| g.func(f).name.as_str()).collect())
+            .collect();
+        callees.sort();
+        assert!(callees.contains(&vec!["f1", "f2"]), "{callees:?}");
+    }
+
+    #[test]
+    fn resume_after_deleting_a_call_site_shrinks_the_callee() {
+        let a = "int g1; int g2; int *gp;
+             void store(int *p) { gp = p; }
+             int main(void) { store(&g1); store(&g2); return 0; }";
+        let b = "int g1; int g2; int *gp;
+             void store(int *p) { gp = p; }
+             int main(void) { store(&g1); return 0; }";
+        // `store`'s facts depend on its actuals. Deleting one call site
+        // changes only `main`'s fingerprint, yet `store`'s facts shrink:
+        // a replay of the old solution would keep `gp -> g2` alive.
+        let [fa, fb] = check_resume(a, b, &["main"]);
+        let has = |facts: &[String], f: &str| facts.iter().any(|x| x == f);
+        assert!(has(&fa, "gp -> g1") && has(&fa, "gp -> g2"));
+        assert!(has(&fb, "gp -> g1") && !has(&fb, "gp -> g2"), "{fb:?}");
+    }
+
+    #[test]
+    fn resume_after_deleting_a_function_invalidates_its_callees() {
+        let a = "int g1; int g2; int *gp;
+             void store(int *p) { gp = p; }
+             void extra(void) { store(&g2); }
+             int main(void) { store(&g1); extra(); return 0; }";
+        let b = "int g1; int g2; int *gp;
+             void store(int *p) { gp = p; }
+             int main(void) { store(&g1); return 0; }";
+        // The deleted function's call gated `store`'s `gp -> g2`; with
+        // it gone, only `main` changes fingerprint and the fact goes.
+        let [fa, fb] = check_resume(a, b, &["main"]);
+        let has = |facts: &[String], f: &str| facts.iter().any(|x| x == f);
+        assert!(has(&fa, "gp -> g1") && has(&fa, "gp -> g2"));
+        assert!(has(&fb, "gp -> g1") && !has(&fb, "gp -> g2"), "{fb:?}");
+        assert!(!has(&fb, "ε -> fn:extra"));
+    }
+
+    #[test]
+    fn resume_keeps_literal_facts_local_to_the_edited_function() {
+        let a = "char *gb;\n\
+             void seta(void) { char *p; p = \"one\"; p = \"two\"; }\n\
+             void setb(void) { gb = \"three\"; }\n\
+             int main(void) { seta(); setb(); return 0; }";
+        let b = "char *gb;\n\
+             void seta(void) { char *p; p = \"two\"; }\n\
+             void setb(void) { gb = \"three\"; }\n\
+             int main(void) { seta(); setb(); return 0; }";
+        // Deleting a statement that contains a string literal shifts
+        // the program-wide literal numbering (`"three"` goes from
+        // `str#2` to `str#1`). The per-function literal keys keep the
+        // edit local: only the edited function's fingerprint changes.
+        let [fa, fb] = check_resume(a, b, &["seta"]);
+        let gb_facts = |facts: &[String]| -> Vec<String> {
+            facts
+                .iter()
+                .filter(|f| f.starts_with("gb -> "))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(gb_facts(&fa), ["gb -> str#2[*]"]);
+        assert_eq!(gb_facts(&fb), ["gb -> str#1[*]"]);
+        assert!(
+            !fb.iter().any(|f| f.contains("str#2")),
+            "the deleted literal is gone"
+        );
+    }
+
+    #[test]
+    fn resume_after_deleting_a_function_matches_fresh() {
+        let a = "int g; int *gp;\n\
+             void seta(void) { gp = &g; }\n\
+             void noop(void) { }\n\
+             int main(void) { seta(); noop(); *gp = 1; return 0; }";
+        let b = "int g; int *gp;\n\
+             void seta(void) { gp = &g; }\n\
+             int main(void) { seta(); *gp = 1; return 0; }";
+        let [fa, fb] = check_resume(a, b, &["main"]);
+        assert!(fa.iter().any(|f| f == "ε -> fn:noop"));
+        assert!(!fb.iter().any(|f| f == "ε -> fn:noop"));
+        assert_eq!(indirect_ref_names(b), vec![vec!["g"]]);
+    }
 }

@@ -497,127 +497,4 @@ mod tests {
             "a load-fed callee stays opaque"
         );
     }
-
-    /// The functions of `b` whose fingerprint differs from the
-    /// same-named function's in `a` (or that `a` lacks), sorted.
-    fn changed_funcs(a: &str, b: &str) -> Vec<String> {
-        let (ga, gb) = (graph_of(a), graph_of(b));
-        let (ia, ib) = (GraphIndex::build(&ga), GraphIndex::build(&gb));
-        assert_eq!((&ia.unsafe_reason, &ib.unsafe_reason), (&None, &None));
-        let mut changed: Vec<String> = gb
-            .func_ids()
-            .filter(|&f| {
-                let name = &gb.func(f).name;
-                let before = ga.func_ids().find(|&g| &ga.func(g).name == name);
-                before.is_none_or(|g| ia.func_fps[g.0 as usize] != ib.func_fps[f.0 as usize])
-            })
-            .map(|f| gb.func(f).name.clone())
-            .collect();
-        changed.sort();
-        assert_eq!(
-            ia.graph_fp == ib.graph_fp,
-            a == b,
-            "the graph fingerprint sees every edit here"
-        );
-        changed
-    }
-
-    #[test]
-    fn edits_change_only_the_edited_functions_fingerprints() {
-        // Each case: the source before and after an edit, and the
-        // functions whose fingerprint the edit must change.
-        let cases: [(&str, &str, &[&str]); 8] = [
-            (
-                "int g1; int g2; int *gp;\n\
-                 int *id(int *p) { return p; }\n\
-                 void setg(int x) { if (x) { gp = &g1; } }\n\
-                 int main(void) { int l; int *q; q = id(&l); setg(1); *q = 3; *gp = 4; return 0; }",
-                "int g1; int g2; int *gp;\n\
-                 int *id(int *p) { return p; }\n\
-                 void setg(int x) { if (x) { gp = &g2; } }\n\
-                 int main(void) { int l; int *q; q = id(&l); setg(1); *q = 3; *gp = 4; return 0; }",
-                &["setg"],
-            ),
-            // The edited function is the caller of a pointer-returning
-            // callee.
-            (
-                "int g1; int g2;\n\
-                 int *pick(int c) { if (c) { return &g1; } return &g2; }\n\
-                 int main(void) { int *p; p = pick(0); *p = 1; return 0; }",
-                "int g1; int g2;\n\
-                 int *pick(int c) { if (c) { return &g1; } return &g2; }\n\
-                 int main(void) { int *p; int x; x = 5; p = pick(x); *p = 1; return 0; }",
-                &["main"],
-            ),
-            (
-                "int g; int main(void) { int *p; p = &g; return *p; }",
-                "int g; int main(void) { int *p; p = &g; return *p; }",
-                &[],
-            ),
-            // `g1 = 7` alone would change nothing (scalar constants carry
-            // no payload in the VDG); the added statement does.
-            (
-                "int g1; int g2;\n\
-                 void f1(void) { g1 = 1; }\n\
-                 void f2(void) { g2 = 2; }\n\
-                 int main(void) { void (*fp)(void); int c; c = getchar();\n\
-                   if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }",
-                "int g1; int g2;\n\
-                 void f1(void) { g1 = 7; g2 = 8; }\n\
-                 void f2(void) { g2 = 2; }\n\
-                 int main(void) { void (*fp)(void); int c; c = getchar();\n\
-                   if (c) { fp = f1; } else { fp = f2; } fp(); return 0; }",
-                &["f1"],
-            ),
-            // Deleting a call site changes only the caller, though the
-            // callee's points-to facts shrink.
-            (
-                "int g1; int g2; int *gp;\n\
-                 void store(int *p) { gp = p; }\n\
-                 int main(void) { store(&g1); store(&g2); return 0; }",
-                "int g1; int g2; int *gp;\n\
-                 void store(int *p) { gp = p; }\n\
-                 int main(void) { store(&g1); return 0; }",
-                &["main"],
-            ),
-            // Deleting a function and its call: only the caller changes.
-            (
-                "int g1; int g2; int *gp;\n\
-                 void store(int *p) { gp = p; }\n\
-                 void extra(void) { store(&g2); }\n\
-                 int main(void) { store(&g1); extra(); return 0; }",
-                "int g1; int g2; int *gp;\n\
-                 void store(int *p) { gp = p; }\n\
-                 int main(void) { store(&g1); return 0; }",
-                &["main"],
-            ),
-            // Deleting a statement with a string literal shifts the
-            // program-wide literal numbering; the per-function literal
-            // keys keep `setb`'s `"three"` and its fingerprint stable.
-            (
-                "char *gb;\n\
-                 void seta(void) { char *p; p = \"one\"; p = \"two\"; }\n\
-                 void setb(void) { gb = \"three\"; }\n\
-                 int main(void) { seta(); setb(); return 0; }",
-                "char *gb;\n\
-                 void seta(void) { char *p; p = \"two\"; }\n\
-                 void setb(void) { gb = \"three\"; }\n\
-                 int main(void) { seta(); setb(); return 0; }",
-                &["seta"],
-            ),
-            (
-                "int g; int *gp;\n\
-                 void seta(void) { gp = &g; }\n\
-                 void noop(void) { }\n\
-                 int main(void) { seta(); noop(); *gp = 1; return 0; }",
-                "int g; int *gp;\n\
-                 void seta(void) { gp = &g; }\n\
-                 int main(void) { seta(); *gp = 1; return 0; }",
-                &["main"],
-            ),
-        ];
-        for (a, b, want) in cases {
-            assert_eq!(changed_funcs(a, b), want, "edit:\n{a}\n=>\n{b}");
-        }
-    }
 }

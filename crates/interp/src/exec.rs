@@ -10,9 +10,13 @@
 //!
 //! # Cost model
 //!
-//! A run is a budget of evaluation steps ([`Config::max_steps`]), and an
-//! edited program that stops terminating spends all of it, so the oracle
-//! costs whatever one step costs times ten million. A step therefore
+//! A run is a budget of evaluation steps ([`Config::max_steps`]). An
+//! edited program that stops terminating would spend all of it, ten
+//! million steps, so a sequential run ends a *stuck* loop (one that
+//! provably never exits and only repeats its trace facts, see the
+//! `stuck` module) after its second completed iteration, with exactly
+//! the record the rest of the budget would have produced. What remains
+//! costs whatever one step costs times the steps run, so a step
 //! allocates nothing and hashes only small integers:
 //!
 //! - Expressions are matched by reference into the program; nothing of
@@ -28,9 +32,16 @@
 //!
 //! A threaded run adds one OS thread per child slot, started at the
 //! slot's first `spawn` and reused after each `join`, so a program that
-//! spawns two threads pays for two, not for the pool's eight.
+//! spawns two threads pays for two, not for the pool's eight. It never
+//! takes the stuck-loop shortcut: another thread may write the guard,
+//! so a threaded spin-wait runs step by step until it is released or
+//! the budget runs out.
+//!
+//! Per run, classifying the loops is one walk over the program, and
+//! each loop entry costs one hash lookup.
 
 use crate::memory::{AbsLoc, AbsTable, CStep, Loc, Memory, Origin, Value};
+use crate::stuck::StuckLoops;
 use alias::fxhash::{HashMap, HashSet};
 use cfront::ast::*;
 use cfront::types::{TypeKind, TypeTable};
@@ -68,7 +79,10 @@ impl Default for Config {
 pub enum RunError {
     /// A dynamic error (null deref, division by zero, bad pointer math).
     Dynamic(String),
-    /// The step budget ran out (probable infinite loop).
+    /// The step budget ran out: the program ran `max_steps` steps
+    /// without stopping, or a sequential run entered a loop proved never
+    /// to exit (the record is the same either way: `max_steps + 1`
+    /// steps and the trace the whole budget would have left).
     StepLimit,
 }
 
@@ -663,6 +677,11 @@ fn run_raw(prog: &Program, cfg: &Config) -> (World, Result<i64, StopSig>) {
                     holds: true,
                     w: world,
                     frames: Vec::new(),
+                    stuck: if threaded {
+                        StuckLoops::default()
+                    } else {
+                        StuckLoops::classify(prog)
+                    },
                 };
                 let r = x.run_program();
                 let sig = fold(r);
@@ -699,6 +718,7 @@ fn worker_loop<'s, 'e>(prog: &'s Program, cfg: &'s Config, pool: Pool<'s, 'e>, m
             holds: false,
             w: World::default(),
             frames: Vec::new(),
+            stuck: StuckLoops::default(),
         };
         if x.take_world().is_err() {
             return;
@@ -741,6 +761,8 @@ struct Exec<'s, 'e> {
     holds: bool,
     w: World,
     frames: Vec<Frame>,
+    /// The program's stuck loops; empty for threaded runs.
+    stuck: StuckLoops,
 }
 
 impl<'s, 'e> Exec<'s, 'e> {
@@ -759,6 +781,39 @@ impl<'s, 'e> Exec<'s, 'e> {
 
     fn types(&self) -> &TypeTable {
         &self.prog.types
+    }
+
+    /// The lap counter a loop statement starts with: `Some(0)` for a
+    /// stuck loop (see `crate::stuck`), `None` otherwise.
+    fn laps(&self, s: &Stmt) -> Option<u8> {
+        self.stuck.get(s).map(|_| 0)
+    }
+
+    /// Ends one completed iteration of loop `s`. A stuck loop whose
+    /// accumulators hold integers after its first and second iterations
+    /// never exits and repeats the second iteration's trace facts, so
+    /// the rest of the step budget is spent at once: the tick fails as
+    /// the slow path's last one would.
+    fn lap(&mut self, s: &Stmt, laps: &mut Option<u8>) -> R<()> {
+        let Some(n) = laps else {
+            return Ok(());
+        };
+        let accs = self.stuck.get(s).unwrap_or_default();
+        let locals = &self.frames.last().expect("active frame").locals;
+        let ints = accs.iter().all(|a| {
+            let loc = Loc::of(locals[a.0 as usize]);
+            matches!(self.w.mem.read(&loc, &self.prog.types), Ok(Value::Int(_)))
+        });
+        if !ints {
+            *laps = None;
+            return Ok(());
+        }
+        *n += 1;
+        if *n == 2 {
+            self.w.steps = self.cfg.max_steps;
+            return self.tick();
+        }
+        Ok(())
     }
 
     fn tick(&mut self) -> R<()> {
@@ -1152,6 +1207,7 @@ impl<'s, 'e> Exec<'s, 'e> {
                 }
             }
             Stmt::While { cond, body } => {
+                let mut laps = self.laps(s);
                 while self.eval(*cond)?.truthy() {
                     self.tick()?;
                     match self.exec_block(body)? {
@@ -1159,10 +1215,12 @@ impl<'s, 'e> Exec<'s, 'e> {
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
                     }
+                    self.lap(s, &mut laps)?;
                 }
                 Ok(Flow::Normal)
             }
             Stmt::DoWhile { body, cond } => {
+                let mut laps = self.laps(s);
                 loop {
                     self.tick()?;
                     match self.exec_block(body)? {
@@ -1173,6 +1231,7 @@ impl<'s, 'e> Exec<'s, 'e> {
                     if !self.eval(*cond)?.truthy() {
                         break;
                     }
+                    self.lap(s, &mut laps)?;
                 }
                 Ok(Flow::Normal)
             }
@@ -1187,6 +1246,7 @@ impl<'s, 'e> Exec<'s, 'e> {
                         return Ok(Flow::Return(v));
                     }
                 }
+                let mut laps = self.laps(s);
                 loop {
                     self.tick()?;
                     if let Some(c) = cond {
@@ -1202,6 +1262,7 @@ impl<'s, 'e> Exec<'s, 'e> {
                     if let Some(st) = step {
                         self.eval(*st)?;
                     }
+                    self.lap(s, &mut laps)?;
                 }
                 Ok(Flow::Normal)
             }

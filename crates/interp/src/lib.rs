@@ -25,6 +25,7 @@
 pub mod exec;
 pub mod memory;
 pub mod oracle;
+mod stuck;
 
 pub use exec::{
     explore_races, explore_races_recorded, run, run_traced, Config, FaultInfo, FaultKind, Outcome,
@@ -231,6 +232,73 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, RunError::StepLimit);
+    }
+
+    /// Runs `src` under a budget of `max_steps`.
+    fn record(src: &str, max_steps: u64) -> RunRecord {
+        let p = cfront::compile(src).expect("compiles");
+        run_traced(
+            &p,
+            &Config {
+                max_steps,
+                ..Config::default()
+            },
+        )
+    }
+
+    #[test]
+    fn stuck_loop_ends_through_the_proof() {
+        // Stepping through this budget would take days; only the stuck-
+        // loop proof can end the run.
+        let max_steps = u64::MAX / 2;
+        let rec = record(
+            "struct item { int w; struct item *next; };\n\
+             int main(void) { struct item a; struct item *p; int sum; int n; \
+             a.w = 3; a.next = NULL; p = &a; sum = 0; n = 0; \
+             while (p != NULL) { sum += p->w; n++; } return sum; }",
+            max_steps,
+        );
+        assert_eq!(rec.error, Some(RunError::StepLimit));
+        assert_eq!(rec.steps, max_steps + 1);
+    }
+
+    #[test]
+    fn impure_infinite_loop_spends_the_whole_budget() {
+        // A global write rules the proof out: the budget runs down step
+        // by step.
+        let rec = record(
+            "int g; int main(void) { for (;;) { g = g + 1; } return 0; }",
+            10_000,
+        );
+        assert_eq!(rec.error, Some(RunError::StepLimit));
+        assert_eq!(rec.steps, 10_001);
+    }
+
+    #[test]
+    fn float_in_an_int_accumulator_keeps_the_slow_path() {
+        // `b` holds a float after one iteration and `a` after two, so the
+        // third `a & 1` faults; ending the loop after its second
+        // iteration would report a step limit instead.
+        let rec = record(
+            "int main(void) { int a; int b; int c; a = 0; b = 0; c = 0; \
+             while (1) { c = a & 1; a = b; b = b + 0.5; } return c; }",
+            u64::MAX / 2,
+        );
+        assert_eq!(
+            rec.error,
+            Some(RunError::Dynamic("invalid float operation".into()))
+        );
+    }
+
+    #[test]
+    fn threaded_spin_wait_is_released_by_its_worker() {
+        let out = exec(
+            "int flag;\n\
+             void release(int v) { flag = v; }\n\
+             int main(void) { flag = 0; spawn release(1); \
+             while (flag == 0) {} join; return flag + 6; }",
+        );
+        assert_eq!(out.exit, 7);
     }
 
     #[test]

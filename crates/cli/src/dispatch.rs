@@ -541,14 +541,7 @@ pub fn cmd_client(cx: &crate::Ctx) -> Result<(), String> {
 pub fn cmd_campaign(cx: &crate::Ctx) -> Result<(), String> {
     let defaults = engine::CampaignConfig::default();
     let mut fuzz = engine::FuzzConfig {
-        gen: if cx.flags.has("threaded") {
-            suite::generator::GenConfig::threaded()
-        } else if cx.flags.has("default-gen") {
-            suite::generator::GenConfig::default()
-        } else {
-            suite::generator::GenConfig::campaign()
-        },
-        corpus_stats: true,
+        gen: cx.gen_preset()?,
         ..engine::FuzzConfig::default()
     };
     fuzz.budget_ms = cx.flags.get_parsed("budget-ms", fuzz.budget_ms)?;

@@ -161,25 +161,6 @@ const COMMANDS: &[Command] = &[
         run: dispatch::cmd_check,
     },
     Command {
-        name: "fuzz",
-        synopsis:
-            "[--seeds N] [--start-seed N] [--budget-ms N] [--threads N] [--threaded] [--no-shrink] [--json]",
-        about: "differential fuzzing campaign over all five solvers",
-        flag_help: &[
-            "--seeds N       number of seeds to run (default 100)",
-            "--start-seed N  first seed of the range (default 0)",
-            "--budget-ms N   per-solver wall-clock budget in ms (default 200)",
-            "--threads N     worker threads, 0 = all cores (default 0)",
-            "--threaded      spawn-heavy generator preset: every seed also runs",
-            "                the race-soundness and race-monotonicity properties",
-            "--no-shrink     skip counterexample minimisation",
-            "--json          print the full FuzzReport as JSON",
-        ],
-        value_flags: &["seeds", "start-seed", "budget-ms", "threads"],
-        needs_source: false,
-        run: cmd_fuzz,
-    },
-    Command {
         name: "stats",
         synopsis: "[--seeds N] [--start-seed N] [--suite] [--threaded] [--json]",
         about: "campaign-corpus dedup accounting: unique function fingerprints",
@@ -383,7 +364,7 @@ impl Flags {
 }
 
 /// Everything a command handler needs: the loaded source (empty for
-/// sourceless commands like `fuzz` and `list`) plus the parsed flags.
+/// sourceless commands like `campaign` and `list`) plus the parsed flags.
 pub(crate) struct Ctx {
     pub(crate) name: String,
     pub(crate) source: String,
@@ -399,6 +380,19 @@ impl Ctx {
 
     fn file(&self) -> cfront::SourceFile {
         cfront::SourceFile::new(&self.name, &self.source)
+    }
+
+    /// The generator preset that `--threaded` or `--default-gen`
+    /// selects (the campaign preset when neither is given).
+    pub(crate) fn gen_preset(&self) -> Result<suite::generator::GenConfig, String> {
+        match (self.flags.has("threaded"), self.flags.has("default-gen")) {
+            (true, true) => Err("--threaded and --default-gen pick different generator \
+                                 presets; pass at most one"
+                .into()),
+            (true, false) => Ok(suite::generator::GenConfig::threaded()),
+            (false, true) => Ok(suite::generator::GenConfig::default()),
+            (false, false) => Ok(suite::generator::GenConfig::campaign()),
+        }
     }
 
     /// The single error boundary: every pipeline failure, including a
@@ -671,64 +665,15 @@ fn cmd_spectrum(name: &str, source: &str, json: bool) -> Result<(), AnalysisErro
     Ok(())
 }
 
-/// Differential fuzzing campaign: generates seeded mini-C programs,
-/// runs all five solvers on each, and cross-checks soundness against
-/// the interpreter, the precision lattice, and naive-vs-delta
-/// fixpoints. Exits nonzero if any violation survives.
-fn cmd_fuzz(cx: &Ctx) -> Result<(), String> {
-    let cfg = engine::FuzzConfig {
-        seeds: cx.flags.get_parsed("seeds", 100)?,
-        start_seed: cx.flags.get_parsed("start-seed", 0)?,
-        budget_ms: cx.flags.get_parsed("budget-ms", 200)?,
-        threads: cx.flags.get_parsed("threads", 0)?,
-        shrink: !cx.flags.has("no-shrink"),
-        gen: if cx.flags.has("threaded") {
-            suite::generator::GenConfig::threaded()
-        } else {
-            suite::generator::GenConfig::default()
-        },
-        ..engine::FuzzConfig::default()
-    };
-    let report = engine::fuzz::fuzz(&cfg);
-    if cx.flags.has("json") {
-        println!("{}", report.to_value().render_pretty());
-    } else {
-        println!("{}", report.summary());
-        for v in &report.violations {
-            println!(
-                "\n[{} / {} @ seed {}] {}",
-                v.kind, v.solver, v.seed, v.detail
-            );
-            if let Some(min) = &v.minimized {
-                println!("minimized counterexample:\n{min}");
-            }
-        }
-    }
-    if report.violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} differential violation(s) found",
-            report.violations.len()
-        ))
-    }
-}
-
 /// Corpus dedup accounting: scans a campaign-shaped corpus (plus,
-/// optionally, the bundled suite) and reports unique-function
-/// fingerprint counts and the dedup ratio a cross-program summary pool
-/// would realize.
+/// optionally, the bundled suite) and reports how often the same
+/// function and the same checker diagnostic recur across programs —
+/// the program-level reuse a content-addressed cache can exploit.
 fn cmd_stats(cx: &Ctx) -> Result<(), String> {
     let cfg = engine::stats::StatsConfig {
         seeds: cx.flags.get_parsed("seeds", 200)?,
         start_seed: cx.flags.get_parsed("start-seed", 0)?,
-        gen: if cx.flags.has("threaded") {
-            suite::generator::GenConfig::threaded()
-        } else if cx.flags.has("default-gen") {
-            suite::generator::GenConfig::default()
-        } else {
-            suite::generator::GenConfig::campaign()
-        },
+        gen: cx.gen_preset()?,
         include_suite: cx.flags.has("suite"),
         threads: cx.flags.get_parsed("threads", 0)?,
     };

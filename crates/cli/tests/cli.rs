@@ -125,17 +125,25 @@ fn stats_reports_corpus_dedup() {
 
 #[test]
 fn threaded_fuzz_and_litmus_check_pass_end_to_end() {
+    let dir = std::env::temp_dir().join(format!("ruf95-cli-threaded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let (out, err, ok) = ruf95(&[
-        "fuzz",
+        "campaign",
         "--seeds",
+        "4",
+        "--chunk",
         "4",
         "--threaded",
         "--threads",
         "1",
         "--no-shrink",
+        "--quiet",
+        "--dir",
+        dir.to_str().unwrap(),
     ]);
-    assert!(ok, "threaded fuzz failed: {out}\n{err}");
-    assert!(out.contains("0 violations"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "threaded campaign failed: {out}\n{err}");
+    assert!(out.contains("violations: 0 raw"), "{out}");
     let (out, err, ok) = ruf95(&["check", "bench:litmus_race_global", "--analysis", "all"]);
     assert!(ok, "litmus check failed: {out}\n{err}");
     assert!(out.contains("data-race") || out.contains("race"), "{out}");
@@ -144,7 +152,7 @@ fn threaded_fuzz_and_litmus_check_pass_end_to_end() {
 #[test]
 fn unknown_flags_are_rejected_with_exit_2() {
     for args in [
-        &["fuzz", "--seed", "5", "--seeds", "2"][..],
+        &["campaign", "--seed", "5", "--seeds", "2"][..],
         &["refs", "bench:span", "--bogus"],
         &["paper", "fig2", "--json"],
         &["analyze", "bench:span", "--connect=nowhere", "--jsn"],
@@ -185,7 +193,6 @@ fn every_json_output_parses_even_with_a_hostile_file_name() {
         &["check", file, "--json"],
         &["analyze", file, "--json"],
         &["incremental", file, "--edits", "2", "--json"],
-        &["fuzz", "--seeds", "3", "--threads", "1", "--json"],
         &["stats", "--seeds", "3", "--threads", "1", "--json"],
     ] {
         let (out, err, ok) = ruf95(args);
@@ -194,5 +201,47 @@ fn every_json_output_parses_even_with_a_hostile_file_name() {
             panic!("{args:?}: stdout is not JSON ({e}):\n{out}");
         }
     }
+    // `campaign --json` prints its summary first, so parse the report
+    // it writes to `--out`.
+    let state = dir.join("campaign");
+    let report = dir.join("report \"x\".json");
+    let (out, err, ok) = ruf95(&[
+        "campaign",
+        "--seeds",
+        "3",
+        "--chunk",
+        "3",
+        "--threads",
+        "1",
+        "--quiet",
+        "--json",
+        "--dir",
+        state.to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+    ]);
+    assert!(ok, "campaign: {out}\n{err}");
+    let text = std::fs::read_to_string(&report).expect("campaign writes --out");
+    if let Err(e) = proto::json::Value::parse(&text) {
+        panic!("campaign --out is not JSON ({e}):\n{text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn conflicting_generator_presets_are_rejected() {
+    for args in [
+        &["campaign", "--threaded", "--default-gen", "--seeds", "1"][..],
+        &["stats", "--threaded", "--default-gen", "--seeds", "1"],
+    ] {
+        let (out, err, ok) = ruf95(args);
+        assert!(!ok, "{args:?} must fail: {out}");
+        assert!(
+            err.contains("--threaded") && err.contains("--default-gen"),
+            "{args:?}: the error names both flags: {err}"
+        );
+    }
+    // The retired `fuzz` command is gone; `campaign` replaces it.
+    let (_, err, ok) = ruf95(&["fuzz", "--seeds", "1"]);
+    assert!(!ok && err.contains("unknown command"), "{err}");
 }

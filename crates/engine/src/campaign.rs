@@ -88,8 +88,6 @@ pub struct CampaignConfig {
     /// State directory: journal, quarantine, report.
     pub dir: PathBuf,
     /// Per-job knobs (generator shape, step budgets, planted faults).
-    /// `seeds`/`start_seed`/`threads` inside are ignored; the campaign
-    /// fields above drive scheduling.
     pub fuzz: FuzzConfig,
     /// Stop (checkpointing cleanly) after this many chunks *this
     /// invocation* — the kill switch the resume-equivalence tests use,
@@ -115,7 +113,6 @@ impl Default for CampaignConfig {
             dir: PathBuf::from("campaign"),
             fuzz: FuzzConfig {
                 gen: suite::generator::GenConfig::campaign(),
-                corpus_stats: true,
                 ..FuzzConfig::default()
             },
             max_chunks: None,
@@ -140,7 +137,8 @@ pub enum CampaignError {
         /// Key of the current configuration.
         current: String,
     },
-    /// Nonsensical configuration (zero seeds, zero chunk size).
+    /// Nonsensical configuration (zero seeds, zero chunk size, a seed
+    /// above `i64::MAX`).
     Invalid(String),
 }
 
@@ -422,6 +420,15 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, CampaignError> {
     if cfg.chunk == 0 {
         return Err(CampaignError::Invalid("chunk must be positive".into()));
     }
+    // Seeds are journaled and reported as JSON integers, which stop at
+    // `i64::MAX`; the bound also keeps every seed sum below `u64::MAX`.
+    let last_seed = cfg.start_seed.checked_add(cfg.seeds - 1);
+    if last_seed.is_none_or(|last| last > i64::MAX as u64) {
+        return Err(CampaignError::Invalid(format!(
+            "{} seeds from {} run past the largest seed, i64::MAX",
+            cfg.seeds, cfg.start_seed
+        )));
+    }
     let threads = if cfg.threads == 0 {
         pool::auto_threads()
     } else {
@@ -644,10 +651,12 @@ fn run_chunk(
 }
 
 /// Bounded minimization for a chunk's violations and quarantine
-/// entries. Soundness violations get slots first (same ranking as the
-/// plain fuzzer); quarantine entries shrink only when the failure
-/// reproduces from source alone, so an injected test panic keeps its
-/// full program instead of shrinking against a vacuous predicate.
+/// entries. Soundness violations get the slots first — they are the
+/// findings a human reads — then fixpoint divergences, incremental
+/// divergences and lattice inversions; quarantine entries shrink only
+/// when the failure reproduces from source alone, so an injected test
+/// panic keeps its full program instead of shrinking against a vacuous
+/// predicate.
 fn shrink_chunk(cfg: &CampaignConfig, rec: &mut ChunkRecord) {
     let rank = |k: &str| match k {
         "soundness" => 0u8,
@@ -730,15 +739,17 @@ fn write_quarantine_files(qdir: &Path, records: &[QuarantineRecord]) -> Result<(
 /// `progress`) are deliberately absent: changing them mid-campaign is
 /// safe and must not invalidate the journal.
 fn config_key(cfg: &CampaignConfig) -> String {
+    // Corpus statistics are always collected. The key still says
+    // `corpus_stats=true`, as it did when they were optional, so those
+    // journals resume.
     format!(
-        "v{JOURNAL_VERSION}|seeds={}|start={}|chunk={}|max_steps={}|interp_steps={}|shrink={}|corpus_stats={}|fault={:?}|planted={:?}|panic_seed={:?}|gen={:?}",
+        "v{JOURNAL_VERSION}|seeds={}|start={}|chunk={}|max_steps={}|interp_steps={}|shrink={}|corpus_stats=true|fault={:?}|planted={:?}|panic_seed={:?}|gen={:?}",
         cfg.seeds,
         cfg.start_seed,
         cfg.chunk,
         cfg.fuzz.max_steps,
         cfg.fuzz.interp_steps,
         cfg.fuzz.shrink,
-        cfg.fuzz.corpus_stats,
         cfg.fuzz.fault,
         cfg.fuzz.planted,
         cfg.panic_seed,

@@ -46,39 +46,34 @@
 //! Solvers run under step budgets and a wall-clock budget with graceful
 //! degradation: a `StepLimit` or an interpreter abort is *recorded*
 //! (the seed counts as degraded, its remaining checks are skipped) and
-//! never a crash. Any violating program is minimized by the greedy
-//! delta-debugger in [`crate::shrink`] before landing in the
-//! [`FuzzReport`], so every finding ships as a standalone `.c` repro.
+//! never a crash. [`crate::campaign`] is the driver: it runs these
+//! checks per seed, and minimizes a violating program with the greedy
+//! delta-debugger in [`crate::shrink`] before it lands in the
+//! deduplicated report, so every finding ships as a standalone `.c`
+//! repro.
 //!
 //! The additional [`FuzzConfig::fault`] knob deliberately injects a
 //! known bug into the CI solver; the planted-bug self-test uses it to
 //! prove the whole detect-and-minimize loop actually fires.
 //! [`PlantedFault`] is the checker-level mirror of that knob.
 
-use crate::shrink::shrink;
-use crate::{pool, BenchOutput};
+use crate::BenchOutput;
 use alias::solver::{same_fixpoint, solution_dump, Solution, SolutionBox};
 use alias::{AnalysisError, Fault, Propagation, SolverKind, SolverSpec};
-use proto::json::Value;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use suite::generator::{generate, GenConfig};
+use suite::generator::GenConfig;
 use vdg::build::{lower, BuildOptions};
 use vdg::graph::Graph;
 
-/// Fuzzing-campaign knobs.
+/// Per-seed knobs of the differential checks; the seed range, chunking
+/// and worker threads belong to [`crate::CampaignConfig`].
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// Number of seeds to run.
-    pub seeds: u64,
-    /// First seed (campaigns can be sharded by range).
-    pub start_seed: u64,
     /// Per-solver wall-clock budget in milliseconds; exceeding it is
     /// recorded as an overrun (degraded-but-counted, never fatal).
     pub budget_ms: u64,
-    /// Worker threads; `0` means one per available core.
-    pub threads: usize,
     /// Program-generator shape knobs.
     pub gen: GenConfig,
     /// Step budget for the potentially exponential solvers (CS, k=1).
@@ -94,11 +89,6 @@ pub struct FuzzConfig {
     /// program; the campaign then requires each solver's checker run to
     /// flag it ([`PlantedFault::None`] for plain campaigns).
     pub planted: PlantedFault,
-    /// Collect corpus-scale statistics per seed (checker-diagnostic
-    /// dedup keys, per-function fingerprints) for the campaign runner's
-    /// aggregation. Off for plain fuzzing — it adds a full checker
-    /// sweep per seed.
-    pub corpus_stats: bool,
 }
 
 /// Typed outcome of one differential job, for exact campaign accounting
@@ -204,116 +194,14 @@ impl PlantedFault {
 impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
-            seeds: 100,
-            start_seed: 0,
             budget_ms: 200,
-            threads: 0,
             gen: GenConfig::default(),
             max_steps: 2_000_000,
             interp_steps: 1_000_000,
             shrink: true,
             fault: Fault::None,
             planted: PlantedFault::None,
-            corpus_stats: false,
         }
-    }
-}
-
-/// One confirmed property violation, with its repro program.
-#[derive(Debug, Clone)]
-pub struct FuzzViolation {
-    /// The generator seed that produced the program.
-    pub seed: u64,
-    /// Which property failed: `"soundness"`, `"lattice"`,
-    /// `"divergence"`, `"incremental"`, `"checker"`, `"demand"`,
-    /// `"roundtrip"`, or `"pipeline"`.
-    pub kind: String,
-    /// The solver (or solver pair) implicated.
-    pub solver: String,
-    /// Human-readable description of the mismatch.
-    pub detail: String,
-    /// The full generated source.
-    pub source: String,
-    /// The delta-debugged minimal repro, when shrinking ran.
-    pub minimized: Option<String>,
-}
-
-/// Aggregate outcome of a fuzzing campaign.
-#[derive(Debug, Clone)]
-pub struct FuzzReport {
-    /// Seeds run.
-    pub seeds: u64,
-    /// Seeds with no violations and no degradation.
-    pub clean: u64,
-    /// Seeds where a solver hit its step budget or the interpreter hit
-    /// its own (checks for that pairing skipped, seed still counted).
-    pub degraded: u64,
-    /// Seeds whose typed outcome is [`JobOutcome::OverBudget`] — a
-    /// deterministic step-budget exhaustion, the subset of `degraded`
-    /// that campaign quarantine triage cares about.
-    pub over_budget: u64,
-    /// Solver runs that exceeded the wall-clock budget.
-    pub overruns: u64,
-    /// All confirmed violations, minimized when shrinking is on.
-    pub violations: Vec<FuzzViolation>,
-    /// Demand point queries fired against the CI oracle.
-    pub demand_queries: u64,
-    /// Demand queries answered without falling back to the exhaustive
-    /// solution. A campaign where every query fell back checked
-    /// nothing, so callers assert this is positive.
-    pub demand_hits: u64,
-    /// Campaign wall time.
-    pub wall: Duration,
-}
-
-impl FuzzReport {
-    /// The report as a JSON document; `wall_ms` is rounded to the
-    /// microsecond.
-    pub fn to_value(&self) -> Value {
-        let wall_ms = (self.wall.as_secs_f64() * 1e6).round() / 1e3;
-        Value::obj([
-            ("seeds", self.seeds.into()),
-            ("clean", self.clean.into()),
-            ("degraded", self.degraded.into()),
-            ("over_budget", self.over_budget.into()),
-            ("overruns", self.overruns.into()),
-            ("demand_queries", self.demand_queries.into()),
-            ("demand_hits", self.demand_hits.into()),
-            ("wall_ms", Value::Float(wall_ms)),
-            (
-                "violations",
-                self.violations
-                    .iter()
-                    .map(|v| {
-                        Value::obj([
-                            ("seed", v.seed.into()),
-                            ("kind", v.kind.as_str().into()),
-                            ("solver", v.solver.as_str().into()),
-                            ("detail", v.detail.as_str().into()),
-                            ("source", v.source.as_str().into()),
-                            ("minimized", v.minimized.as_deref().into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ])
-    }
-
-    /// One-paragraph human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "fuzz: {} seeds in {:.2?} — {} clean, {} degraded ({} over step budget), \
-             {} wall overruns, {} violations, {}/{} demand queries in budget",
-            self.seeds,
-            self.wall,
-            self.clean,
-            self.degraded,
-            self.over_budget,
-            self.overruns,
-            self.violations.len(),
-            self.demand_hits,
-            self.demand_queries,
-        )
     }
 }
 
@@ -369,99 +257,6 @@ fn is_step_limit(e: &AnalysisError) -> bool {
         AnalysisError::StepLimit(_) => true,
         AnalysisError::Context { source, .. } => is_step_limit(source),
         _ => false,
-    }
-}
-
-/// Runs a fuzzing campaign. Seeds are checked in parallel; shrinking of
-/// the (rare) violations runs serially afterwards.
-pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    let t = Instant::now();
-    let threads = if cfg.threads == 0 {
-        pool::auto_threads()
-    } else {
-        cfg.threads
-    };
-    let outcomes: Vec<(u64, Findings, String)> =
-        pool::run_indexed(cfg.seeds as usize, threads, |i| {
-            let seed = cfg.start_seed + i as u64;
-            let src = cfg.planted.plant(&generate(seed, &cfg.gen));
-            (seed, check_source(&src, cfg, seed), src)
-        });
-
-    let mut clean = 0u64;
-    let mut degraded = 0u64;
-    let mut over_budget = 0u64;
-    let mut overruns = 0u64;
-    let mut demand_queries = 0u64;
-    let mut demand_hits = 0u64;
-    let mut violations = Vec::new();
-    for (seed, f, src) in outcomes {
-        demand_queries += f.demand_queries;
-        demand_hits += f.demand_hits;
-        if f.violations.is_empty() && f.degraded.is_empty() && f.overruns == 0 {
-            clean += 1;
-        }
-        if !f.degraded.is_empty() {
-            degraded += 1;
-        }
-        if f.outcome() == JobOutcome::OverBudget {
-            over_budget += 1;
-        }
-        overruns += f.overruns;
-        for v in f.violations {
-            violations.push(FuzzViolation {
-                seed,
-                kind: v.kind.to_string(),
-                solver: v.solver,
-                detail: v.detail,
-                source: src.clone(),
-                minimized: None,
-            });
-        }
-    }
-
-    // Shrinking re-runs the full differential check per candidate, so
-    // bound the number of minimized repros per campaign; the rest keep
-    // their full source.
-    const MAX_SHRINKS: usize = 5;
-    if cfg.shrink {
-        // Soundness violations get the limited shrink slots first — they
-        // are the findings a human reads — then fixpoint divergences,
-        // then lattice inversions.
-        let rank = |k: &str| match k {
-            "soundness" => 0u8,
-            "divergence" => 1,
-            "incremental" => 2,
-            "lattice" => 3,
-            _ => 4,
-        };
-        let mut order: Vec<usize> = (0..violations.len()).collect();
-        order.sort_by_key(|&i| (rank(&violations[i].kind), violations[i].seed, i));
-        for &vi in order.iter().take(MAX_SHRINKS) {
-            let v = &mut violations[vi];
-            let kind = v.kind.clone();
-            let solver = v.solver.clone();
-            let seed = v.seed;
-            let pred = |s: &str| {
-                check_source(s, cfg, seed)
-                    .violations
-                    .iter()
-                    .any(|f| f.kind == kind && f.solver == solver)
-            };
-            v.minimized = Some(shrink(&v.source, &pred));
-        }
-    }
-
-    FuzzReport {
-        seeds: cfg.seeds,
-        clean,
-        degraded,
-        over_budget,
-        overruns,
-        violations,
-        demand_queries,
-        demand_hits,
-        wall: t.elapsed(),
     }
 }
 
@@ -604,16 +399,13 @@ pub(crate) fn check_source(src: &str, cfg: &FuzzConfig, seed: u64) -> Findings {
     // thousands of programs, so line-keyed dedup is where repetitive
     // corpora pay off — plus per-function structural fingerprints for
     // cross-program function dedup.
-    if cfg.corpus_stats {
-        let idx = alias::fingerprint::GraphIndex::build(&graph);
-        f.func_fps = idx.func_fps.clone();
-        let diags = checker::run_checks(&graph, ci.as_ref(), &ci.callees);
-        f.diag_total = diags.len() as u64;
-        let mut keys: Vec<u64> = diags.iter().map(|d| diag_key(src, d)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        f.diag_keys = keys;
-    }
+    f.func_fps = alias::fingerprint::GraphIndex::build(&graph).func_fps;
+    let diags = checker::run_checks(&graph, ci.as_ref(), &ci.callees);
+    f.diag_total = diags.len() as u64;
+    let mut keys: Vec<u64> = diags.iter().map(|d| diag_key(src, d)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    f.diag_keys = keys;
     lap(&mut f, "step:corpus-stats", &mut clock);
 
     // Property 2 — the precision lattice, coarse ⊇ fine. Note the two
@@ -1026,54 +818,51 @@ fn roundtrip_violation(src: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use suite::generator::generate;
+
+    /// Checks seeds `start..start + seeds` one by one, generated and
+    /// planted as a campaign does. A panicking seed fails the caller.
+    fn check_seeds(start: u64, seeds: u64, cfg: &FuzzConfig) -> Vec<Findings> {
+        (start..start + seeds)
+            .map(|seed| check_source(&cfg.planted.plant(&generate(seed, &cfg.gen)), cfg, seed))
+            .collect()
+    }
+
+    /// Every violation found, as `kind solver detail` lines.
+    fn violations(found: &[Findings]) -> Vec<String> {
+        found
+            .iter()
+            .flat_map(|f| &f.violations)
+            .map(|v| format!("{} {} {}", v.kind, v.solver, v.detail))
+            .collect()
+    }
 
     #[test]
     fn small_campaign_is_clean() {
-        let cfg = FuzzConfig {
-            seeds: 8,
-            threads: 1,
-            ..FuzzConfig::default()
-        };
-        let r = fuzz(&cfg);
-        assert_eq!(r.seeds, 8);
+        let found = check_seeds(0, 8, &FuzzConfig::default());
+        let v = violations(&found);
+        assert!(v.is_empty(), "unexpected violations: {v:?}");
+        let queries: u64 = found.iter().map(|f| f.demand_queries).sum();
+        let hits: u64 = found.iter().map(|f| f.demand_hits).sum();
+        assert!(queries > 0, "demand property never fired");
         assert!(
-            r.violations.is_empty(),
-            "unexpected violations: {:?}",
-            r.violations
-                .iter()
-                .map(|v| format!("{} {} {}", v.kind, v.solver, v.detail))
-                .collect::<Vec<_>>()
-        );
-        let json = r.to_value().render_pretty();
-        assert!(json.contains("\"seeds\": 8"));
-        assert!(json.contains("\"violations\": []"));
-        assert!(r.demand_queries > 0, "demand property never fired");
-        assert!(
-            r.demand_hits > 0,
+            hits > 0,
             "every demand query fell back to the oracle — the property \
              compared the oracle against itself"
         );
-        assert!(json.contains("\"demand_queries\":"));
     }
 
     #[test]
     fn planted_defects_are_flagged_by_every_solver() {
         for planted in PlantedFault::all() {
             let cfg = FuzzConfig {
-                seeds: 3,
-                threads: 1,
-                shrink: false,
                 planted,
                 ..FuzzConfig::default()
             };
-            let r = fuzz(&cfg);
+            let v = violations(&check_seeds(0, 3, &cfg));
             assert!(
-                r.violations.iter().all(|v| v.kind != "checker"),
-                "{planted:?} should be flagged by every solver; got {:?}",
-                r.violations
-                    .iter()
-                    .map(|v| format!("{} {} {}", v.kind, v.solver, v.detail))
-                    .collect::<Vec<_>>()
+                v.iter().all(|v| !v.starts_with("checker ")),
+                "{planted:?} should be flagged by every solver; got {v:?}"
             );
         }
     }
@@ -1107,21 +896,11 @@ mod tests {
         // interleaving oracle, race monotonicity along the lattice) on
         // top of the sequential properties.
         let cfg = FuzzConfig {
-            seeds: 8,
-            threads: 1,
-            shrink: false,
             gen: GenConfig::threaded(),
             ..FuzzConfig::default()
         };
-        let r = fuzz(&cfg);
-        assert!(
-            r.violations.is_empty(),
-            "threaded campaign violations: {:?}",
-            r.violations
-                .iter()
-                .map(|v| format!("{} {} {}", v.kind, v.solver, v.detail))
-                .collect::<Vec<_>>()
-        );
+        let v = violations(&check_seeds(0, 8, &cfg));
+        assert!(v.is_empty(), "threaded campaign violations: {v:?}");
     }
 
     /// A minimal planted race: main and the worker both write `g`
@@ -1157,21 +936,13 @@ mod tests {
         // windows only trip the lattice checks (the faulted CI shrinks
         // below k=1/CS without the trace witnessing the missing path).
         let cfg = FuzzConfig {
-            seeds: 12,
-            start_seed: 50,
-            threads: 1,
-            shrink: false,
             fault: Fault::OverStrongUpdates,
             ..FuzzConfig::default()
         };
-        let r = fuzz(&cfg);
+        let v = violations(&check_seeds(50, 12, &cfg));
         assert!(
-            r.violations.iter().any(|v| v.kind == "soundness"),
-            "planted over-strong-update fault should produce a soundness violation; got {:?}",
-            r.violations
-                .iter()
-                .map(|v| (&v.kind, &v.solver))
-                .collect::<Vec<_>>()
+            v.iter().any(|v| v.starts_with("soundness ")),
+            "planted over-strong-update fault should produce a soundness violation; got {v:?}"
         );
     }
 

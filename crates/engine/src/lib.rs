@@ -61,7 +61,7 @@ pub use campaign::{
     CampaignCase, CampaignConfig, CampaignError, CampaignOutcome, CampaignReport, QuarantineCase,
 };
 pub use check::BenchChecks;
-pub use fuzz::{FuzzConfig, FuzzReport, FuzzViolation, JobOutcome, PlantedFault};
+pub use fuzz::{FuzzConfig, JobOutcome, PlantedFault};
 pub use incremental::{FreshReason, ProgramEntry, SolveMode, SummaryCache};
 pub use report::{BenchmarkReport, CheckMetrics, EngineReport, IncrementalStats, SolverMetrics};
 

@@ -1,15 +1,15 @@
 //! Corpus-scale dedup accounting behind `ruf95 stats`.
 //!
-//! Answers the question the cross-program summary pool (ROADMAP items
-//! 3/4) will be built on, without building the pool: across a
-//! campaign-shaped corpus of generated programs, how many *distinct*
-//! functions are there really? Every program is compiled and lowered,
-//! each function gets its structural fingerprint
+//! Measures program-level reuse: across a campaign-shaped corpus of
+//! generated programs, how many *distinct* functions and checker
+//! diagnostics are there really? Every program is compiled and
+//! lowered, each function gets its structural fingerprint
 //! ([`alias::fingerprint::GraphIndex`]), and checker diagnostics under
 //! the CI solution get their line-keyed dedup keys
 //! (`fuzz::diag_key` — the same key the campaign report
-//! aggregates). The fold reports totals, uniques, and the dedup ratio a
-//! content-addressed pool would realize.
+//! aggregates). The fold reports totals, uniques, and the ratio of the
+//! two: how often the same function or diagnostic recurs, which is the
+//! repetition a content-addressed cache keyed by fingerprint can reuse.
 //!
 //! The corpus is the campaign generator preset by default
 //! ([`GenConfig::campaign`]); the bundled paper suite and threaded
@@ -67,8 +67,8 @@ pub struct CorpusStats {
     /// Distinct function fingerprints.
     pub func_unique: u64,
     /// The most-repeated function fingerprints, `(fingerprint, count)`,
-    /// highest count first — the functions a summary pool would
-    /// summarize once instead of `count` times.
+    /// highest count first — the functions that recur most across
+    /// programs.
     pub func_top: Vec<(u64, u64)>,
     /// Raw checker diagnostics under the CI solution.
     pub diag_total: u64,

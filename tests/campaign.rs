@@ -1,7 +1,7 @@
 //! Campaign-runner integration tests: resume equivalence (a killed
 //! campaign resumed at any cut point produces a byte-identical report),
-//! journal robustness, quarantine end to end, and the campaign-preset
-//! smoke run.
+//! journal robustness, quarantine end to end, the campaign-preset
+//! smoke run, seed-range limits, and thread-count independence.
 
 use engine::campaign::{self, CampaignError};
 use engine::{CampaignConfig, FuzzConfig};
@@ -32,7 +32,6 @@ fn small_cfg(dir: PathBuf) -> CampaignConfig {
                 ..GenConfig::default()
             },
             shrink: false,
-            corpus_stats: true,
             ..FuzzConfig::default()
         },
         max_chunks: None,
@@ -244,6 +243,8 @@ fn campaign_preset_smoke_is_clean_and_collects_corpus_stats() {
     let json = String::from_utf8(report_bytes(&dir)).unwrap();
     assert!(json.contains("\"soundness\": 0"));
     assert!(json.contains("\"quarantined\": 0"));
+    assert!(json.contains("\"cases\": []"));
+    assert!(json.contains("\"demand_queries\":"));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -263,4 +264,59 @@ fn nonsense_configs_are_rejected() {
         Err(CampaignError::Invalid(_))
     ));
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn seed_ranges_past_i64_max_are_rejected() {
+    let dir = test_dir("range");
+    let last = i64::MAX as u64;
+    for (start, seeds) in [
+        (u64::MAX, 2),
+        (u64::MAX, 1),
+        (last, 2),
+        (last + 1, 1),
+        (1, u64::MAX),
+    ] {
+        let mut cfg = small_cfg(dir.clone());
+        cfg.start_seed = start;
+        cfg.seeds = seeds;
+        cfg.chunk = 1;
+        match campaign::run(&cfg) {
+            Err(CampaignError::Invalid(msg)) => assert!(msg.contains("i64::MAX"), "{msg}"),
+            other => panic!("{seeds} seeds from {start}: expected Invalid, got {other:?}"),
+        }
+    }
+    // The largest seed itself runs and is reported as an integer.
+    let mut cfg = small_cfg(dir.clone());
+    cfg.start_seed = last;
+    cfg.seeds = 1;
+    cfg.chunk = 1;
+    let outcome = campaign::run(&cfg).expect("seed i64::MAX runs");
+    assert!(outcome.complete);
+    let json = String::from_utf8(report_bytes(&dir)).unwrap();
+    assert!(json.contains(&format!("\"start_seed\": {last},")), "{json}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn thread_count_does_not_change_the_report() {
+    let run = |threads: usize| {
+        let dir = test_dir(&format!("threads{threads}"));
+        let cfg = CampaignConfig {
+            seeds: 12,
+            chunk: 6,
+            threads,
+            dir: dir.clone(),
+            fuzz: FuzzConfig::default(),
+            ..CampaignConfig::default()
+        };
+        assert!(campaign::run(&cfg).expect("campaign runs").complete);
+        let bytes = report_bytes(&dir);
+        let _ = fs::remove_dir_all(&dir);
+        bytes
+    };
+    assert!(
+        run(1) == run(2),
+        "one and two workers must write byte-identical reports"
+    );
 }

@@ -1,13 +1,70 @@
-//! Integration tests for the differential fuzzing subsystem: the
-//! generator's printer round-trip, a clean multi-threaded campaign, the
-//! planted-bug minimization bound, and the committed regression
-//! fixture a past minimization produced.
+//! Integration tests for the differential fuzzing subsystem, driven
+//! through `engine::campaign::run`: the generator's printer round-trip,
+//! a clean multi-threaded campaign, the planted-bug minimization bound,
+//! and the committed regression fixture a past minimization produced.
 
 use alias::{Fault, SolverSpec};
-use engine::fuzz::fuzz;
-use engine::FuzzConfig;
+use engine::campaign::{self, CampaignOutcome, CampaignReport};
+use engine::{CampaignConfig, FuzzConfig};
+use std::fs;
 use suite::generator::{generate, GenConfig};
 use vdg::build::{lower, BuildOptions};
+
+/// Runs seeds `start..start + seeds` as one campaign chunk on `threads`
+/// workers, in a fresh per-test state directory that is removed again.
+/// The campaign isolates a panicking seed as `crashed`; no test here
+/// expects one, so any crash fails the calling test.
+fn campaign(
+    name: &str,
+    start: u64,
+    seeds: u64,
+    threads: usize,
+    fuzz: FuzzConfig,
+) -> CampaignOutcome {
+    let dir = std::env::temp_dir().join(format!("ruf95-fuzz-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let cfg = CampaignConfig {
+        seeds,
+        start_seed: start,
+        chunk: seeds,
+        threads,
+        dir: dir.clone(),
+        fuzz,
+        ..CampaignConfig::default()
+    };
+    let outcome = campaign::run(&cfg).expect("campaign runs");
+    assert!(outcome.complete, "one chunk completes");
+    let _ = fs::remove_dir_all(&dir);
+    let r = report(&outcome);
+    assert_eq!(
+        r.crashed,
+        0,
+        "seeds panicked: {:?}",
+        r.quarantine
+            .iter()
+            .filter(|q| q.outcome == "crashed")
+            .map(|q| (q.seed, &q.detail))
+            .collect::<Vec<_>>()
+    );
+    outcome
+}
+
+/// Asserts a healthy run quarantined nothing: no seed crashed or ran
+/// over budget.
+fn assert_no_quarantine(r: &CampaignReport) {
+    assert!(
+        r.quarantine.is_empty(),
+        "healthy run quarantined seeds: {:?}",
+        r.quarantine
+            .iter()
+            .map(|q| (q.seed, &q.outcome, &q.detail))
+            .collect::<Vec<_>>()
+    );
+}
+
+fn report(outcome: &CampaignOutcome) -> &CampaignReport {
+    outcome.report.as_ref().expect("complete campaigns report")
+}
 
 /// Generated programs — with and without the recursion / indirect-call
 /// features the fuzzer leans on — survive the pretty-printer
@@ -49,21 +106,38 @@ fn generated_programs_round_trip_and_recompile() {
 /// every generated program.
 #[test]
 fn campaign_over_healthy_solvers_is_clean() {
-    let cfg = FuzzConfig {
-        seeds: 32,
-        threads: 0,
-        ..FuzzConfig::default()
-    };
-    let r = fuzz(&cfg);
+    let outcome = campaign("healthy", 0, 32, 0, FuzzConfig::default());
+    let r = report(&outcome);
     assert_eq!(r.seeds, 32);
-    assert!(
-        r.violations.is_empty(),
+    assert_no_quarantine(r);
+    assert_eq!(
+        r.violations_total,
+        0,
         "differential violations on healthy solvers: {:#?}",
-        r.violations
+        r.cases
             .iter()
-            .map(|v| (v.seed, &v.kind, &v.solver, &v.detail))
+            .map(|c| (&c.seeds, &c.kind, &c.solver, &c.detail))
             .collect::<Vec<_>>()
     );
+}
+
+/// Seed 192 under the planted over-strong-update fault: a soundness
+/// violation whose minimized repro the campaign reports. `name` keeps
+/// concurrently running tests in separate state directories.
+fn planted_seed_192(name: &str) -> (FuzzConfig, engine::CampaignCase) {
+    let fuzz = FuzzConfig {
+        shrink: true,
+        fault: Fault::OverStrongUpdates,
+        ..FuzzConfig::default()
+    };
+    let outcome = campaign(name, 192, 1, 1, fuzz.clone());
+    let case = report(&outcome)
+        .cases
+        .iter()
+        .find(|c| c.kind == "soundness")
+        .expect("planted fault should surface as a soundness violation")
+        .clone();
+    (fuzz, case)
 }
 
 /// The planted over-strong-update fault is caught as a soundness
@@ -71,21 +145,8 @@ fn campaign_over_healthy_solvers_is_clean() {
 /// program to a repro of at most 25 lines.
 #[test]
 fn planted_fault_is_minimized_to_a_small_repro() {
-    let cfg = FuzzConfig {
-        seeds: 1,
-        start_seed: 192,
-        threads: 1,
-        shrink: true,
-        fault: Fault::OverStrongUpdates,
-        ..FuzzConfig::default()
-    };
-    let r = fuzz(&cfg);
-    let v = r
-        .violations
-        .iter()
-        .find(|v| v.kind == "soundness")
-        .expect("planted fault should surface as a soundness violation");
-    let m = v
+    let (_, case) = planted_seed_192("minimized");
+    let m = case
         .minimized
         .as_ref()
         .expect("soundness violations get shrink slots first");
@@ -115,41 +176,50 @@ fn planted_fault_is_minimized_to_a_small_repro() {
 /// advisory counter.
 #[test]
 fn step_budget_exhaustion_is_a_typed_outcome() {
+    let starved = |name: &str, fuzz: FuzzConfig| campaign(name, 0, 3, 1, fuzz);
     // Solver step starvation: CS and k=1 exhaust on every seed.
-    let cfg = FuzzConfig {
-        seeds: 3,
-        threads: 1,
-        shrink: false,
-        max_steps: 1,
-        ..FuzzConfig::default()
-    };
-    let r = fuzz(&cfg);
+    let outcome = starved(
+        "solver-steps",
+        FuzzConfig {
+            shrink: false,
+            max_steps: 1,
+            ..FuzzConfig::default()
+        },
+    );
+    let r = report(&outcome);
     assert_eq!(
         r.over_budget, 3,
         "every step-starved seed must be typed over-budget"
     );
     assert!(r.to_value().render_pretty().contains("\"over_budget\": 3"));
-    assert!(r.summary().contains("over step budget"));
+    assert!(outcome.summary().contains("3 over budget"));
 
     // Interpreter step starvation is the same typed outcome.
-    let cfg = FuzzConfig {
-        seeds: 3,
-        threads: 1,
-        shrink: false,
-        interp_steps: 1,
-        ..FuzzConfig::default()
-    };
-    let r = fuzz(&cfg);
-    assert_eq!(r.over_budget, 3, "interp starvation must be typed too");
+    let outcome = starved(
+        "interp-steps",
+        FuzzConfig {
+            shrink: false,
+            interp_steps: 1,
+            ..FuzzConfig::default()
+        },
+    );
+    assert_eq!(
+        report(&outcome).over_budget,
+        3,
+        "interp starvation must be typed too"
+    );
 
     // A healthy run types every seed as completed.
-    let cfg = FuzzConfig {
-        seeds: 3,
-        threads: 1,
-        shrink: false,
-        ..FuzzConfig::default()
-    };
-    assert_eq!(fuzz(&cfg).over_budget, 0);
+    let outcome = starved(
+        "healthy-steps",
+        FuzzConfig {
+            shrink: false,
+            ..FuzzConfig::default()
+        },
+    );
+    let r = report(&outcome);
+    assert_eq!(r.over_budget, 0);
+    assert_no_quarantine(r);
 }
 
 /// The shrinker's emitted repro is a standalone violating program *and*
@@ -159,32 +229,25 @@ fn step_budget_exhaustion_is_a_typed_outcome() {
 /// minimized text, so both properties are load-bearing.
 #[test]
 fn minimized_repro_still_violates_standalone_and_is_a_shrink_fixpoint() {
-    let cfg = FuzzConfig {
-        seeds: 1,
-        start_seed: 192,
-        threads: 1,
-        shrink: true,
-        fault: Fault::OverStrongUpdates,
-        ..FuzzConfig::default()
-    };
-    let r = fuzz(&cfg);
-    let v = r
-        .violations
-        .iter()
-        .find(|v| v.minimized.is_some())
+    let (fuzz, case) = planted_seed_192("fixpoint");
+    let m = case
+        .minimized
+        .as_ref()
         .expect("the top-ranked violation gets a shrink slot");
-    let m = v.minimized.as_ref().unwrap();
-    let labels = engine::fuzz::check_source_for_test(m, &cfg, v.seed);
+    let seed = case.seeds[0];
+    let labels = engine::fuzz::check_source_for_test(m, &fuzz, seed);
     assert!(
-        labels.iter().any(|(k, s)| *k == v.kind && *s == v.solver),
+        labels
+            .iter()
+            .any(|(k, s)| *k == case.kind && *s == case.solver),
         "minimized repro must reproduce ({}, {}) standalone; got {labels:?}",
-        v.kind,
-        v.solver
+        case.kind,
+        case.solver
     );
     let pred = |s: &str| {
-        engine::fuzz::check_source_for_test(s, &cfg, v.seed)
+        engine::fuzz::check_source_for_test(s, &fuzz, seed)
             .iter()
-            .any(|(k, sv)| *k == v.kind && *sv == v.solver)
+            .any(|(k, sv)| *k == case.kind && *sv == case.solver)
     };
     let again = engine::shrink::shrink(m, &pred);
     assert_eq!(&again, m, "emitted repros must be shrink fixpoints");

@@ -4,8 +4,9 @@
 //!
 //! For every `lookup` (a *use*) this module computes the set of `update`
 //! nodes (*defs*) whose written locations it may observe, by walking the
-//! store dataflow backwards — through gammas, into callees at calls, and
-//! out to call sites at entries — pruning along the way:
+//! store dataflow backwards ([`crate::reach::StoreWalk`]: through gammas,
+//! into callees at calls, and out to call sites at entries), pruning
+//! along the way:
 //!
 //! - an update is a *may-def* for a use referent if one of its written
 //!   paths overlaps the referent (either is a prefix of the other);
@@ -17,12 +18,13 @@
 //! are a client-level measure of analysis precision; the headline
 //! experiment shows up here as identical edge sets under CI and CS.
 
-use crate::fxhash::{HashMap, HashSet};
+use crate::fxhash::HashMap;
 use crate::path::{PathId, PathTable};
+use crate::reach::StoreWalk;
 use crate::solver::Solution;
 use crate::stats::PointsToSolution;
 use std::collections::BTreeSet;
-use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, ValueKind};
+use vdg::graph::{Graph, NodeId, NodeKind, OutputId};
 
 /// Def/use edges: for each lookup node, the update nodes it may observe.
 #[derive(Debug, Clone, Default)]
@@ -58,29 +60,41 @@ pub fn def_use(
     callees: &HashMap<NodeId, Vec<vdg::graph::VFuncId>>,
 ) -> DefUse {
     let paths = sol.path_table();
+    let referents_at = |o: OutputId| sol.pairs_at(o).iter().map(|p| p.referent);
+    let mut walk = StoreWalk::new(graph, callees);
     let mut out = DefUse::default();
     for (node, is_write) in graph.all_mem_ops() {
         if is_write {
             continue;
         }
-        let loc_out = graph.input_src(node, 0);
-        let referents: Vec<PathId> = {
-            let mut v: Vec<PathId> = sol.pairs_at(loc_out).iter().map(|p| p.referent).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let mut referents: Vec<PathId> = referents_at(graph.input_src(node, 0)).collect();
+        referents.sort_unstable();
+        referents.dedup();
         let mut defs = BTreeSet::new();
         for r in referents {
-            walk_defs(
-                graph,
-                sol,
-                paths,
-                callees,
-                graph.input_src(node, 1),
-                r,
-                &mut defs,
-            );
+            walk.walk(graph.input_src(node, 1), |def| {
+                match graph.node(def).kind {
+                    NodeKind::Update { .. } => {
+                        let written: Vec<PathId> = referents_at(graph.input_src(def, 0)).collect();
+                        if written.iter().any(|&w| overlaps(paths, r, w)) {
+                            defs.insert(def);
+                        }
+                        // Strong kill: a definite overwrite of the
+                        // referent ends the walk on this path.
+                        !(written.len() == 1 && paths.strong_dom(written[0], r))
+                    }
+                    NodeKind::CopyMem => {
+                        // Conservative: a weak def of everything under
+                        // its destinations.
+                        if referents_at(graph.input_src(def, 1)).any(|d| overlaps(paths, r, d)) {
+                            defs.insert(def);
+                        }
+                        true
+                    }
+                    // Deallocation defines nothing.
+                    _ => true,
+                }
+            });
         }
         out.uses.insert(node, defs.into_iter().collect());
     }
@@ -109,6 +123,7 @@ pub fn def_use_bases(
     sol: &dyn Solution,
     callees: &HashMap<NodeId, Vec<vdg::graph::VFuncId>>,
 ) -> DefUse {
+    let mut walk = StoreWalk::new(graph, callees);
     let mut out = DefUse::default();
     for (node, is_write) in graph.all_mem_ops() {
         if is_write {
@@ -117,201 +132,21 @@ pub fn def_use_bases(
         let referents = sol.loc_referent_bases(graph, node);
         let mut defs = BTreeSet::new();
         if !referents.is_empty() {
-            walk_defs_bases(
-                graph,
-                sol,
-                callees,
-                graph.input_src(node, 1),
-                &referents,
-                &mut defs,
-            );
+            walk.walk(graph.input_src(node, 1), |def| {
+                let written = match graph.node(def).kind {
+                    NodeKind::Update { .. } => sol.loc_referent_bases(graph, def),
+                    NodeKind::CopyMem => sol.output_referent_bases(graph, graph.input_src(def, 1)),
+                    _ => return true,
+                };
+                if written.iter().any(|x| referents.binary_search(x).is_ok()) {
+                    defs.insert(def);
+                }
+                true
+            });
         }
         out.uses.insert(node, defs.into_iter().collect());
     }
     out
-}
-
-/// Whether two sorted base sets intersect.
-fn bases_intersect(a: &[BaseId], b: &[BaseId]) -> bool {
-    a.iter().any(|x| b.binary_search(x).is_ok())
-}
-
-/// Backward walk over the store dataflow from `store_out`, collecting
-/// stores whose written bases intersect `referents`. No strong kills.
-fn walk_defs_bases(
-    graph: &Graph,
-    sol: &dyn Solution,
-    callees: &HashMap<NodeId, Vec<vdg::graph::VFuncId>>,
-    store_out: OutputId,
-    referents: &[BaseId],
-    defs: &mut BTreeSet<NodeId>,
-) {
-    let mut visited: HashSet<OutputId> = HashSet::default();
-    let mut stack = vec![store_out];
-    while let Some(o) = stack.pop() {
-        if !visited.insert(o) {
-            continue;
-        }
-        debug_assert!(matches!(graph.output(o).kind, ValueKind::Store));
-        let node = graph.output(o).node;
-        match &graph.node(node).kind {
-            NodeKind::Update { .. } => {
-                if bases_intersect(referents, &sol.loc_referent_bases(graph, node)) {
-                    defs.insert(node);
-                }
-                stack.push(graph.input_src(node, 1));
-            }
-            NodeKind::Gamma => {
-                for port in 0..graph.node(node).inputs.len() {
-                    stack.push(graph.input_src(node, port));
-                }
-            }
-            NodeKind::CopyMem => {
-                let dsts = sol.output_referent_bases(graph, graph.input_src(node, 1));
-                if bases_intersect(referents, &dsts) {
-                    defs.insert(node);
-                }
-                stack.push(graph.input_src(node, 0));
-            }
-            NodeKind::Call => {
-                if let Some(fs) = callees.get(&node) {
-                    for f in fs {
-                        for &ret in &graph.func(*f).returns {
-                            stack.push(graph.input_src(ret, 0));
-                        }
-                    }
-                }
-            }
-            NodeKind::Entry { func } => {
-                for (call, fs) in callees {
-                    if fs.contains(func) && graph.has_input(*call, 1) {
-                        stack.push(graph.input_src(*call, 1));
-                    }
-                }
-            }
-            NodeKind::Free => {
-                // Deallocation defines nothing; keep walking the store.
-                stack.push(graph.input_src(node, 1));
-            }
-            NodeKind::InitStore => {}
-            other => {
-                debug_assert!(
-                    false,
-                    "unexpected store producer {other:?} during def/use walk"
-                );
-            }
-        }
-    }
-}
-
-/// Backward walk over the store dataflow from `store_out`, collecting
-/// updates that may define `referent`.
-fn walk_defs(
-    graph: &Graph,
-    sol: &dyn PointsToSolution,
-    paths: &PathTable,
-    callees: &HashMap<NodeId, Vec<vdg::graph::VFuncId>>,
-    store_out: OutputId,
-    referent: PathId,
-    defs: &mut BTreeSet<NodeId>,
-) {
-    let mut visited: HashSet<OutputId> = HashSet::default();
-    let mut stack = vec![store_out];
-    while let Some(o) = stack.pop() {
-        if !visited.insert(o) {
-            continue;
-        }
-        debug_assert!(matches!(graph.output(o).kind, ValueKind::Store));
-        let node = graph.output(o).node;
-        match &graph.node(node).kind {
-            NodeKind::Update { .. } => {
-                // Written paths of this update.
-                let loc_refs: Vec<PathId> = sol
-                    .pairs_at(graph.input_src(node, 0))
-                    .iter()
-                    .map(|p| p.referent)
-                    .collect();
-                let val_offsets: Vec<PathId> = {
-                    let mut v: Vec<PathId> = sol
-                        .pairs_at(graph.input_src(node, 2))
-                        .iter()
-                        .map(|p| p.path)
-                        .collect();
-                    // Scalar writes still define the location itself.
-                    v.push(PathTable::EMPTY);
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                let mut may_def = false;
-                for &lr in &loc_refs {
-                    // The update writes lr (scalar view) and lr+offset for
-                    // each pointer offset of the value; the whole-location
-                    // overlap check covers both.
-                    let _ = &val_offsets;
-                    if overlaps(paths, referent, lr) {
-                        may_def = true;
-                    }
-                }
-                if may_def {
-                    defs.insert(node);
-                }
-                // Strong kill: a definite overwrite of the referent ends
-                // the walk on this path.
-                let killed = loc_refs.len() == 1 && paths.strong_dom(loc_refs[0], referent);
-                if !killed {
-                    stack.push(graph.input_src(node, 1));
-                }
-            }
-            NodeKind::Gamma => {
-                for port in 0..graph.node(node).inputs.len() {
-                    stack.push(graph.input_src(node, port));
-                }
-            }
-            NodeKind::CopyMem => {
-                // Conservative: treat as a weak def of everything under
-                // its destinations and keep walking.
-                let dsts: Vec<PathId> = sol
-                    .pairs_at(graph.input_src(node, 1))
-                    .iter()
-                    .map(|p| p.referent)
-                    .collect();
-                if dsts.iter().any(|&d| overlaps(paths, referent, d)) {
-                    defs.insert(node);
-                }
-                stack.push(graph.input_src(node, 0));
-            }
-            NodeKind::Call => {
-                // The call's store output comes from its callees' returns.
-                if let Some(fs) = callees.get(&node) {
-                    for f in fs {
-                        for &ret in &graph.func(*f).returns {
-                            stack.push(graph.input_src(ret, 0));
-                        }
-                    }
-                }
-            }
-            NodeKind::Entry { func } => {
-                // The entry store comes from every call site of `func`.
-                for (call, fs) in callees {
-                    if fs.contains(func) && graph.has_input(*call, 1) {
-                        stack.push(graph.input_src(*call, 1));
-                    }
-                }
-            }
-            NodeKind::Free => {
-                // Deallocation defines nothing; keep walking the store.
-                stack.push(graph.input_src(node, 1));
-            }
-            NodeKind::InitStore => {}
-            other => {
-                debug_assert!(
-                    false,
-                    "unexpected store producer {other:?} during def/use walk"
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -319,6 +154,7 @@ mod tests {
     use super::*;
     use crate::ci::{analyze_ci, CiConfig};
     use vdg::build::{lower, BuildOptions};
+    use vdg::graph::ValueKind;
 
     fn pipeline(src: &str) -> (Graph, crate::ci::CiResult, DefUse) {
         let p = cfront::compile(src).expect("compiles");

@@ -43,6 +43,7 @@ pub mod fxhash;
 pub mod modref;
 pub mod pairset;
 pub mod path;
+pub mod reach;
 pub mod solver;
 pub mod stats;
 pub mod steensgaard;

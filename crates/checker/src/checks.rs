@@ -13,9 +13,10 @@ use crate::{CheckKind, Diagnostic, Severity};
 use alias::defuse::def_use_bases;
 use alias::fxhash::HashMap;
 use alias::modref::node_owner_map;
+use alias::reach::StoreWalk;
 use alias::Solution;
 use std::collections::{BTreeSet, HashSet};
-use vdg::graph::{BaseId, BaseKind, Graph, NodeId, NodeKind, OutputId, VFuncId, ValueKind};
+use vdg::graph::{BaseId, BaseKind, Graph, NodeId, NodeKind, OutputId, VFuncId};
 
 /// Runs every checker over `graph` under `sol`.
 ///
@@ -31,8 +32,9 @@ pub fn run_checks(
     callees: &HashMap<NodeId, Vec<VFuncId>>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    check_use_after_free(graph, sol, callees, &mut diags);
-    check_double_free(graph, sol, callees, &mut diags);
+    let mut walk = StoreWalk::new(graph, callees);
+    check_use_after_free(graph, sol, &mut walk, &mut diags);
+    check_double_free(graph, sol, &mut walk, &mut diags);
     check_dangling_local(graph, sol, &mut diags);
     check_uninit_and_dead(graph, sol, callees, &mut diags);
     check_null_deref(graph, sol, &mut diags);
@@ -63,61 +65,34 @@ fn heap_referents(graph: &Graph, sol: &dyn Solution, out: OutputId) -> Vec<BaseI
         .collect()
 }
 
-/// Backward walk over the store dataflow from `store_out`, collecting
-/// every [`NodeKind::Free`] on some path. This is the same traversal
-/// discipline as the def/use walk — through gammas, into callees at
-/// calls, out to call sites at entries — with no strong kills: an
-/// intervening store does not resurrect a freed object, so updates
-/// never terminate the walk.
-fn frees_reaching(
+/// The heap objects some `free` on a store path reaching `node` may
+/// have deallocated, intersected with `bases` (sorted): one entry per
+/// such `free`, in node order. The walk never stops at a store, since
+/// an intervening store does not resurrect a freed object.
+fn freed_earlier(
     graph: &Graph,
-    callees: &HashMap<NodeId, Vec<VFuncId>>,
-    store_out: OutputId,
-) -> Vec<NodeId> {
+    sol: &dyn Solution,
+    walk: &mut StoreWalk,
+    node: NodeId,
+    bases: &[BaseId],
+) -> Vec<(NodeId, Vec<BaseId>)> {
     let mut frees = BTreeSet::new();
-    let mut visited: HashSet<OutputId> = HashSet::new();
-    let mut stack = vec![store_out];
-    while let Some(o) = stack.pop() {
-        if !visited.insert(o) {
-            continue;
+    walk.walk(graph.input_src(node, 1), |n| {
+        if matches!(graph.node(n).kind, NodeKind::Free) {
+            frees.insert(n);
         }
-        debug_assert!(matches!(graph.output(o).kind, ValueKind::Store));
-        let node = graph.output(o).node;
-        match &graph.node(node).kind {
-            NodeKind::Update { .. } => stack.push(graph.input_src(node, 1)),
-            NodeKind::Gamma => {
-                for port in 0..graph.node(node).inputs.len() {
-                    stack.push(graph.input_src(node, port));
-                }
-            }
-            NodeKind::CopyMem => stack.push(graph.input_src(node, 0)),
-            NodeKind::Call => {
-                if let Some(fs) = callees.get(&node) {
-                    for f in fs {
-                        for &ret in &graph.func(*f).returns {
-                            stack.push(graph.input_src(ret, 0));
-                        }
-                    }
-                }
-            }
-            NodeKind::Entry { func } => {
-                for (call, fs) in callees {
-                    if fs.contains(func) && graph.has_input(*call, 1) {
-                        stack.push(graph.input_src(*call, 1));
-                    }
-                }
-            }
-            NodeKind::Free => {
-                frees.insert(node);
-                stack.push(graph.input_src(node, 1));
-            }
-            NodeKind::InitStore => {}
-            other => {
-                debug_assert!(false, "unexpected store producer {other:?} in free walk");
-            }
-        }
-    }
-    frees.into_iter().collect()
+        true
+    });
+    frees
+        .into_iter()
+        .filter_map(|free| {
+            let hit: Vec<BaseId> = heap_referents(graph, sol, graph.input_src(free, 0))
+                .into_iter()
+                .filter(|b| bases.binary_search(b).is_ok())
+                .collect();
+            (!hit.is_empty()).then_some((free, hit))
+        })
+        .collect()
 }
 
 /// use-after-free: a memory op whose location may name a heap object
@@ -125,37 +100,23 @@ fn frees_reaching(
 fn check_use_after_free(
     graph: &Graph,
     sol: &dyn Solution,
-    callees: &HashMap<NodeId, Vec<VFuncId>>,
+    walk: &mut StoreWalk,
     diags: &mut Vec<Diagnostic>,
 ) {
     for (node, is_write) in graph.all_mem_ops() {
         let Some(site) = graph.node(node).site else {
             continue;
         };
-        let loc_bases = sol.loc_referent_bases(graph, node);
-        let heap_bases: Vec<BaseId> = loc_bases
-            .iter()
-            .copied()
+        let heap_bases: Vec<BaseId> = sol
+            .loc_referent_bases(graph, node)
+            .into_iter()
             .filter(|&b| matches!(graph.base(b).kind, BaseKind::Heap { .. }))
             .collect();
         if heap_bases.is_empty() {
             continue;
         }
-        let mut witness = Vec::new();
-        let mut related = Vec::new();
-        for free in frees_reaching(graph, callees, graph.input_src(node, 1)) {
-            let killed = heap_referents(graph, sol, graph.input_src(free, 0));
-            let hit: Vec<BaseId> = killed
-                .iter()
-                .copied()
-                .filter(|b| heap_bases.binary_search(b).is_ok())
-                .collect();
-            if !hit.is_empty() {
-                witness.push(format!("may free {}", base_names(graph, &hit)));
-                related.push(graph.node(free).span);
-            }
-        }
-        if !witness.is_empty() {
+        let freed = freed_earlier(graph, sol, walk, node, &heap_bases);
+        if !freed.is_empty() {
             let verb = if is_write { "write to" } else { "read of" };
             diags.push(Diagnostic {
                 kind: CheckKind::UseAfterFree,
@@ -165,8 +126,11 @@ fn check_use_after_free(
                 site,
                 span: graph.node(node).span,
                 message: format!("{verb} heap object possibly freed earlier"),
-                witness,
-                related_spans: related,
+                witness: freed
+                    .iter()
+                    .map(|(_, hit)| format!("may free {}", base_names(graph, hit)))
+                    .collect(),
+                related_spans: freed.iter().map(|&(f, _)| graph.node(f).span).collect(),
                 related_sites: Vec::new(),
             });
         }
@@ -178,7 +142,7 @@ fn check_use_after_free(
 fn check_double_free(
     graph: &Graph,
     sol: &dyn Solution,
-    callees: &HashMap<NodeId, Vec<VFuncId>>,
+    walk: &mut StoreWalk,
     diags: &mut Vec<Diagnostic>,
 ) {
     for (node, n) in graph.nodes() {
@@ -190,21 +154,8 @@ fn check_double_free(
         if own.is_empty() {
             continue;
         }
-        let mut witness = Vec::new();
-        let mut related = Vec::new();
-        for earlier in frees_reaching(graph, callees, graph.input_src(node, 1)) {
-            let killed = heap_referents(graph, sol, graph.input_src(earlier, 0));
-            let hit: Vec<BaseId> = killed
-                .iter()
-                .copied()
-                .filter(|b| own.binary_search(b).is_ok())
-                .collect();
-            if !hit.is_empty() {
-                witness.push(format!("already freed {}", base_names(graph, &hit)));
-                related.push(graph.node(earlier).span);
-            }
-        }
-        if !witness.is_empty() {
+        let freed = freed_earlier(graph, sol, walk, node, &own);
+        if !freed.is_empty() {
             diags.push(Diagnostic {
                 kind: CheckKind::DoubleFree,
                 severity: Severity::Error,
@@ -213,8 +164,11 @@ fn check_double_free(
                 site,
                 span: n.span,
                 message: "heap object possibly freed twice".to_string(),
-                witness,
-                related_spans: related,
+                witness: freed
+                    .iter()
+                    .map(|(_, hit)| format!("already freed {}", base_names(graph, hit)))
+                    .collect(),
+                related_spans: freed.iter().map(|&(f, _)| graph.node(f).span).collect(),
                 related_sites: Vec::new(),
             });
         }

@@ -11,9 +11,11 @@
 //! The checkers:
 //!
 //! - **use-after-free** — a memory access whose backward store walk
-//!   reaches a `free` of an overlapping heap object (the `Free` node's
-//!   pointer referents act as a kill-set threaded through the store,
-//!   analogous to strong-update location sets);
+//!   ([`alias::reach::StoreWalk`], which reaches a function's call sites
+//!   through the callee map inverted once) reaches a `free` of an
+//!   overlapping heap object (the `Free` node's pointer referents act as
+//!   a kill-set threaded through the store, analogous to strong-update
+//!   location sets);
 //! - **double-free** — a `free` whose walk reaches an earlier `free`
 //!   of an overlapping heap object;
 //! - **dangling-local** — the address of a local escaping its frame,
@@ -28,7 +30,8 @@
 //! - **data-race** — conflicting accesses from threads the VDG's
 //!   may-happen-in-parallel relation says can run concurrently, found
 //!   by intersecting per-thread transitive mod/ref footprints
-//!   ([`race`]).
+//!   ([`race`], closed over the call graph by
+//!   [`alias::reach::close_over_calls`], as mod/ref is).
 //!
 //! Every diagnostic is anchored to a [`cfront::Span`] and an AST site,
 //! which is what makes the **oracle labeling** possible: the

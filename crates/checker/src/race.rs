@@ -34,6 +34,7 @@
 use crate::{CheckKind, Diagnostic, Severity};
 use alias::fxhash::HashMap;
 use alias::modref::node_owner_map;
+use alias::reach::close_over_calls;
 use alias::Solution;
 use cfront::ast::ExprId;
 use cfront::source::Span;
@@ -204,49 +205,24 @@ fn collect_accesses(graph: &Graph, sol: &dyn Solution) -> Vec<Access> {
     out
 }
 
-/// Per-function transitive access footprints (indices into `accesses`),
-/// a worklist fixpoint over the solver-discovered call graph:
-/// `footprint(f) = own(f) ∪ ⋃ footprint(callee)` for every call node of
-/// `f`. Cycles converge because the sets only grow.
+/// Per-function transitive access footprints (indices into `accesses`):
+/// `footprint(f) = own(f) ∪ ⋃ footprint(callee)` over the
+/// solver-discovered call graph ([`alias::reach::close_over_calls`]).
 fn footprints(
     graph: &Graph,
     callees: &HashMap<NodeId, Vec<VFuncId>>,
     accesses: &[Access],
     owner: &[VFuncId],
 ) -> Vec<BTreeSet<u32>> {
-    let nf = graph.func_count();
-    let mut fp: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); nf];
+    let mut fp: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); graph.func_count()];
     for (idx, a) in accesses.iter().enumerate() {
         fp[owner[a.node.0 as usize].0 as usize].insert(idx as u32);
     }
-    let mut call_edges: Vec<Vec<VFuncId>> = vec![Vec::new(); nf];
-    for (node, n) in graph.nodes() {
-        if matches!(n.kind, NodeKind::Call) {
-            if let Some(fs) = callees.get(&node) {
-                call_edges[owner[node.0 as usize].0 as usize].extend(fs.iter().copied());
-            }
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for f in 0..nf {
-            for g in call_edges[f].clone() {
-                if g.0 as usize == f {
-                    continue;
-                }
-                let add: Vec<u32> = fp[g.0 as usize]
-                    .iter()
-                    .copied()
-                    .filter(|x| !fp[f].contains(x))
-                    .collect();
-                if !add.is_empty() {
-                    fp[f].extend(add);
-                    changed = true;
-                }
-            }
-        }
-    }
+    close_over_calls(callees, owner, &mut fp, |into, from| {
+        let before = into.len();
+        into.extend(from);
+        into.len() != before
+    });
     fp
 }
 

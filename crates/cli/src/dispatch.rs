@@ -567,17 +567,25 @@ pub fn cmd_campaign(cx: &crate::Ctx) -> Result<(), String> {
         progress: !cx.flags.has("quiet"),
     };
     let outcome = engine::campaign::run(&cfg).map_err(|e| e.to_string())?;
-    print!("{}", outcome.summary());
+    let mut summary = outcome.summary();
+    if let Some(report) = &outcome.report {
+        summary += &format!("report: {}\n", outcome.report_path.display());
+        if !report.quarantine.is_empty() {
+            summary += &format!("quarantine: {}\n", outcome.quarantine_dir.display());
+        }
+    }
+    // With `--json`, stdout carries the report alone so it parses.
+    if cx.flags.has("json") {
+        eprint!("{summary}");
+        if let Some(report) = &outcome.report {
+            println!("{}", report.to_value().render_pretty());
+        }
+    } else {
+        print!("{summary}");
+    }
     let Some(report) = &outcome.report else {
         return Ok(());
     };
-    println!("report: {}", outcome.report_path.display());
-    if !report.quarantine.is_empty() {
-        println!("quarantine: {}", outcome.quarantine_dir.display());
-    }
-    if cx.flags.has("json") {
-        println!("{}", report.to_value().render_pretty());
-    }
     let bad = report.violations_total > 0 || !report.quarantine.is_empty();
     if bad {
         Err(format!(

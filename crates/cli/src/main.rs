@@ -196,7 +196,7 @@ const COMMANDS: &[Command] = &[
             "--threaded       spawn-heavy preset: race soundness/monotonicity per seed",
             "--no-shrink      skip quarantine/counterexample minimisation",
             "--quiet          no per-chunk progress on stderr",
-            "--json           also print the final report JSON to stdout",
+            "--json           print only the final report JSON to stdout (summary to stderr)",
         ],
         value_flags: &[
             "seeds",
@@ -677,7 +677,7 @@ fn cmd_stats(cx: &Ctx) -> Result<(), String> {
         include_suite: cx.flags.has("suite"),
         threads: cx.flags.get_parsed("threads", 0)?,
     };
-    let s = engine::stats::collect(&cfg);
+    let s = engine::stats::collect(&cfg)?;
     if cx.flags.has("json") {
         println!("{}", s.to_value().render_pretty());
     } else {

@@ -201,8 +201,8 @@ fn every_json_output_parses_even_with_a_hostile_file_name() {
             panic!("{args:?}: stdout is not JSON ({e}):\n{out}");
         }
     }
-    // `campaign --json` prints its summary first, so parse the report
-    // it writes to `--out`.
+    // `campaign --json` puts its summary on stderr: both its stdout and
+    // the report it writes to `--out` parse.
     let state = dir.join("campaign");
     let report = dir.join("report \"x\".json");
     let (out, err, ok) = ruf95(&[
@@ -221,11 +221,35 @@ fn every_json_output_parses_even_with_a_hostile_file_name() {
         report.to_str().unwrap(),
     ]);
     assert!(ok, "campaign: {out}\n{err}");
+    if let Err(e) = proto::json::Value::parse(&out) {
+        panic!("campaign stdout is not JSON ({e}):\n{out}");
+    }
+    assert!(err.contains("report: "), "summary goes to stderr: {err}");
     let text = std::fs::read_to_string(&report).expect("campaign writes --out");
     if let Err(e) = proto::json::Value::parse(&text) {
         panic!("campaign --out is not JSON ({e}):\n{text}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stats_rejects_a_seed_range_past_i64_max() {
+    // Two seeds from u64::MAX would wrap to seed 0; one past i64::MAX
+    // would not fit a JSON integer. Both are refused, as by `campaign`.
+    for start in ["18446744073709551615", "9223372036854775807"] {
+        let args = [
+            "stats",
+            "--start-seed",
+            start,
+            "--seeds",
+            "2",
+            "--threads",
+            "1",
+        ];
+        let (out, err, ok) = ruf95(&args);
+        assert!(!ok, "{args:?} must fail: {out}");
+        assert!(err.contains("i64::MAX"), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -409,6 +409,19 @@ impl CampaignOutcome {
     }
 }
 
+/// Rejects a seed range that runs past `i64::MAX`. Seeds are journaled
+/// and reported as JSON integers, which stop there; the bound also keeps
+/// every `start_seed + i` below `u64::MAX`.
+pub fn check_seed_range(start_seed: u64, seeds: u64) -> Result<(), String> {
+    let last_seed = start_seed.checked_add(seeds.saturating_sub(1));
+    if last_seed.is_none_or(|last| last > i64::MAX as u64) {
+        return Err(format!(
+            "{seeds} seeds from {start_seed} run past the largest seed, i64::MAX"
+        ));
+    }
+    Ok(())
+}
+
 /// Runs (or resumes) a campaign. See the module docs for the contract;
 /// the short version: chunked, journaled, panic-isolated, and the final
 /// report is a deterministic fold over the journal.
@@ -420,15 +433,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignOutcome, CampaignError> {
     if cfg.chunk == 0 {
         return Err(CampaignError::Invalid("chunk must be positive".into()));
     }
-    // Seeds are journaled and reported as JSON integers, which stop at
-    // `i64::MAX`; the bound also keeps every seed sum below `u64::MAX`.
-    let last_seed = cfg.start_seed.checked_add(cfg.seeds - 1);
-    if last_seed.is_none_or(|last| last > i64::MAX as u64) {
-        return Err(CampaignError::Invalid(format!(
-            "{} seeds from {} run past the largest seed, i64::MAX",
-            cfg.seeds, cfg.start_seed
-        )));
-    }
+    check_seed_range(cfg.start_seed, cfg.seeds).map_err(CampaignError::Invalid)?;
     let threads = if cfg.threads == 0 {
         pool::auto_threads()
     } else {

@@ -156,8 +156,11 @@ fn scan(src: &str) -> Option<(Vec<u64>, Vec<u64>)> {
 }
 
 /// Runs the corpus scan: generated seeds in parallel, the optional
-/// suite fold-in, then one deterministic aggregation pass.
-pub fn collect(cfg: &StatsConfig) -> CorpusStats {
+/// suite fold-in, then one deterministic aggregation pass. A seed range
+/// that runs past `i64::MAX` is rejected, as a campaign's is
+/// ([`crate::campaign::check_seed_range`]).
+pub fn collect(cfg: &StatsConfig) -> Result<CorpusStats, String> {
+    crate::campaign::check_seed_range(cfg.start_seed, cfg.seeds)?;
     let threads = if cfg.threads == 0 {
         pool::auto_threads()
     } else {
@@ -203,7 +206,7 @@ pub fn collect(cfg: &StatsConfig) -> CorpusStats {
     top.truncate(5);
     top.retain(|(_, n)| *n > 1);
     s.func_top = top;
-    s
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -217,7 +220,7 @@ mod tests {
             threads: 1,
             ..StatsConfig::default()
         };
-        let s = collect(&cfg);
+        let s = collect(&cfg).expect("seed range fits");
         assert_eq!(s.programs, 12);
         assert_eq!(s.skipped, 0, "campaign preset programs always compile");
         assert!(s.func_total > 0 && s.func_unique > 0);
@@ -243,8 +246,8 @@ mod tests {
             threads: 2,
             ..StatsConfig::default()
         };
-        let a = collect(&cfg);
-        let b = collect(&cfg);
+        let a = collect(&cfg).expect("seed range fits");
+        let b = collect(&cfg).expect("seed range fits");
         // 13 paper programs + 7 litmus programs on top of the seeds.
         assert_eq!(a.programs, 4 + 13 + 7);
         assert_eq!(a.skipped, 0, "every bundled program compiles");

@@ -15,6 +15,12 @@
 //! fixpoint may move only the schedule columns it names in advance. A
 //! `-` marks a counter the solver does not report.
 //!
+//! After each program's five rows come four rows of the other
+//! schedules the worklist driver runs: the naive discipline of CI,
+//! Weihl and k1 (`ci@naive`, `weihl@naive`, `k1@naive`; property 3 of
+//! the campaign re-solves through it) and CI under
+//! `WorklistOrder::Lifo` (`ci@lifo`).
+//!
 //! After an intentional schedule change, refresh with:
 //!
 //! ```text
@@ -24,6 +30,7 @@
 mod schedule_programs;
 
 use alias::solver::{all_solvers, Solution};
+use alias::{Propagation, SolverSpec, WorklistOrder};
 use schedule_programs::programs;
 use std::path::PathBuf;
 use vdg::build::{lower, BuildOptions};
@@ -38,12 +45,12 @@ fn cell<T: ToString>(v: Option<T>) -> String {
     v.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
-fn row(name: &str, sol: &dyn Solution) -> String {
+fn row(name: &str, solver: &str, sol: &dyn Solution) -> String {
     let k1 = sol.as_k1();
     let cs = sol.as_cs();
     [
         name.to_string(),
-        sol.analysis().to_string(),
+        solver.to_string(),
         cell(sol.flow_ins()),
         cell(sol.flow_outs()),
         cell(sol.dedup_hits()),
@@ -62,15 +69,28 @@ fn rows(name: &str, src: &str) -> Vec<String> {
     let g = lower(&prog, &BuildOptions::default())
         .unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
     let ci = alias::ci::analyze_ci(&g, &alias::ci::CiConfig::default());
-    all_solvers()
+    let mut out: Vec<String> = all_solvers()
         .iter()
         .map(|s| {
             let sol = s
                 .solve(&g, Some(&ci))
                 .unwrap_or_else(|e| panic!("{name}: {}: {e:?}", s.name()));
-            row(name, sol.as_ref())
+            row(name, sol.analysis(), sol.as_ref())
         })
-        .collect()
+        .collect();
+    let naive = |spec: SolverSpec| spec.propagation(Propagation::Naive);
+    for (label, spec) in [
+        ("ci@naive", naive(SolverSpec::ci())),
+        ("weihl@naive", naive(SolverSpec::weihl())),
+        ("k1@naive", naive(SolverSpec::k1())),
+        ("ci@lifo", SolverSpec::ci().order(WorklistOrder::Lifo)),
+    ] {
+        let sol = spec
+            .solve(&g, Some(&ci))
+            .unwrap_or_else(|e| panic!("{name}: {label}: {e:?}"));
+        out.push(row(name, label, sol.as_ref()));
+    }
+    out
 }
 
 #[test]

@@ -26,12 +26,16 @@
 //! the call-string partition never combines them in the first place.
 //! Such unsatisfiably-qualified pairs survive stripping inside the
 //! procedure even though they are filtered at every return.
+//!
+//! It runs on the worklist driver shared with CI and Weihl
+//! (`worklist.rs`); its slots are (output, context) pairs.
 
+use crate::ci::WorklistOrder;
 use crate::cs::span;
 use crate::fxhash::{HashMap, HashSet};
-use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
+use crate::pairset::{PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use std::collections::VecDeque;
+use crate::worklist::{self, Slots, Worklist};
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
 /// A length-1 call string: the immediate call site, or the root.
@@ -55,10 +59,6 @@ struct CtxSlots(Vec<(Ctx, PairSet)>);
 impl CtxSlots {
     fn get(&self, ctx: Ctx) -> Option<&PairSet> {
         self.0.iter().find(|(c, _)| *c == ctx).map(|(_, s)| s)
-    }
-
-    fn get_mut(&mut self, ctx: Ctx) -> Option<&mut PairSet> {
-        self.0.iter_mut().find(|(c, _)| *c == ctx).map(|(_, s)| s)
     }
 
     /// Find-or-insert the set for `ctx`.
@@ -86,7 +86,8 @@ impl CtxSlots {
 pub struct CallStringConfig {
     /// Perform strong updates (as the paper's solvers do).
     pub strong_updates: bool,
-    /// Abort after this many transfer applications.
+    /// Abort once the fixpoint needs more than this many transfer
+    /// applications.
     pub max_steps: u64,
     /// Propagation discipline (results are discipline-independent).
     pub propagation: Propagation,
@@ -164,8 +165,10 @@ impl crate::stats::PointsToSolution for CallStringResult {
 ///
 /// # Errors
 ///
-/// Returns [`crate::cs::StepLimitExceeded`] when the step budget runs
-/// out.
+/// Returns [`crate::cs::StepLimitExceeded`] when the fixpoint needs
+/// more than [`CallStringConfig::max_steps`] deliveries. The driver
+/// checks the budget before each worklist pop, so under the delta
+/// discipline the solve stops at most one batch past the budget.
 pub fn analyze_callstring(
     graph: &Graph,
     config: &CallStringConfig,
@@ -190,7 +193,12 @@ pub fn analyze_callstring_from(
     for f in graph.func_ids() {
         s.activate(f, Ctx::ROOT);
     }
-    s.run()?;
+    worklist::run(&mut s);
+    if s.wl.exhausted() || s.wl.counters.flow_ins > config.max_steps {
+        return Err(crate::cs::StepLimitExceeded {
+            steps: config.max_steps,
+        });
+    }
     Ok(s.finish())
 }
 
@@ -227,17 +235,10 @@ struct K1<'g> {
     paths: PathTable,
     /// Length of the starting path table; `finish` keeps these paths.
     start_paths: usize,
-    interner: PairInterner,
+    /// The driver state, over (output, context) slots.
+    wl: Worklist<(OutputId, Ctx)>,
     /// Per output: context -> pairs.
     p: Vec<CtxSlots>,
-    /// Naive-mode worklist: single-pair deliveries.
-    naive_wl: VecDeque<(InputId, Ctx, PairId)>,
-    /// Delta-mode worklist: (output, context) slots with a delta. A slot
-    /// is queued exactly when its set has a pending delta and its output
-    /// has consumers, so the delta is the queued flag.
-    out_wl: VecDeque<(u32, Ctx)>,
-    /// Reusable emission buffer (one delivery at a time).
-    em: Vec<(OutputId, Ctx, Pair)>,
     /// See [`activation_index`].
     act_nodes: Vec<NodeId>,
     act_start: Vec<usize>,
@@ -247,35 +248,26 @@ struct K1<'g> {
     call_ctxs: HashMap<NodeId, HashSet<Ctx>>,
     callees: HashMap<NodeId, Vec<VFuncId>>,
     callers: HashMap<VFuncId, Vec<NodeId>>,
-    flow_ins: u64,
-    flow_outs: u64,
-    dedup_hits: u64,
-    delta_batches: u64,
 }
 
 impl<'g> K1<'g> {
     fn new(g: &'g Graph, paths: PathTable, cfg: &CallStringConfig) -> Self {
         let (act_nodes, act_start) = activation_index(g);
+        let mut wl = Worklist::new(cfg.propagation, WorklistOrder::Fifo);
+        wl.step_limit = cfg.max_steps;
         K1 {
             g,
             cfg: cfg.clone(),
             start_paths: paths.len(),
             paths,
-            interner: PairInterner::new(),
+            wl,
             p: vec![CtxSlots::default(); g.output_count()],
-            naive_wl: VecDeque::new(),
-            out_wl: VecDeque::new(),
-            em: Vec::new(),
             act_nodes,
             act_start,
             active: HashMap::default(),
             call_ctxs: HashMap::default(),
             callees: HashMap::default(),
             callers: HashMap::default(),
-            flow_ins: 0,
-            flow_outs: 0,
-            dedup_hits: 0,
-            delta_batches: 0,
         }
     }
 
@@ -293,7 +285,7 @@ impl<'g> K1<'g> {
             let n = g.node(self.act_nodes[i]);
             if let NodeKind::Base(b) | NodeKind::Alloc(b) | NodeKind::FuncConst(b) = n.kind {
                 let root = self.paths.base_root(b);
-                self.flow_out(n.outputs[0], ctx, Pair::new(PathTable::EMPTY, root));
+                worklist::commit(self, (n.outputs[0], ctx), Pair::new(PathTable::EMPTY, root));
             }
         }
         let mut em = Vec::new();
@@ -303,110 +295,18 @@ impl<'g> K1<'g> {
                 self.note_caller_ctx(id, ctx, &mut em);
             }
         }
-        for (o, c, p) in em {
-            self.flow_out(o, c, p);
+        for (key, p) in em {
+            worklist::commit(self, key, p);
         }
-    }
-
-    fn flow_out(&mut self, out: OutputId, ctx: Ctx, pair: Pair) {
-        let g = self.g;
-        let id = self.interner.intern(pair);
-        let slot = self.p[out.0 as usize].slot(ctx);
-        let queued = slot.has_delta();
-        if !slot.insert(id) {
-            self.dedup_hits += 1;
-            return;
-        }
-        self.flow_outs += 1;
-        match self.cfg.propagation {
-            Propagation::Naive => {
-                slot.take_delta();
-                for &input in g.consumers(out) {
-                    self.naive_wl.push_back((input, ctx, id));
-                }
-            }
-            Propagation::Delta => {
-                if !queued && !g.consumers(out).is_empty() {
-                    self.out_wl.push_back((out.0, ctx));
-                }
-            }
-        }
-    }
-
-    fn run(&mut self) -> Result<(), crate::cs::StepLimitExceeded> {
-        match self.cfg.propagation {
-            Propagation::Naive => self.run_naive(),
-            Propagation::Delta => self.run_delta(),
-        }
-    }
-
-    fn run_naive(&mut self) -> Result<(), crate::cs::StepLimitExceeded> {
-        while let Some((input, ctx, id)) = self.naive_wl.pop_front() {
-            self.flow_ins += 1;
-            if self.flow_ins > self.cfg.max_steps {
-                return Err(crate::cs::StepLimitExceeded {
-                    steps: self.cfg.max_steps,
-                });
-            }
-            let pair = self.interner.resolve(id);
-            let info = self.g.input(input);
-            self.deliver(info.node, info.port as usize, ctx, pair);
-        }
-        Ok(())
-    }
-
-    fn run_delta(&mut self) -> Result<(), crate::cs::StepLimitExceeded> {
-        while let Some((o, ctx)) = self.out_wl.pop_front() {
-            let batch = self.p[o as usize]
-                .get_mut(ctx)
-                .expect("queued slot has a set")
-                .take_delta();
-            let g = self.g;
-            for &input in g.consumers(OutputId(o)) {
-                self.delta_batches += 1;
-                let info = g.input(input);
-                for &raw in &batch {
-                    self.flow_ins += 1;
-                    if self.flow_ins > self.cfg.max_steps {
-                        return Err(crate::cs::StepLimitExceeded {
-                            steps: self.cfg.max_steps,
-                        });
-                    }
-                    let pair = self.interner.resolve(PairId(raw));
-                    self.deliver(info.node, info.port as usize, ctx, pair);
-                }
-            }
-            if let Some(set) = self.p[o as usize].get_mut(ctx) {
-                set.recycle(batch);
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the transfer function for one delivered pair and flows
-    /// the emissions out, reusing the solver's emission buffer.
-    fn deliver(&mut self, node: NodeId, port: usize, ctx: Ctx, pair: Pair) {
-        let mut em = std::mem::take(&mut self.em);
-        self.transfer(node, port, ctx, pair, &mut em);
-        for &(out, c, p) in &em {
-            self.flow_out(out, c, p);
-        }
-        em.clear();
-        self.em = em;
     }
 
     fn finish(self) -> CallStringResult {
         let K1 {
             paths,
             start_paths,
-            interner,
+            wl,
             p,
             active,
-            cfg,
-            flow_ins,
-            flow_outs,
-            dedup_hits,
-            delta_batches,
             ..
         } = self;
         let contexts = active.values().map(|c| c.len()).sum();
@@ -419,12 +319,14 @@ impl<'g> K1<'g> {
         pair_start.push(0);
         for m in &p {
             for (_, set) in m.iter() {
-                pairs.extend(set.iter().map(|id| interner.resolve(id)));
+                pairs.extend(set.iter().map(|id| wl.interner.resolve(id)));
             }
             pair_start.push(pairs.len());
         }
         drop(p);
-        drop(interner);
+        let c = wl.counters;
+        let delta_batches = wl.delta_batches();
+        drop(wl);
         // Canonical ids over the starting table plus the used paths, so
         // they do not depend on the order this schedule interned paths in.
         let mut used: HashSet<PathId> = (0..start_paths as u32).map(PathId).collect();
@@ -458,31 +360,28 @@ impl<'g> K1<'g> {
             paths,
             pairs,
             pair_start,
-            flow_ins,
-            flow_outs,
-            dedup_hits,
-            delta_batches: match cfg.propagation {
-                Propagation::Naive => None,
-                Propagation::Delta => Some(delta_batches),
-            },
+            flow_ins: c.flow_ins,
+            flow_outs: c.flow_outs,
+            dedup_hits: c.dedup_hits,
+            delta_batches,
             contexts,
         }
     }
 
-    fn transfer(
+    fn transfer_at(
         &mut self,
         node: NodeId,
         port: usize,
         ctx: Ctx,
         pair: Pair,
-        em: &mut Vec<(OutputId, Ctx, Pair)>,
+        em: &mut Vec<((OutputId, Ctx), Pair)>,
     ) {
         let g = self.g;
         let n = g.node(node);
         let outs = &n.outputs;
         // Side inputs are read in place: no transfer writes a slot (its
         // emissions are committed after it returns).
-        let (slots, it) = (&self.p, &self.interner);
+        let (slots, it) = (&self.p, &self.wl.interner);
         let side = move |port: usize| {
             slots[g.input_src(node, port).0 as usize]
                 .get(ctx)
@@ -493,30 +392,30 @@ impl<'g> K1<'g> {
         match &n.kind {
             NodeKind::Member(f) => {
                 let r = self.paths.child(pair.referent, AccessOp::Field(*f));
-                em.push((outs[0], ctx, Pair::new(pair.path, r)));
+                em.push(((outs[0], ctx), Pair::new(pair.path, r)));
             }
             NodeKind::IndexElem => {
                 let r = self.paths.child(pair.referent, AccessOp::Index);
-                em.push((outs[0], ctx, Pair::new(pair.path, r)));
+                em.push(((outs[0], ctx), Pair::new(pair.path, r)));
             }
             NodeKind::ExtractField(f) => {
                 if let Some(p) = self.paths.strip_first(pair.path, AccessOp::Field(*f)) {
-                    em.push((outs[0], ctx, Pair::new(p, pair.referent)));
+                    em.push(((outs[0], ctx), Pair::new(p, pair.referent)));
                 }
             }
             NodeKind::ExtractElem => {
                 if let Some(p) = self.paths.strip_first(pair.path, AccessOp::Index) {
-                    em.push((outs[0], ctx, Pair::new(p, pair.referent)));
+                    em.push(((outs[0], ctx), Pair::new(p, pair.referent)));
                 }
             }
             NodeKind::PassThrough if port == 0 => {
-                em.push((outs[0], ctx, pair));
+                em.push(((outs[0], ctx), pair));
             }
-            NodeKind::Gamma => em.push((outs[0], ctx, pair)),
+            NodeKind::Gamma => em.push(((outs[0], ctx), pair)),
             // Store identity; pointer-input pairs (the checker-facing
             // kill-set) are not propagated.
             NodeKind::Free if port == 1 => {
-                em.push((outs[0], ctx, pair));
+                em.push(((outs[0], ctx), pair));
             }
             NodeKind::Free => {}
             NodeKind::Primop => {}
@@ -526,7 +425,7 @@ impl<'g> K1<'g> {
                         if self.paths.dom(pair.referent, sp.path) {
                             let off = self.paths.subtract(sp.path, pair.referent);
                             let p = self.paths.append(pair.path, off);
-                            em.push((outs[0], ctx, Pair::new(p, sp.referent)));
+                            em.push(((outs[0], ctx), Pair::new(p, sp.referent)));
                         }
                     }
                 }
@@ -535,7 +434,7 @@ impl<'g> K1<'g> {
                         if self.paths.dom(lp.referent, pair.path) {
                             let off = self.paths.subtract(pair.path, lp.referent);
                             let p = self.paths.append(lp.path, off);
-                            em.push((outs[0], ctx, Pair::new(p, pair.referent)));
+                            em.push(((outs[0], ctx), Pair::new(p, pair.referent)));
                         }
                     }
                 }
@@ -544,13 +443,13 @@ impl<'g> K1<'g> {
                 0 => {
                     for vp in side(2) {
                         let path = self.paths.append(pair.referent, vp.path);
-                        em.push((outs[0], ctx, Pair::new(path, vp.referent)));
+                        em.push(((outs[0], ctx), Pair::new(path, vp.referent)));
                     }
                     for sp in side(1) {
                         if !(self.cfg.strong_updates
                             && self.paths.strong_dom(pair.referent, sp.path))
                         {
-                            em.push((outs[0], ctx, sp));
+                            em.push(((outs[0], ctx), sp));
                         }
                     }
                 }
@@ -559,25 +458,25 @@ impl<'g> K1<'g> {
                         !(self.cfg.strong_updates && self.paths.strong_dom(lp.referent, pair.path))
                     });
                     if passes {
-                        em.push((outs[0], ctx, pair));
+                        em.push(((outs[0], ctx), pair));
                     }
                 }
                 _ => {
                     for lp in side(0) {
                         let path = self.paths.append(lp.referent, pair.path);
-                        em.push((outs[0], ctx, Pair::new(path, pair.referent)));
+                        em.push(((outs[0], ctx), Pair::new(path, pair.referent)));
                     }
                 }
             },
             NodeKind::CopyMem => match port {
                 0 => {
-                    em.push((outs[0], ctx, pair));
+                    em.push(((outs[0], ctx), pair));
                     for srcp in side(2) {
                         if self.paths.dom(srcp.referent, pair.path) {
                             let off = self.paths.subtract(pair.path, srcp.referent);
                             for dp in side(1) {
                                 let path = self.paths.append(dp.referent, off);
-                                em.push((outs[0], ctx, Pair::new(path, pair.referent)));
+                                em.push(((outs[0], ctx), Pair::new(path, pair.referent)));
                             }
                         }
                     }
@@ -589,7 +488,7 @@ impl<'g> K1<'g> {
                                 let off = self.paths.subtract(sp.path, srcp.referent);
                                 for dp in side(1) {
                                     let path = self.paths.append(dp.referent, off);
-                                    em.push((outs[0], ctx, Pair::new(path, sp.referent)));
+                                    em.push(((outs[0], ctx), Pair::new(path, sp.referent)));
                                 }
                             }
                         }
@@ -630,7 +529,7 @@ impl<'g> K1<'g> {
                             let outs = &g.node(call).outputs;
                             if port < outs.len() {
                                 for &cctx in caller_ctxs {
-                                    em.push((outs[port], cctx, pair));
+                                    em.push(((outs[port], cctx), pair));
                                 }
                             }
                         }
@@ -646,7 +545,7 @@ impl<'g> K1<'g> {
     /// pulls nothing, because whichever came last — the context or the
     /// callee — pulled then, and every later return pair reaches all
     /// caller contexts through the `Return` transfer.
-    fn note_caller_ctx(&mut self, call: NodeId, ctx: Ctx, em: &mut Vec<(OutputId, Ctx, Pair)>) {
+    fn note_caller_ctx(&mut self, call: NodeId, ctx: Ctx, em: &mut Vec<((OutputId, Ctx), Pair)>) {
         if !self.call_ctxs.entry(call).or_default().insert(ctx) {
             return;
         }
@@ -657,7 +556,7 @@ impl<'g> K1<'g> {
         }
     }
 
-    fn register_callee(&mut self, call: NodeId, f: VFuncId, em: &mut Vec<(OutputId, Ctx, Pair)>) {
+    fn register_callee(&mut self, call: NodeId, f: VFuncId, em: &mut Vec<((OutputId, Ctx), Pair)>) {
         let list = self.callees.entry(call).or_default();
         if list.contains(&f) {
             return;
@@ -679,7 +578,7 @@ impl<'g> K1<'g> {
             let src = g.input_src(call, port).0 as usize;
             for (_, set) in self.p[src].iter() {
                 for id in set.iter() {
-                    self.forward_to_formal(call, port, self.interner.resolve(id), f, em);
+                    self.forward_to_formal(call, port, self.wl.interner.resolve(id), f, em);
                 }
             }
             for i in 0..self.p[src].0.len() {
@@ -697,7 +596,7 @@ impl<'g> K1<'g> {
         port: usize,
         pair: Pair,
         f: VFuncId,
-        em: &mut Vec<(OutputId, Ctx, Pair)>,
+        em: &mut Vec<((OutputId, Ctx), Pair)>,
     ) {
         let callee_ctx = Ctx::of_call(call);
         debug_assert!(
@@ -706,7 +605,7 @@ impl<'g> K1<'g> {
         );
         let formals = &self.g.node(self.g.func(f).entry).outputs;
         if let Some(&formal) = formals.get(port - 1) {
-            em.push((formal, callee_ctx, pair));
+            em.push(((formal, callee_ctx), pair));
         }
     }
 
@@ -717,7 +616,7 @@ impl<'g> K1<'g> {
         call: NodeId,
         f: VFuncId,
         caller_ctx: Ctx,
-        em: &mut Vec<(OutputId, Ctx, Pair)>,
+        em: &mut Vec<((OutputId, Ctx), Pair)>,
     ) {
         let callee_ctx = Ctx::of_call(call);
         let g = self.g;
@@ -728,14 +627,48 @@ impl<'g> K1<'g> {
             for port in 0..n_ports {
                 let src = g.input_src(ret, port);
                 if let Some(set) = self.p[src.0 as usize].get(callee_ctx) {
-                    let it = &self.interner;
+                    let it = &self.wl.interner;
                     em.extend(
                         set.iter()
-                            .map(|id| (outs[port], caller_ctx, it.resolve(id))),
+                            .map(|id| ((outs[port], caller_ctx), it.resolve(id))),
                     );
                 }
             }
         }
+    }
+}
+
+impl<'g> Slots<'g> for K1<'g> {
+    type Key = (OutputId, Ctx);
+
+    fn worklist(&mut self) -> &mut Worklist<(OutputId, Ctx)> {
+        &mut self.wl
+    }
+
+    fn slot(
+        &mut self,
+        (out, ctx): (OutputId, Ctx),
+    ) -> Option<(&mut PairSet, &mut Worklist<(OutputId, Ctx)>)> {
+        Some((self.p[out.0 as usize].slot(ctx), &mut self.wl))
+    }
+
+    fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    fn consumers(&self, (out, _): (OutputId, Ctx)) -> &'g [InputId] {
+        self.g.consumers(out)
+    }
+
+    fn transfer(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        (_, ctx): (OutputId, Ctx),
+        pair: Pair,
+        em: &mut Vec<((OutputId, Ctx), Pair)>,
+    ) {
+        self.transfer_at(node, port, ctx, pair, em);
     }
 }
 
@@ -891,7 +824,7 @@ mod tests {
         for f in g.func_ids() {
             s.activate(f, Ctx::ROOT);
         }
-        s.run().unwrap();
+        worklist::run(&mut s);
         let pick = g.func_ids().find(|&f| g.func(f).name == "pick").unwrap();
         let call = *s
             .callees
@@ -899,22 +832,28 @@ mod tests {
             .find(|(_, fs)| fs.contains(&pick))
             .map(|(call, _)| call)
             .unwrap();
-        let (port, ctx, pair) = (1..g.node(call).inputs.len())
+        let (port, src, ctx, pair) = (1..g.node(call).inputs.len())
             .find_map(|port| {
                 let (ctx, set) = s.p[g.input_src(call, port).0 as usize].iter().next()?;
-                Some((port, ctx, s.interner.resolve(set.iter().next()?)))
+                let src = g.input_src(call, port);
+                Some((port, src, ctx, s.wl.interner.resolve(set.iter().next()?)))
             })
             .unwrap();
         let mut eager = Vec::new();
         s.pull_returns(call, pick, ctx, &mut eager);
         assert!(eager.len() >= 3, "pick's returns are committed");
 
-        let (outs, hits) = (s.flow_outs, s.dedup_hits);
-        s.deliver(call, port, ctx, pair);
-        s.run().unwrap();
-        assert_eq!(s.flow_outs, outs, "the call results are unchanged");
-        assert_eq!(s.dedup_hits - hits, 1, "only the formal forward repeats");
-        assert!(s.dedup_hits - hits < 1 + eager.len() as u64);
+        let before = s.wl.counters;
+        worklist::deliver(&mut s, call, port, (src, ctx), pair);
+        worklist::run(&mut s);
+        let (outs, hits) = (s.wl.counters.flow_outs, s.wl.counters.dedup_hits);
+        assert_eq!(outs, before.flow_outs, "the call results are unchanged");
+        assert_eq!(
+            hits - before.dedup_hits,
+            1,
+            "only the formal forward repeats"
+        );
+        assert!(hits - before.dedup_hits < 1 + eager.len() as u64);
 
         let k1 = s.finish();
         // main's `*x`, the last read.

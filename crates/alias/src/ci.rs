@@ -1,17 +1,21 @@
 //! The context-insensitive points-to analysis (paper §3, Figure 1).
 //!
-//! Points-to facts are hash-consed into dense [`PairId`]s and stored in
-//! compact [`PairSet`]s (sorted small-vec spilling to a bitset). Under
+//! Points-to facts are hash-consed into dense
+//! [`PairId`](crate::pairset::PairId)s and stored in compact
+//! [`PairSet`]s (sorted small-vec spilling to a bitset). Under
 //! the default [`Propagation::Delta`] discipline the worklist carries
 //! *outputs with pending deltas*: each step takes an output's batch of
 //! newly committed pairs and pushes the whole batch through every
 //! consumer's transfer function, so a pair is delivered to each consumer
 //! exactly once and the per-delivery queue traffic of the naive scheme
 //! disappears. [`Propagation::Naive`] retains the seed discipline (one
-//! `(input, pair)` delivery per step) for the equivalence tests; both
+//! `(input, pair)` delivery per step) for the equivalence tests and for
+//! the campaign's property 3, which re-solves through it; both
 //! schedules reach the same least fixpoint, and because
 //! [`PathTable::canonicalize`] renumbers the interned paths at finish,
-//! the two modes return *numerically identical* results.
+//! the two modes return *numerically identical* results. Both run on
+//! the worklist driver shared with Weihl and k=1 (`worklist.rs`), with
+//! outputs as its slots.
 //!
 //! Calls and returns are treated like jumps (all information at actuals
 //! flows to all callees, all returns flow to all callers). Strong
@@ -22,9 +26,9 @@
 //! functions.
 
 use crate::fxhash::{HashMap, HashSet};
-use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
+use crate::pairset::{PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use std::collections::VecDeque;
+use crate::worklist::{self, Counters, Slots, Worklist};
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
 /// Worklist discipline; the fixpoint is scheduling-independent (tested).
@@ -152,7 +156,7 @@ impl CiResult {
 pub fn analyze_ci(graph: &Graph, config: &CiConfig) -> CiResult {
     let mut s = Solver::new(graph, config.clone());
     s.seed();
-    s.run();
+    worklist::run(&mut s);
     s.finish()
 }
 
@@ -160,10 +164,10 @@ pub fn analyze_ci(graph: &Graph, config: &CiConfig) -> CiResult {
 pub(crate) fn deliver_committed(s: &mut Solver, node: NodeId, port: usize, src: OutputId) {
     let pairs: Vec<Pair> = s.sets[src.0 as usize]
         .iter()
-        .map(|id| s.interner.resolve(id))
+        .map(|id| s.wl.interner.resolve(id))
         .collect();
     for p in pairs {
-        s.deliver(node, port, p);
+        worklist::deliver(s, node, port, src, p);
     }
 }
 
@@ -171,35 +175,22 @@ pub(crate) struct Solver<'g> {
     pub(crate) g: &'g Graph,
     pub(crate) cfg: CiConfig,
     pub(crate) paths: PathTable,
-    pub(crate) interner: PairInterner,
+    /// The driver state: interner, worklists, counters and budget.
+    pub(crate) wl: Worklist<OutputId>,
     /// Committed pairs (with pending deltas) per output.
     pub(crate) sets: Vec<PairSet>,
-    /// Naive-mode worklist: single `(input, pair)` deliveries.
-    naive_wl: VecDeque<(InputId, PairId)>,
-    /// Delta-mode worklist: outputs with a pending delta.
-    out_wl: VecDeque<u32>,
-    queued: Vec<bool>,
     pub(crate) callees: HashMap<NodeId, Vec<VFuncId>>,
     pub(crate) callers: HashMap<VFuncId, Vec<NodeId>>,
     /// Owner function of each heap base's allocation site (only filled
     /// under [`HeapNaming::CallString1`]).
     alloc_owner: HashMap<vdg::graph::BaseId, VFuncId>,
-    pub(crate) flow_ins: u64,
-    flow_outs: u64,
-    dedup_hits: u64,
-    delta_batches: u64,
     /// Emission mask for the demand-driven solver: when present, an
     /// emission to an output outside the mask is dropped *before* it is
     /// committed, so inactive outputs never accumulate partial sets.
     /// `None` (the exhaustive solvers) admits every output.
     pub(crate) active: Option<Vec<bool>>,
-    /// Delivery budget: the run loops stop once `flow_ins` reaches this
-    /// limit, leaving the worklists non-empty (the demand solver's
-    /// exhaustion signal). `u64::MAX` for the exhaustive solvers.
-    pub(crate) step_limit: u64,
-    /// Reusable emission and side-input buffers (no per-delivery
-    /// allocation in the hot loop).
-    em: Vec<(OutputId, Pair)>,
+    /// Reusable side-input buffers (no per-delivery allocation in the
+    /// hot loop).
     scratch_a: Vec<Pair>,
     scratch_b: Vec<Pair>,
 }
@@ -208,7 +199,8 @@ pub(crate) struct Solver<'g> {
 /// demand-driven solver between point queries. The worklists and
 /// scratch buffers are deliberately absent: parts may only be extracted
 /// from a solver whose worklists are drained (or whose state is being
-/// abandoned after budget exhaustion).
+/// abandoned after budget exhaustion). The interner and the counters
+/// are the driver's.
 #[derive(Debug, Clone)]
 pub(crate) struct SolverParts {
     pub(crate) paths: PathTable,
@@ -217,10 +209,7 @@ pub(crate) struct SolverParts {
     pub(crate) callees: HashMap<NodeId, Vec<VFuncId>>,
     pub(crate) callers: HashMap<VFuncId, Vec<NodeId>>,
     pub(crate) alloc_owner: HashMap<vdg::graph::BaseId, VFuncId>,
-    pub(crate) flow_ins: u64,
-    pub(crate) flow_outs: u64,
-    pub(crate) dedup_hits: u64,
-    pub(crate) delta_batches: u64,
+    pub(crate) counters: Counters,
 }
 
 /// Computes the owning function of every heap allocation site.
@@ -358,25 +347,16 @@ impl<'g> Solver<'g> {
         };
         Solver {
             g,
-            cfg,
             paths: PathTable::for_graph(g),
-            interner: PairInterner::new(),
+            wl: Worklist::new(cfg.propagation, cfg.order),
             sets: vec![PairSet::new(); g.output_count()],
-            naive_wl: VecDeque::new(),
-            out_wl: VecDeque::new(),
-            queued: vec![false; g.output_count()],
             callees: HashMap::default(),
             callers: HashMap::default(),
             alloc_owner,
-            flow_ins: 0,
-            flow_outs: 0,
-            dedup_hits: 0,
-            delta_batches: 0,
             active: None,
-            step_limit: u64::MAX,
-            em: Vec::new(),
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
+            cfg,
         }
     }
 
@@ -392,15 +372,12 @@ impl<'g> Solver<'g> {
     ) -> Self {
         let mut s = Solver::new(g, cfg);
         s.paths = parts.paths;
-        s.interner = parts.interner;
+        s.wl.interner = parts.interner;
+        s.wl.counters = parts.counters;
         s.sets = parts.sets;
         s.callees = parts.callees;
         s.callers = parts.callers;
         s.alloc_owner = parts.alloc_owner;
-        s.flow_ins = parts.flow_ins;
-        s.flow_outs = parts.flow_outs;
-        s.dedup_hits = parts.dedup_hits;
-        s.delta_batches = parts.delta_batches;
         s.active = Some(active);
         s
     }
@@ -410,22 +387,13 @@ impl<'g> Solver<'g> {
     pub(crate) fn into_parts(self) -> SolverParts {
         SolverParts {
             paths: self.paths,
-            interner: self.interner,
+            interner: self.wl.interner,
             sets: self.sets,
             callees: self.callees,
             callers: self.callers,
             alloc_owner: self.alloc_owner,
-            flow_ins: self.flow_ins,
-            flow_outs: self.flow_outs,
-            dedup_hits: self.dedup_hits,
-            delta_batches: self.delta_batches,
+            counters: self.wl.counters,
         }
-    }
-
-    /// Whether the last [`Solver::run`] stopped on [`Solver::step_limit`]
-    /// rather than at fixpoint.
-    pub(crate) fn exhausted(&self) -> bool {
-        !self.naive_wl.is_empty() || !self.out_wl.is_empty()
     }
 
     /// Seeds address/function/allocation constants with `(ε, base)` —
@@ -442,88 +410,21 @@ impl<'g> Solver<'g> {
             seeds.push((out, Pair::new(PathTable::EMPTY, root)));
         }
         for (out, pair) in seeds {
-            self.flow_out(out, pair);
+            worklist::commit(self, out, pair);
         }
-    }
-
-    pub(crate) fn run(&mut self) {
-        match self.cfg.propagation {
-            Propagation::Naive => self.run_naive(),
-            Propagation::Delta => self.run_delta(),
-        }
-    }
-
-    fn run_naive(&mut self) {
-        loop {
-            if self.flow_ins >= self.step_limit {
-                break;
-            }
-            let item = match self.cfg.order {
-                WorklistOrder::Fifo => self.naive_wl.pop_front(),
-                WorklistOrder::Lifo => self.naive_wl.pop_back(),
-            };
-            let Some((input, id)) = item else { break };
-            self.flow_ins += 1;
-            let pair = self.interner.resolve(id);
-            let info = self.g.input(input);
-            self.deliver(info.node, info.port as usize, pair);
-        }
-    }
-
-    fn run_delta(&mut self) {
-        loop {
-            if self.flow_ins >= self.step_limit {
-                break;
-            }
-            let item = match self.cfg.order {
-                WorklistOrder::Fifo => self.out_wl.pop_front(),
-                WorklistOrder::Lifo => self.out_wl.pop_back(),
-            };
-            let Some(o) = item else { break };
-            self.queued[o as usize] = false;
-            let batch = self.sets[o as usize].take_delta();
-            let g = self.g;
-            for &input in g.consumers(OutputId(o)) {
-                self.delta_batches += 1;
-                self.flow_ins += batch.len() as u64;
-                let info = g.input(input);
-                for &id in &batch {
-                    let pair = self.interner.resolve(PairId(id));
-                    self.deliver(info.node, info.port as usize, pair);
-                }
-            }
-            self.sets[o as usize].recycle(batch);
-        }
-    }
-
-    /// Applies the transfer function for one delivered pair and flows
-    /// the emissions out.
-    pub(crate) fn deliver(&mut self, node: NodeId, port: usize, pair: Pair) {
-        let mut em = std::mem::take(&mut self.em);
-        self.transfer(node, port, pair, &mut em);
-        for &(out, p) in &em {
-            self.flow_out(out, p);
-        }
-        em.clear();
-        self.em = em;
     }
 
     pub(crate) fn finish(self) -> CiResult {
         let Solver {
             paths,
-            interner,
+            wl,
             sets,
             mut callees,
-            cfg,
-            flow_ins,
-            flow_outs,
-            dedup_hits,
-            delta_batches,
             ..
         } = self;
         let mut resolved: Vec<Vec<Pair>> = sets
             .iter()
-            .map(|s| s.iter().map(|id| interner.resolve(id)).collect())
+            .map(|s| s.iter().map(|id| wl.interner.resolve(id)).collect())
             .collect();
         let mut used: HashSet<PathId> = HashSet::default();
         for v in &resolved {
@@ -548,48 +449,11 @@ impl<'g> Solver<'g> {
         CiResult {
             paths: canon,
             pairs: resolved,
-            flow_ins,
-            flow_outs,
-            dedup_hits,
-            delta_batches: match cfg.propagation {
-                Propagation::Naive => None,
-                Propagation::Delta => Some(delta_batches),
-            },
+            flow_ins: wl.counters.flow_ins,
+            flow_outs: wl.counters.flow_outs,
+            dedup_hits: wl.counters.dedup_hits,
+            delta_batches: wl.delta_batches(),
             callees,
-        }
-    }
-
-    pub(crate) fn flow_out(&mut self, out: OutputId, pair: Pair) {
-        // Demand mask: emissions to outputs outside the solved region
-        // are dropped before they commit, so an inactive output's set
-        // stays empty (not partial) until its slice is activated.
-        if let Some(active) = &self.active {
-            if !active[out.0 as usize] {
-                return;
-            }
-        }
-        let id = self.interner.intern(pair);
-        let o = out.0 as usize;
-        if self.sets[o].insert(id) {
-            self.flow_outs += 1;
-            match self.cfg.propagation {
-                Propagation::Naive => {
-                    // Deliveries ride on the worklist directly; the
-                    // per-set delta is unused.
-                    self.sets[o].take_delta();
-                    for &input in self.g.consumers(out) {
-                        self.naive_wl.push_back((input, id));
-                    }
-                }
-                Propagation::Delta => {
-                    if !self.queued[o] && !self.g.consumers(out).is_empty() {
-                        self.queued[o] = true;
-                        self.out_wl.push_back(out.0);
-                    }
-                }
-            }
-        } else {
-            self.dedup_hits += 1;
         }
     }
 
@@ -607,7 +471,7 @@ impl<'g> Solver<'g> {
         buf.extend(
             self.sets[src.0 as usize]
                 .iter()
-                .map(|id| self.interner.resolve(id))
+                .map(|id| self.wl.interner.resolve(id))
                 .filter(|&p| keep(&self.paths, p)),
         );
     }
@@ -615,7 +479,13 @@ impl<'g> Solver<'g> {
     /// The transfer function: a new `pair` arrived on `port` of `node`;
     /// pushes the pairs to emit into `em`. Borrows node metadata from
     /// the graph — no per-delivery allocation.
-    fn transfer(&mut self, node: NodeId, port: usize, pair: Pair, em: &mut Vec<(OutputId, Pair)>) {
+    fn transfer_at(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        pair: Pair,
+        em: &mut Vec<(OutputId, Pair)>,
+    ) {
         let g = self.g;
         let n = g.node(node);
         let mut sa = std::mem::take(&mut self.scratch_a);
@@ -699,7 +569,7 @@ impl<'g> Solver<'g> {
                             let loc_src = g.input_src(node, 0);
                             let mut k: Vec<PathId> = self.sets[loc_src.0 as usize]
                                 .iter()
-                                .map(|id| self.interner.resolve(id).referent)
+                                .map(|id| self.wl.interner.resolve(id).referent)
                                 .collect();
                             k.push(pair.referent);
                             k
@@ -708,7 +578,7 @@ impl<'g> Solver<'g> {
                         };
                         let src = g.input_src(node, 1);
                         for id in self.sets[src.0 as usize].iter() {
-                            let sp = self.interner.resolve(id);
+                            let sp = self.wl.interner.resolve(id);
                             let killed = strong
                                 && killers.iter().any(|&r| self.paths.strong_dom(r, sp.path));
                             if !killed {
@@ -726,7 +596,7 @@ impl<'g> Solver<'g> {
                         let mut any_kill = false;
                         let mut all_kill = true;
                         for id in self.sets[src.0 as usize].iter() {
-                            let lp = self.interner.resolve(id);
+                            let lp = self.wl.interner.resolve(id);
                             any_lp = true;
                             let k = strong && self.paths.strong_dom(lp.referent, pair.path);
                             any_kill |= k;
@@ -883,6 +753,45 @@ impl<'g> Solver<'g> {
                 }
             }
         }
+    }
+}
+
+impl<'g> Slots<'g> for Solver<'g> {
+    type Key = OutputId;
+
+    fn worklist(&mut self) -> &mut Worklist<OutputId> {
+        &mut self.wl
+    }
+
+    fn slot(&mut self, out: OutputId) -> Option<(&mut PairSet, &mut Worklist<OutputId>)> {
+        // Demand mask: emissions to outputs outside the solved region
+        // are dropped before they commit, so an inactive output's set
+        // stays empty (not partial) until its slice is activated.
+        if let Some(active) = &self.active {
+            if !active[out.0 as usize] {
+                return None;
+            }
+        }
+        Some((&mut self.sets[out.0 as usize], &mut self.wl))
+    }
+
+    fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    fn consumers(&self, out: OutputId) -> &'g [InputId] {
+        self.g.consumers(out)
+    }
+
+    fn transfer(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        _: OutputId,
+        pair: Pair,
+        em: &mut Vec<(OutputId, Pair)>,
+    ) {
+        self.transfer_at(node, port, pair, em);
     }
 }
 

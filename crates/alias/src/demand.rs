@@ -224,7 +224,7 @@ impl DemandState {
         let mut s = Solver::from_parts(graph, self.cfg.ci.clone(), parts, self.active.clone());
         s.seed();
         install_boundary(graph, &mut s, &prev, &self.active);
-        s.run();
+        crate::worklist::run(&mut s);
         let result = s.finish();
         self.stats.materialized = true;
         self.stats.outputs_active = graph.output_count() as u64;
@@ -300,21 +300,20 @@ impl DemandState {
         }
         // Restricted fixpoint over the enlarged region (step 2).
         let parts = self.parts.take().expect("live state");
-        let steps_before = parts.flow_ins;
+        let steps_before = parts.counters.flow_ins;
         let mut s = Solver::from_parts(graph, self.cfg.ci.clone(), parts, self.active.clone());
-        s.step_limit = s.flow_ins.saturating_add(self.cfg.max_steps);
+        s.wl.step_limit = steps_before.saturating_add(self.cfg.max_steps);
         s.seed();
         install_boundary(graph, &mut s, &before, &self.active);
-        s.run();
-        if s.exhausted() {
+        crate::worklist::run(&mut s);
+        self.stats.steps += s.wl.counters.flow_ins - steps_before;
+        if s.wl.exhausted() {
             // Poisoned: the region is mid-fixpoint. Abandon it and
             // compute the oracle once; every later query is a fallback.
             self.stats.budget_exhausted += 1;
-            self.stats.steps += s.flow_ins - steps_before;
             self.fall_back(graph);
             return true;
         }
-        self.stats.steps += s.flow_ins - steps_before;
         self.stats.outputs_active = self.active.iter().filter(|&&a| a).count() as u64;
         self.parts = Some(s.into_parts());
         false

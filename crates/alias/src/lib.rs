@@ -48,6 +48,7 @@ pub mod solver;
 pub mod stats;
 pub mod steensgaard;
 pub mod weihl;
+mod worklist;
 
 pub use ci::{analyze_ci, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder};
 pub use cs::{analyze_cs, cs_subset_of_ci, CsConfig, CsResult, StepLimitExceeded};

@@ -23,7 +23,8 @@ use crate::path::Pair;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Propagation {
     /// The seed discipline: one `(input, pair)` delivery per worklist
-    /// step. Kept for the equivalence tests; results are identical.
+    /// step. Kept for the equivalence tests and the campaign's property
+    /// 3, which re-solve under it; results are identical.
     Naive,
     /// Difference propagation: the worklist carries outputs whose delta
     /// is non-empty, and transfer functions consume whole deltas per

@@ -12,11 +12,15 @@
 //! were made before Ruf's paper; reproducing it closes the loop on the
 //! paper's "how much of the precision is program-point-specificity?"
 //! question.
+//!
+//! It runs on the worklist driver shared with CI and k=1
+//! (`worklist.rs`); its slots are the value outputs and the one store.
 
+use crate::ci::WorklistOrder;
 use crate::fxhash::{HashMap, HashSet};
-use crate::pairset::{PairId, PairInterner, PairSet, Propagation};
+use crate::pairset::{PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
-use std::collections::VecDeque;
+use crate::worklist::{self, Slots, Worklist};
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
 /// Result of the program-wide analysis.
@@ -85,28 +89,28 @@ pub fn analyze_weihl_with(
     paths: PathTable,
     propagation: Propagation,
 ) -> WeihlResult {
+    // Every lookup and copymem in the program may observe a store pair:
+    // their store inputs consume the store slot, in node order.
+    let store_consumers: Vec<InputId> = graph
+        .nodes()
+        .filter_map(|(_, n)| match n.kind {
+            NodeKind::Lookup { .. } => Some(n.inputs[1]),
+            NodeKind::CopyMem => Some(n.inputs[0]),
+            _ => None,
+        })
+        .collect();
     let mut s = Weihl {
         g: graph,
         paths,
-        propagation,
-        interner: PairInterner::new(),
+        wl: Worklist::new(propagation, WorklistOrder::Fifo),
         values: vec![PairSet::new(); graph.output_count()],
         store: PairSet::new(),
-        naive_wl: VecDeque::new(),
-        out_wl: VecDeque::new(),
-        queued: vec![false; graph.output_count()],
-        store_queued: false,
-        store_consumers: Vec::new(),
+        store_consumers: &store_consumers,
         callees: HashMap::default(),
         callers: HashMap::default(),
-        flow_ins: 0,
-        flow_outs: 0,
-        dedup_hits: 0,
-        delta_batches: 0,
     };
-    s.collect_store_consumers();
     s.seed();
-    s.run();
+    worklist::run(&mut s);
     s.finish()
 }
 
@@ -117,46 +121,78 @@ pub fn analyze_weihl_from(graph: &Graph, paths: PathTable) -> WeihlResult {
     analyze_weihl_with(graph, paths, Propagation::default())
 }
 
-enum Item {
-    Value(InputId, PairId),
-    Store(PairId),
+/// A slot of the program-wide analysis: a value output's set, or the
+/// one global store.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Value(OutputId),
+    Store,
 }
 
-/// Delta-worklist sentinel for "the global store has a pending delta".
-const STORE_SLOT: u32 = u32::MAX;
+/// The slot an emission to `out` commits to: store-typed outputs all
+/// denote the global store.
+fn slot_of(g: &Graph, out: OutputId) -> Slot {
+    if matches!(g.output(out).kind, vdg::graph::ValueKind::Store) {
+        Slot::Store
+    } else {
+        Slot::Value(out)
+    }
+}
 
 struct Weihl<'g> {
     g: &'g Graph,
     paths: PathTable,
-    propagation: Propagation,
-    interner: PairInterner,
+    wl: Worklist<Slot>,
     values: Vec<PairSet>,
     store: PairSet,
-    /// Naive-mode worklist: single-pair deliveries.
-    naive_wl: VecDeque<Item>,
-    /// Delta-mode worklist: outputs (or [`STORE_SLOT`]) with a delta.
-    out_wl: VecDeque<u32>,
-    queued: Vec<bool>,
-    store_queued: bool,
-    /// Nodes that react to new global-store pairs (lookups and copymem).
-    store_consumers: Vec<NodeId>,
+    /// Inputs that react to new global-store pairs.
+    store_consumers: &'g [InputId],
     callees: HashMap<NodeId, Vec<VFuncId>>,
     callers: HashMap<VFuncId, Vec<NodeId>>,
-    flow_ins: u64,
-    flow_outs: u64,
-    dedup_hits: u64,
-    delta_batches: u64,
 }
 
-impl<'g> Weihl<'g> {
-    fn collect_store_consumers(&mut self) {
-        for (id, n) in self.g.nodes() {
-            if matches!(n.kind, NodeKind::Lookup { .. } | NodeKind::CopyMem) {
-                self.store_consumers.push(id);
-            }
+impl<'g> Slots<'g> for Weihl<'g> {
+    type Key = Slot;
+
+    fn worklist(&mut self) -> &mut Worklist<Slot> {
+        &mut self.wl
+    }
+
+    fn slot(&mut self, key: Slot) -> Option<(&mut PairSet, &mut Worklist<Slot>)> {
+        let set = match key {
+            Slot::Value(o) => &mut self.values[o.0 as usize],
+            Slot::Store => &mut self.store,
+        };
+        Some((set, &mut self.wl))
+    }
+
+    fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    fn consumers(&self, key: Slot) -> &'g [InputId] {
+        match key {
+            Slot::Value(o) => self.g.consumers(o),
+            Slot::Store => self.store_consumers,
         }
     }
 
+    fn transfer(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        key: Slot,
+        pair: Pair,
+        em: &mut Vec<(Slot, Pair)>,
+    ) {
+        match key {
+            Slot::Value(_) => self.transfer_value(node, port, pair, em),
+            Slot::Store => self.transfer_store(node, pair, em),
+        }
+    }
+}
+
+impl<'g> Weihl<'g> {
     fn seed(&mut self) {
         let mut seeds = Vec::new();
         for (id, n) in self.g.nodes() {
@@ -171,122 +207,7 @@ impl<'g> Weihl<'g> {
             ));
         }
         for (o, p) in seeds {
-            self.emit_value(o, p);
-        }
-    }
-
-    fn emit_value(&mut self, out: OutputId, pair: Pair) {
-        // Store-typed outputs all denote the global store.
-        if matches!(self.g.output(out).kind, vdg::graph::ValueKind::Store) {
-            self.emit_store(pair);
-            return;
-        }
-        let id = self.interner.intern(pair);
-        let o = out.0 as usize;
-        if self.values[o].insert(id) {
-            self.flow_outs += 1;
-            match self.propagation {
-                Propagation::Naive => {
-                    self.values[o].take_delta();
-                    for &i in self.g.consumers(out) {
-                        self.naive_wl.push_back(Item::Value(i, id));
-                    }
-                }
-                Propagation::Delta => {
-                    if !self.queued[o] && !self.g.consumers(out).is_empty() {
-                        self.queued[o] = true;
-                        self.out_wl.push_back(out.0);
-                    }
-                }
-            }
-        } else {
-            self.dedup_hits += 1;
-        }
-    }
-
-    fn emit_store(&mut self, pair: Pair) {
-        let id = self.interner.intern(pair);
-        if self.store.insert(id) {
-            self.flow_outs += 1;
-            match self.propagation {
-                Propagation::Naive => {
-                    self.store.take_delta();
-                    self.naive_wl.push_back(Item::Store(id));
-                }
-                Propagation::Delta => {
-                    if !self.store_queued {
-                        self.store_queued = true;
-                        self.out_wl.push_back(STORE_SLOT);
-                    }
-                }
-            }
-        } else {
-            self.dedup_hits += 1;
-        }
-    }
-
-    fn run(&mut self) {
-        match self.propagation {
-            Propagation::Naive => self.run_naive(),
-            Propagation::Delta => self.run_delta(),
-        }
-    }
-
-    fn run_naive(&mut self) {
-        while let Some(item) = self.naive_wl.pop_front() {
-            self.flow_ins += 1;
-            match item {
-                Item::Value(input, id) => {
-                    let pair = self.interner.resolve(id);
-                    let info = self.g.input(input);
-                    self.transfer_value(info.node, info.port as usize, pair);
-                }
-                Item::Store(id) => {
-                    let pair = self.interner.resolve(id);
-                    // Every lookup/copymem in the program may observe it.
-                    for i in 0..self.store_consumers.len() {
-                        self.flow_ins += 1;
-                        self.transfer_store(self.store_consumers[i], pair);
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_delta(&mut self) {
-        while let Some(slot) = self.out_wl.pop_front() {
-            if slot == STORE_SLOT {
-                self.store_queued = false;
-                let batch = self.store.take_delta();
-                // One flow-in per pair pop, as in the naive discipline...
-                self.flow_ins += batch.len() as u64;
-                for i in 0..self.store_consumers.len() {
-                    // ...plus one per (pair, store consumer) re-examination.
-                    self.delta_batches += 1;
-                    for &id in &batch {
-                        self.flow_ins += 1;
-                        let pair = self.interner.resolve(PairId(id));
-                        self.transfer_store(self.store_consumers[i], pair);
-                    }
-                }
-                self.store.recycle(batch);
-            } else {
-                let o = slot as usize;
-                self.queued[o] = false;
-                let batch = self.values[o].take_delta();
-                let g = self.g;
-                for &input in g.consumers(OutputId(slot)) {
-                    self.delta_batches += 1;
-                    let info = g.input(input);
-                    let (node, port) = (info.node, info.port as usize);
-                    for &id in &batch {
-                        self.flow_ins += 1;
-                        let pair = self.interner.resolve(PairId(id));
-                        self.transfer_value(node, port, pair);
-                    }
-                }
-                self.values[o].recycle(batch);
-            }
+            worklist::commit(self, slot_of(self.g, o), p);
         }
     }
 
@@ -294,46 +215,50 @@ impl<'g> Weihl<'g> {
         let src = self.g.input_src(node, port);
         self.values[src.0 as usize]
             .iter()
-            .map(|id| self.interner.resolve(id))
+            .map(|id| self.wl.interner.resolve(id))
             .collect()
     }
 
     fn store_snapshot(&self) -> Vec<Pair> {
         self.store
             .iter()
-            .map(|id| self.interner.resolve(id))
+            .map(|id| self.wl.interner.resolve(id))
             .collect()
     }
 
-    fn transfer_value(&mut self, node: NodeId, port: usize, pair: Pair) {
+    fn transfer_value(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        pair: Pair,
+        em: &mut Vec<(Slot, Pair)>,
+    ) {
         let g = self.g;
         let n = g.node(node);
-        let outs = &n.outputs;
-        let mut em: Vec<(OutputId, Pair)> = Vec::new();
-        let mut st: Vec<Pair> = Vec::new();
+        let out = |i: usize| slot_of(g, n.outputs[i]);
         match &n.kind {
             NodeKind::Member(f) => {
                 let r = self.paths.child(pair.referent, AccessOp::Field(*f));
-                em.push((outs[0], Pair::new(pair.path, r)));
+                em.push((out(0), Pair::new(pair.path, r)));
             }
             NodeKind::IndexElem => {
                 let r = self.paths.child(pair.referent, AccessOp::Index);
-                em.push((outs[0], Pair::new(pair.path, r)));
+                em.push((out(0), Pair::new(pair.path, r)));
             }
             NodeKind::ExtractField(f) => {
                 if let Some(p) = self.paths.strip_first(pair.path, AccessOp::Field(*f)) {
-                    em.push((outs[0], Pair::new(p, pair.referent)));
+                    em.push((out(0), Pair::new(p, pair.referent)));
                 }
             }
             NodeKind::ExtractElem => {
                 if let Some(p) = self.paths.strip_first(pair.path, AccessOp::Index) {
-                    em.push((outs[0], Pair::new(p, pair.referent)));
+                    em.push((out(0), Pair::new(p, pair.referent)));
                 }
             }
             NodeKind::PassThrough if port == 0 => {
-                em.push((outs[0], pair));
+                em.push((out(0), pair));
             }
-            NodeKind::Gamma => em.push((outs[0], pair)),
+            NodeKind::Gamma => em.push((out(0), pair)),
             NodeKind::Lookup { .. } if port == 0 => {
                 // New location: read the global store.
                 let store = self.store_snapshot();
@@ -341,7 +266,7 @@ impl<'g> Weihl<'g> {
                     if self.paths.dom(pair.referent, sp.path) {
                         let off = self.paths.subtract(sp.path, pair.referent);
                         let p = self.paths.append(pair.path, off);
-                        em.push((outs[0], Pair::new(p, sp.referent)));
+                        em.push((out(0), Pair::new(p, sp.referent)));
                     }
                 }
             }
@@ -350,13 +275,13 @@ impl<'g> Weihl<'g> {
                 0 => {
                     for vp in self.values_at(node, 2) {
                         let path = self.paths.append(pair.referent, vp.path);
-                        st.push(Pair::new(path, vp.referent));
+                        em.push((Slot::Store, Pair::new(path, vp.referent)));
                     }
                 }
                 2 => {
                     for lp in self.values_at(node, 0) {
                         let path = self.paths.append(lp.referent, pair.path);
-                        st.push(Pair::new(path, pair.referent));
+                        em.push((Slot::Store, Pair::new(path, pair.referent)));
                     }
                 }
                 _ => {}
@@ -371,7 +296,7 @@ impl<'g> Weihl<'g> {
                             let off = self.paths.subtract(sp.path, s.referent);
                             for d in &dsts {
                                 let path = self.paths.append(d.referent, off);
-                                st.push(Pair::new(path, sp.referent));
+                                em.push((Slot::Store, Pair::new(path, sp.referent)));
                             }
                         }
                     }
@@ -380,12 +305,12 @@ impl<'g> Weihl<'g> {
             NodeKind::Call => {
                 if port == 0 {
                     if let Some(f) = self.paths.func_of(pair.referent) {
-                        self.register_callee(node, f, &mut em);
+                        self.register_callee(node, f, em);
                     }
                 } else if port >= 2 {
                     if let Some(callees) = self.callees.get(&node) {
                         for &f in callees {
-                            forward_to_formal(g, port, pair, f, &mut em);
+                            forward_to_formal(g, port, pair, f, em);
                         }
                     }
                 }
@@ -395,35 +320,26 @@ impl<'g> Weihl<'g> {
                     for &call in callers {
                         let outs = &g.node(call).outputs;
                         if outs.len() > 1 {
-                            em.push((outs[1], pair));
+                            em.push((slot_of(g, outs[1]), pair));
                         }
                     }
                 }
             }
             _ => {}
         }
-        for (o, p) in em {
-            self.emit_value(o, p);
-        }
-        for p in st {
-            self.emit_store(p);
-        }
     }
 
-    /// A new pair entered the global store: rerun the store side of every
-    /// lookup/copymem. (The caller counts the flow-in.)
-    fn transfer_store(&mut self, node: NodeId, pair: Pair) {
+    /// A new pair entered the global store: rerun the store side of the
+    /// lookup/copymem `node`.
+    fn transfer_store(&mut self, node: NodeId, pair: Pair, em: &mut Vec<(Slot, Pair)>) {
         let n = self.g.node(node);
-        let outs = &n.outputs;
-        let mut em: Vec<(OutputId, Pair)> = Vec::new();
-        let mut st: Vec<Pair> = Vec::new();
         match &n.kind {
             NodeKind::Lookup { .. } => {
                 for lp in self.values_at(node, 0) {
                     if self.paths.dom(lp.referent, pair.path) {
                         let off = self.paths.subtract(pair.path, lp.referent);
                         let p = self.paths.append(lp.path, off);
-                        em.push((outs[0], Pair::new(p, pair.referent)));
+                        em.push((slot_of(self.g, n.outputs[0]), Pair::new(p, pair.referent)));
                     }
                 }
             }
@@ -434,22 +350,16 @@ impl<'g> Weihl<'g> {
                         let off = self.paths.subtract(pair.path, s.referent);
                         for d in &dsts {
                             let path = self.paths.append(d.referent, off);
-                            st.push(Pair::new(path, pair.referent));
+                            em.push((Slot::Store, Pair::new(path, pair.referent)));
                         }
                     }
                 }
             }
             _ => {}
         }
-        for (o, p) in em {
-            self.emit_value(o, p);
-        }
-        for p in st {
-            self.emit_store(p);
-        }
     }
 
-    fn register_callee(&mut self, call: NodeId, f: VFuncId, em: &mut Vec<(OutputId, Pair)>) {
+    fn register_callee(&mut self, call: NodeId, f: VFuncId, em: &mut Vec<(Slot, Pair)>) {
         let list = self.callees.entry(call).or_default();
         if list.contains(&f) {
             return;
@@ -468,7 +378,7 @@ impl<'g> Weihl<'g> {
                 for pair in self.values_at(ret, 1) {
                     let outs = &g.node(call).outputs;
                     if outs.len() > 1 {
-                        em.push((outs[1], pair));
+                        em.push((slot_of(g, outs[1]), pair));
                     }
                 }
             }
@@ -482,7 +392,8 @@ impl<'g> Weihl<'g> {
             .filter(|o| matches!(self.g.output(*o).kind, vdg::graph::ValueKind::Store))
             .map(|o| o.0)
             .collect();
-        let it = &self.interner;
+        let it = &self.wl.interner;
+        let c = self.wl.counters;
         let values = self
             .values
             .iter()
@@ -499,31 +410,25 @@ impl<'g> Weihl<'g> {
             values,
             store,
             store_outputs,
-            flow_ins: self.flow_ins,
-            flow_outs: self.flow_outs,
-            dedup_hits: self.dedup_hits,
-            delta_batches: match self.propagation {
-                Propagation::Naive => None,
-                Propagation::Delta => Some(self.delta_batches),
-            },
+            // One flow-in per (pair, consumer) delivery, plus one per
+            // store pair for its pop from the store slot: `paper cost`
+            // and `schedule.tsv` count Weihl's work that way.
+            flow_ins: c.flow_ins + self.store.len() as u64,
+            flow_outs: c.flow_outs,
+            dedup_hits: c.dedup_hits,
+            delta_batches: self.wl.delta_batches(),
         }
     }
 }
 
 /// Pairs arriving at a call's actual-argument port flow to the matching
 /// formal of callee `f`.
-fn forward_to_formal(
-    g: &Graph,
-    port: usize,
-    pair: Pair,
-    f: VFuncId,
-    em: &mut Vec<(OutputId, Pair)>,
-) {
+fn forward_to_formal(g: &Graph, port: usize, pair: Pair, f: VFuncId, em: &mut Vec<(Slot, Pair)>) {
     let entry = g.func(f).entry;
     let formals = &g.node(entry).outputs;
     let idx = port - 1;
     if idx < formals.len() {
-        em.push((formals[idx], pair));
+        em.push((slot_of(g, formals[idx]), pair));
     }
 }
 

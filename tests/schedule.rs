@@ -19,7 +19,9 @@
 //! schedules the worklist driver runs: the naive discipline of CI,
 //! Weihl and k1 (`ci@naive`, `weihl@naive`, `k1@naive`; property 3 of
 //! the campaign re-solves through it) and CI under
-//! `WorklistOrder::Lifo` (`ci@lifo`).
+//! `WorklistOrder::Lifo` (`ci@lifo`). Each `@naive` row must equal its
+//! delta row on the four fixpoint columns; the test checks that before
+//! it compares or refreshes the table.
 //!
 //! After an intentional schedule change, refresh with:
 //!
@@ -93,6 +95,36 @@ fn rows(name: &str, src: &str) -> Vec<String> {
     out
 }
 
+/// The fixpoint columns (`flow_ins`, `flow_outs`, `pairs`, `contexts`)
+/// of every `X@naive` row equal those of its program's `X` row.
+fn assert_naive_reaches_the_same_fixpoint(table: &str) {
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .skip(1)
+        .map(|l| l.split('\t').collect())
+        .collect();
+    let fixpoint = |r: &[&str]| [r[2], r[3], r[6], r[7]].map(str::to_string);
+    let mut naive_rows = 0;
+    for r in &rows {
+        let Some(solver) = r[1].strip_suffix("@naive") else {
+            continue;
+        };
+        let base = rows
+            .iter()
+            .find(|b| b[0] == r[0] && b[1] == solver)
+            .unwrap_or_else(|| panic!("{}: no {solver} row", r[0]));
+        assert_eq!(
+            fixpoint(r),
+            fixpoint(base),
+            "{}: {} and {solver} differ on flow_ins, flow_outs, pairs or contexts",
+            r[0],
+            r[1]
+        );
+        naive_rows += 1;
+    }
+    assert!(naive_rows > 0, "no @naive rows");
+}
+
 #[test]
 fn solver_counters_match_golden_table() {
     let mut got = String::from(HEADER);
@@ -102,6 +134,7 @@ fn solver_counters_match_golden_table() {
             got.push('\n');
         }
     }
+    assert_naive_reaches_the_same_fixpoint(&got);
     let path = table_path();
     if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
         std::fs::write(&path, &got).expect("write table");

@@ -28,14 +28,21 @@
 //! procedure even though they are filtered at every return.
 //!
 //! It runs on the worklist driver shared with CI and Weihl
-//! (`worklist.rs`); its slots are (output, context) pairs.
+//! (`worklist.rs`); its slots are (output, context) pairs. Like the
+//! other four solvers it analyzes every procedure, but the root context
+//! is lazy: the solve starts from `<root>` alone, and only a procedure
+//! that no call reaches at the fixpoint is then activated under the
+//! root, with ⊥ formals. A procedure some call reaches would gain
+//! nothing from it: its root-context facts are a subset of any call
+//! context's (`K1::solve`).
 
 use crate::ci::WorklistOrder;
 use crate::cs::span;
 use crate::fxhash::{HashMap, HashSet};
-use crate::pairset::{PairSet, Propagation};
+use crate::pairset::{PairId, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
 use crate::worklist::{self, Slots, Worklist};
+use std::cell::Cell;
 use vdg::graph::{Graph, InputId, NodeId, NodeKind, OutputId, VFuncId};
 
 /// A length-1 call string: the immediate call site, or the root.
@@ -51,30 +58,46 @@ impl Ctx {
 }
 
 /// Per-output `context -> pairs` map. An output sees only the k=1
-/// contexts of its owner's call sites — a handful — so a linear-scan
-/// vector beats a hash map on the `flow_out` fast path.
+/// contexts of its owner's call sites — a handful — so a vector stands
+/// in for a hash map. The driver hands a whole batch of one slot to a
+/// consumer, and the transfer emits and reads side inputs under that
+/// slot's context, so consecutive lookups mostly repeat a context: each
+/// map remembers the index of its last hit and tries it first, and only
+/// a miss scans.
 #[derive(Debug, Clone, Default)]
-struct CtxSlots(Vec<(Ctx, PairSet)>);
+struct CtxSlots {
+    slots: Vec<(Ctx, PairSet)>,
+    last: Cell<usize>,
+}
 
 impl CtxSlots {
+    fn find(&self, ctx: Ctx) -> Option<usize> {
+        let hint = self.last.get();
+        if self.slots.get(hint).is_some_and(|(c, _)| *c == ctx) {
+            return Some(hint);
+        }
+        let i = self.slots.iter().position(|(c, _)| *c == ctx)?;
+        self.last.set(i);
+        Some(i)
+    }
+
     fn get(&self, ctx: Ctx) -> Option<&PairSet> {
-        self.0.iter().find(|(c, _)| *c == ctx).map(|(_, s)| s)
+        self.find(ctx).map(|i| &self.slots[i].1)
     }
 
     /// Find-or-insert the set for `ctx`.
     fn slot(&mut self, ctx: Ctx) -> &mut PairSet {
-        match self.0.iter().position(|(c, _)| *c == ctx) {
-            Some(i) => &mut self.0[i].1,
-            None => {
-                self.0.push((ctx, PairSet::default()));
-                &mut self.0.last_mut().expect("just pushed").1
-            }
-        }
+        let i = self.find(ctx).unwrap_or_else(|| {
+            self.slots.push((ctx, PairSet::default()));
+            self.slots.len() - 1
+        });
+        self.last.set(i);
+        &mut self.slots[i].1
     }
 
     /// The contexts holding at least one pair, with their sets.
     fn iter(&self) -> impl Iterator<Item = (Ctx, &PairSet)> {
-        self.0
+        self.slots
             .iter()
             .filter(|(_, s)| !s.is_empty())
             .map(|(c, s)| (*c, s))
@@ -127,7 +150,8 @@ pub struct CallStringResult {
     pub dedup_hits: u64,
     /// Batched delta deliveries (`None` under [`Propagation::Naive`]).
     pub delta_batches: Option<u64>,
-    /// Number of (function, context) pairs analyzed.
+    /// Number of (function, context) pairs analyzed; a function has the
+    /// root context only if no call reaches it.
     pub contexts: usize,
 }
 
@@ -184,16 +208,7 @@ pub fn analyze_callstring_from(
     config: &CallStringConfig,
 ) -> Result<CallStringResult, crate::cs::StepLimitExceeded> {
     let mut s = K1::new(graph, paths, config);
-    // Analyze every procedure, not only those reachable from `<root>`:
-    // an uncalled procedure is analyzed under the root context (with ⊥
-    // formals), matching the other four solvers' whole-graph behavior.
-    // For called procedures this adds nothing — root-context facts are a
-    // subset of any call-context's facts, and stripping unions them.
-    s.activate(graph.root(), Ctx::ROOT);
-    for f in graph.func_ids() {
-        s.activate(f, Ctx::ROOT);
-    }
-    worklist::run(&mut s);
+    s.solve();
     if s.wl.exhausted() || s.wl.counters.flow_ins > config.max_steps {
         return Err(crate::cs::StepLimitExceeded {
             steps: config.max_steps,
@@ -271,6 +286,37 @@ impl<'g> K1<'g> {
         }
     }
 
+    /// Solves from `<root>`, then from each function no call reaches.
+    ///
+    /// A function some call reaches needs no root context. Under the
+    /// root its formals and entry store are ⊥, while its other inputs —
+    /// its constants and the returns of its callees, which flow to
+    /// every caller context of a call — are the same as under a call
+    /// context. The transfers are monotone, so its root-context facts
+    /// are a subset of the call context's, and stripping unions the
+    /// contexts anyway. So only a function still idle at a fixpoint is
+    /// activated under the root (with ⊥ formals, matching the other
+    /// four solvers' whole-graph behavior), one at a time with a
+    /// fixpoint after each, since its calls may reach other idle
+    /// functions. The last-defined function goes first: C defines a
+    /// callee before its callers, so an uncalled caller hands its
+    /// callees their call contexts before they are tried.
+    fn solve(&mut self) {
+        let g = self.g;
+        self.activate(g.root(), Ctx::ROOT);
+        worklist::run(self);
+        for f in (0..g.func_count() as u32).rev().map(VFuncId) {
+            if self.active.contains_key(&f) {
+                continue;
+            }
+            if self.wl.exhausted() {
+                return;
+            }
+            self.activate(f, Ctx::ROOT);
+            worklist::run(self);
+        }
+    }
+
     /// First entry of `f` under `ctx`: seed its constant nodes there and
     /// mark every call site it owns as reachable under `ctx` (so callee
     /// returns flow back even when no actual ever carries a pair — e.g.
@@ -311,50 +357,55 @@ impl<'g> K1<'g> {
         } = self;
         let contexts = active.values().map(|c| c.len()).sum();
         let n_outputs = p.len();
-        // The stripped view, resolved in slot order: an output's pairs
-        // are its contexts' committed pairs, one slice of the arena.
+        // The stripped view: an output's pairs are its contexts' committed
+        // pairs, deduplicated by id (one bitmap over the interner, cleared
+        // after each output) before anything is resolved.
         let committed: usize = p.iter().flat_map(|m| m.iter()).map(|(_, s)| s.len()).sum();
         let mut pairs = Vec::with_capacity(committed);
         let mut pair_start = Vec::with_capacity(n_outputs + 1);
         pair_start.push(0);
+        let mut seen = vec![0u64; wl.interner.len().div_ceil(64)];
+        let mut ids: Vec<PairId> = Vec::new();
         for m in &p {
-            for (_, set) in m.iter() {
-                pairs.extend(set.iter().map(|id| wl.interner.resolve(id)));
+            let mut sets = m.iter().map(|(_, set)| set);
+            if let (Some(only), None) = (sets.next(), sets.next()) {
+                pairs.extend(only.iter().map(|id| wl.interner.resolve(id)));
+            } else {
+                for id in m.iter().flat_map(|(_, set)| set.iter()) {
+                    let (w, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+                    if seen[w] & bit == 0 {
+                        seen[w] |= bit;
+                        ids.push(id);
+                    }
+                }
+                for id in ids.drain(..) {
+                    seen[id.0 as usize / 64] &= !(1u64 << (id.0 % 64));
+                    pairs.push(wl.interner.resolve(id));
+                }
             }
             pair_start.push(pairs.len());
         }
-        drop(p);
+        drop((p, seen, ids));
         let c = wl.counters;
         let delta_batches = wl.delta_batches();
         drop(wl);
         // Canonical ids over the starting table plus the used paths, so
         // they do not depend on the order this schedule interned paths in.
-        let mut used: HashSet<PathId> = (0..start_paths as u32).map(PathId).collect();
+        let mut used = vec![false; paths.len()];
+        used[..start_paths].fill(true);
         for pr in &pairs {
-            used.insert(pr.path);
-            used.insert(pr.referent);
+            used[pr.path.0 as usize] = true;
+            used[pr.referent.0 as usize] = true;
         }
         let (paths, remap) = paths.canonicalize(&used);
         let at = |p: PathId| PathId(remap[p.0 as usize]);
         for pr in &mut pairs {
             *pr = Pair::new(at(pr.path), at(pr.referent));
         }
-        // Sort each output's slice and compact it, keeping one copy of a
-        // pair that several contexts hold.
-        let mut w = 0;
+        // The renumbering is injective, so the pairs stay distinct.
         for o in 0..n_outputs {
-            let (from, to) = (pair_start[o], pair_start[o + 1]);
-            pairs[from..to].sort_unstable();
-            pair_start[o] = w;
-            for r in from..to {
-                if w == pair_start[o] || pairs[r] != pairs[w - 1] {
-                    pairs[w] = pairs[r];
-                    w += 1;
-                }
-            }
+            pairs[span(&pair_start, o)].sort_unstable();
         }
-        pair_start[n_outputs] = w;
-        pairs.truncate(w);
         pairs.shrink_to_fit();
         CallStringResult {
             paths,
@@ -581,8 +632,8 @@ impl<'g> K1<'g> {
                     self.forward_to_formal(call, port, self.wl.interner.resolve(id), f, em);
                 }
             }
-            for i in 0..self.p[src].0.len() {
-                let (ctx, set) = &self.p[src].0[i];
+            for i in 0..self.p[src].slots.len() {
+                let (ctx, set) = &self.p[src].slots[i];
                 if !set.is_empty() {
                     self.note_caller_ctx(call, *ctx, em);
                 }
@@ -820,12 +871,8 @@ mod tests {
         let g = lower(&prog, &BuildOptions::default()).unwrap();
         let cfg = CallStringConfig::default();
         let mut s = K1::new(&g, PathTable::for_graph(&g), &cfg);
-        s.activate(g.root(), Ctx::ROOT);
-        for f in g.func_ids() {
-            s.activate(f, Ctx::ROOT);
-        }
-        worklist::run(&mut s);
-        let pick = g.func_ids().find(|&f| g.func(f).name == "pick").unwrap();
+        s.solve();
+        let pick = func(&g, "pick");
         let call = *s
             .callees
             .iter()
@@ -876,8 +923,62 @@ mod tests {
              void touch(void) { g = 1; }\n\
              int main(void) { touch(); touch(); return g; }",
         );
-        // touch is called from two sites: two contexts plus main's plus
-        // the root's.
-        assert!(k1.contexts >= 4, "contexts = {}", k1.contexts);
+        // touch is called from two sites: two contexts, plus main's
+        // (`<root>`'s call) and `<root>`'s own.
+        assert_eq!(k1.contexts, 4);
+    }
+
+    fn func(g: &Graph, name: &str) -> VFuncId {
+        g.func_ids().find(|&f| g.func(f).name == name).unwrap()
+    }
+
+    fn ctxs(cs: &[Ctx]) -> HashSet<Ctx> {
+        cs.iter().copied().collect()
+    }
+
+    #[test]
+    fn an_uncalled_function_keeps_its_pairs_under_the_root_context() {
+        let p = cfront::compile(
+            "int g;\n\
+             int lonely(void) { int *p; p = &g; return *p; }\n\
+             int main(void) { return 0; }",
+        )
+        .unwrap();
+        let g = lower(&p, &BuildOptions::default()).unwrap();
+        let mut s = K1::new(&g, PathTable::for_graph(&g), &CallStringConfig::default());
+        s.solve();
+        assert_eq!(s.active[&func(&g, "lonely")], ctxs(&[Ctx::ROOT]));
+        let k1 = s.finish();
+        let (read, _) = g.indirect_mem_ops()[0];
+        assert_eq!(names(&k1.paths, &g, &k1.loc_referents(&g, read)), vec!["g"]);
+        // `<root>` and lonely under the root, main under `<root>`'s call.
+        assert_eq!(k1.contexts, 3);
+    }
+
+    #[test]
+    fn a_function_only_an_uncalled_one_calls_gets_no_root_context() {
+        let p = cfront::compile(
+            "int a;\n\
+             int *helper(int *p) { return p; }\n\
+             int unused(void) { int *q; q = helper(&a); return *q; }\n\
+             int main(void) { return 0; }",
+        )
+        .unwrap();
+        let g = lower(&p, &BuildOptions::default()).unwrap();
+        let (helper, unused) = (func(&g, "helper"), func(&g, "unused"));
+        let mut s = K1::new(&g, PathTable::for_graph(&g), &CallStringConfig::default());
+        // The fixpoint from `<root>` leaves both idle; the activation of
+        // `unused` that follows gives `helper` its call context.
+        s.activate(g.root(), Ctx::ROOT);
+        worklist::run(&mut s);
+        assert!(!s.active.contains_key(&helper) && !s.active.contains_key(&unused));
+        s.solve();
+        let call = *s.callers[&helper].first().unwrap();
+        assert_eq!(s.active[&unused], ctxs(&[Ctx::ROOT]));
+        assert_eq!(s.active[&helper], ctxs(&[Ctx::of_call(call)]));
+        let k1 = s.finish();
+        let (read, _) = g.indirect_mem_ops()[0];
+        assert_eq!(names(&k1.paths, &g, &k1.loc_referents(&g, read)), vec!["a"]);
+        assert_eq!(k1.contexts, 4);
     }
 }

@@ -25,7 +25,7 @@
 //! location pairs arrive) falls out of the arrival-driven transfer
 //! functions.
 
-use crate::fxhash::{HashMap, HashSet};
+use crate::fxhash::HashMap;
 use crate::pairset::{PairInterner, PairSet, Propagation};
 use crate::path::{AccessOp, Pair, PathId, PathTable};
 use crate::worklist::{self, Counters, Slots, Worklist};
@@ -426,11 +426,11 @@ impl<'g> Solver<'g> {
             .iter()
             .map(|s| s.iter().map(|id| wl.interner.resolve(id)).collect())
             .collect();
-        let mut used: HashSet<PathId> = HashSet::default();
+        let mut used = vec![false; paths.len()];
         for v in &resolved {
             for p in v {
-                used.insert(p.path);
-                used.insert(p.referent);
+                used[p.path.0 as usize] = true;
+                used[p.referent.0 as usize] = true;
             }
         }
         let (canon, remap) = paths.canonicalize(&used);

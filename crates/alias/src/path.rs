@@ -361,25 +361,27 @@ impl PathTable {
     }
 
     /// Rebuilds the table in *canonical* order: every real base root is
-    /// kept, plus exactly the paths in `used` (with their prefixes) and
-    /// the synthetic bases they mention, renumbered by structural
-    /// content — synthetic bases by `(origin, call site)`, paths by
-    /// `(base, operator sequence)`. Two solver runs that reach the same
-    /// final pair sets through different schedules intern paths in
-    /// different orders; canonicalizing at finish makes their results
-    /// *numerically* identical, not merely identical up to rendering.
+    /// kept, plus exactly the paths `used` marks (`used[p]` for path
+    /// `p`; a shorter slice marks none past its end) with their
+    /// prefixes and the synthetic bases they mention, renumbered by
+    /// structural content — synthetic bases by `(origin, call site)`,
+    /// paths by `(base, operator sequence)`. Two solver runs that reach
+    /// the same final pair sets through different schedules intern
+    /// paths in different orders; canonicalizing at finish makes their
+    /// results *numerically* identical, not merely identical up to
+    /// rendering.
     ///
     /// Returns the new table and an old-id → new-id map (`u32::MAX`
     /// for dropped paths). [`PathTable::EMPTY`] always maps to itself.
-    pub fn canonicalize(&self, used: &crate::fxhash::HashSet<PathId>) -> (PathTable, Vec<u32>) {
+    pub fn canonicalize(&self, used: &[bool]) -> (PathTable, Vec<u32>) {
         let n = self.nodes.len();
         let mut keep = vec![false; n];
         keep[0] = true;
         for &r in &self.base_roots[..self.n_real] {
             keep[r.0 as usize] = true;
         }
-        for &p in used {
-            let mut cur = p;
+        for (i, _) in used.iter().enumerate().filter(|&(_, &u)| u) {
+            let mut cur = PathId(i as u32);
             loop {
                 let i = cur.0 as usize;
                 if keep[i] {
@@ -688,7 +690,10 @@ mod tests {
             let c = t.heap_clone(bs[1], 7);
             wanted.push(mk(&mut t, c, &[f0]));
             let _garbage = mk(&mut t, bs[0], &[AccessOp::Index, AccessOp::Index]);
-            let used: crate::fxhash::HashSet<PathId> = wanted.iter().copied().collect();
+            let mut used = vec![false; t.len()];
+            for p in &wanted {
+                used[p.0 as usize] = true;
+            }
             let (ct, remap) = t.canonicalize(&used);
             let mapped: Vec<PathId> = wanted.iter().map(|p| PathId(remap[p.0 as usize])).collect();
             (ct, mapped)

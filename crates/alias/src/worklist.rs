@@ -143,8 +143,10 @@ pub(crate) fn commit<'g, S: Slots<'g>>(s: &mut S, key: S::Key, pair: Pair) {
     wl.counters.flow_outs += 1;
     let naive = wl.propagation == Propagation::Naive;
     if naive {
-        // Deliveries ride on the worklist; the delta is unused.
-        set.take_delta();
+        // Deliveries ride on the worklist; the delta is unused, but its
+        // buffer stays with the set.
+        let buf = set.take_delta();
+        set.recycle(buf);
     } else if queued {
         return;
     }

@@ -80,7 +80,8 @@ pub struct DemandStats {
     pub budget_exhausted: u64,
     /// Whether [`DemandState::materialize`] completed this state.
     pub materialized: bool,
-    /// Outputs in the demand-solved region.
+    /// Outputs in the demand-solved region; 0 once the budget runs out
+    /// and the region is abandoned.
     pub outputs_active: u64,
     /// Worklist deliveries consumed by demand runs.
     pub steps: u64,
@@ -386,6 +387,7 @@ impl DemandState {
 
     fn fall_back(&mut self, graph: &Graph) {
         if self.fallback.is_none() {
+            self.stats.outputs_active = 0;
             self.parts = None;
             self.fallback = Some(analyze_ci(graph, &self.cfg.ci));
         }

@@ -367,21 +367,16 @@ impl<'g> K1<'g> {
         let mut seen = vec![0u64; wl.interner.len().div_ceil(64)];
         let mut ids: Vec<PairId> = Vec::new();
         for m in &p {
-            let mut sets = m.iter().map(|(_, set)| set);
-            if let (Some(only), None) = (sets.next(), sets.next()) {
-                pairs.extend(only.iter().map(|id| wl.interner.resolve(id)));
-            } else {
-                for id in m.iter().flat_map(|(_, set)| set.iter()) {
-                    let (w, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
-                    if seen[w] & bit == 0 {
-                        seen[w] |= bit;
-                        ids.push(id);
-                    }
+            for id in m.iter().flat_map(|(_, set)| set.iter()) {
+                let (w, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+                if seen[w] & bit == 0 {
+                    seen[w] |= bit;
+                    ids.push(id);
                 }
-                for id in ids.drain(..) {
-                    seen[id.0 as usize / 64] &= !(1u64 << (id.0 % 64));
-                    pairs.push(wl.interner.resolve(id));
-                }
+            }
+            for id in ids.drain(..) {
+                seen[id.0 as usize / 64] &= !(1u64 << (id.0 % 64));
+                pairs.push(wl.interner.resolve(id));
             }
             pair_start.push(pairs.len());
         }

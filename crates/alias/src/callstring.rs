@@ -176,15 +176,6 @@ impl CallStringResult {
     }
 }
 
-impl crate::stats::PointsToSolution for CallStringResult {
-    fn pairs_at(&self, o: OutputId) -> &[Pair] {
-        self.pairs(o)
-    }
-    fn path_table(&self) -> &PathTable {
-        &self.paths
-    }
-}
-
 /// Runs the k=1 call-string analysis.
 ///
 /// # Errors

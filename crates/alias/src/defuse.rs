@@ -22,7 +22,6 @@ use crate::fxhash::HashMap;
 use crate::path::{PathId, PathTable};
 use crate::reach::StoreWalk;
 use crate::solver::Solution;
-use crate::stats::PointsToSolution;
 use std::collections::BTreeSet;
 use vdg::graph::{Graph, NodeId, NodeKind, OutputId};
 
@@ -53,14 +52,21 @@ fn overlaps(paths: &PathTable, a: PathId, b: PathId) -> bool {
 
 /// Computes def/use edges for every lookup, using `sol` for the location
 /// sets and `callees` (from the CI solver) for the interprocedural store
-/// graph.
+/// graph; `None` when `sol` has no per-output pairs
+/// ([`Solution::pairs_at`]).
 pub fn def_use(
     graph: &Graph,
-    sol: &dyn PointsToSolution,
+    sol: &dyn Solution,
     callees: &HashMap<NodeId, Vec<vdg::graph::VFuncId>>,
-) -> DefUse {
-    let paths = sol.path_table();
-    let referents_at = |o: OutputId| sol.pairs_at(o).iter().map(|p| p.referent);
+) -> Option<DefUse> {
+    let paths = sol.path_universe()?;
+    // A pair-based solution has pairs on every output.
+    let referents_at = |o: OutputId| {
+        sol.pairs_at(o)
+            .unwrap_or_default()
+            .iter()
+            .map(|p| p.referent)
+    };
     let mut walk = StoreWalk::new(graph, callees);
     let mut out = DefUse::default();
     for (node, is_write) in graph.all_mem_ops() {
@@ -98,7 +104,7 @@ pub fn def_use(
         }
         out.uses.insert(node, defs.into_iter().collect());
     }
-    out
+    Some(out)
 }
 
 /// Computes def/use edges at the *base* granularity any [`Solution`]
@@ -160,7 +166,7 @@ mod tests {
         let p = cfront::compile(src).expect("compiles");
         let g = lower(&p, &BuildOptions::default()).expect("lowers");
         let ci = analyze_ci(&g, &CiConfig::default());
-        let du = def_use(&g, &ci, &ci.callees);
+        let du = def_use(&g, &ci, &ci.callees).expect("ci has pairs");
         (g, ci, du)
     }
 
@@ -266,8 +272,8 @@ mod tests {
         let g = lower(&p, &BuildOptions::default()).unwrap();
         let ci = analyze_ci(&g, &CiConfig::default());
         let cs = crate::cs::analyze_cs(&g, &ci, &crate::cs::CsConfig::default()).unwrap();
-        let du_ci = def_use(&g, &ci, &ci.callees);
-        let du_cs = def_use(&g, &cs, &ci.callees);
+        let du_ci = def_use(&g, &ci, &ci.callees).expect("ci has pairs");
+        let du_cs = def_use(&g, &cs, &ci.callees).expect("cs has pairs");
         assert_eq!(du_ci.edge_count(), du_cs.edge_count());
         for (u, defs) in &du_ci.uses {
             assert_eq!(defs, du_cs.uses.get(u).unwrap());

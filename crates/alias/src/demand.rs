@@ -36,8 +36,7 @@
 use crate::ci::{analyze_ci, deliver_committed, CiConfig, CiResult, Solver, SolverParts};
 use crate::fxhash::{HashMap, HashSet};
 use crate::pairset::Propagation;
-use crate::solver::{Solution, SolutionBox, Solver as SolverTrait};
-use crate::AnalysisError;
+use crate::solver::{Solution, SolutionBox};
 use std::cell::RefCell;
 use vdg::graph::{BaseId, Graph, NodeId, NodeKind, OutputId, VFuncId};
 
@@ -462,24 +461,6 @@ fn install_boundary(g: &Graph, s: &mut Solver, prev: &[bool], now: &[bool]) {
                 }
             }
         }
-    }
-}
-
-/// The demand-driven solver as a [`SolverTrait`]: "solving" just
-/// builds an empty [`DemandState`]; queries drive the work.
-#[derive(Debug, Clone, Default)]
-pub struct DemandSolver {
-    /// Budgets and CI knobs.
-    pub config: DemandConfig,
-}
-
-impl SolverTrait for DemandSolver {
-    fn name(&self) -> &str {
-        "demand"
-    }
-
-    fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        Ok(Box::new(DemandSolution::new(graph, self.config.clone())))
     }
 }
 

@@ -52,11 +52,11 @@ mod worklist;
 
 pub use ci::{analyze_ci, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder};
 pub use cs::{analyze_cs, cs_subset_of_ci, CsConfig, CsResult, StepLimitExceeded};
-pub use demand::{DemandConfig, DemandSolution, DemandSolver, DemandState, DemandStats};
+pub use demand::{DemandConfig, DemandSolution, DemandState, DemandStats};
 pub use fingerprint::GraphIndex;
 pub use pairset::{PairId, PairInterner, PairSet, Propagation};
 pub use path::{AccessOp, Pair, PathId, PathTable};
-pub use solver::{Solution, SolutionBox, Solver, SolverKind, SolverSpec};
+pub use solver::{Solution, SolutionBox, SolverKind, SolverSpec};
 
 use std::fmt;
 use vdg::graph::Graph;
@@ -74,7 +74,7 @@ pub enum AnalysisError {
     /// solver, on which benchmark or fuzz seed — so engine and fuzz
     /// reports print actionable one-liners instead of a bare cause.
     Context {
-        /// [`solver::Solver::name`] of the failing solver.
+        /// [`SolverSpec::name`] of the failing solver.
         solver: String,
         /// The benchmark name or fuzz-seed label being analyzed.
         job: String,
@@ -157,26 +157,16 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Starts a configurable pipeline over `src`; call
-    /// [`AnalysisBuilder::run`] to execute it.
-    pub fn builder(src: &str) -> AnalysisBuilder<'_> {
-        AnalysisBuilder {
-            src,
-            build: vdg::BuildOptions::default(),
-            ci: CiConfig::default(),
-        }
-    }
-
     /// Compiles, lowers, and runs the CI analysis with default options.
-    ///
-    /// Thin legacy wrapper over [`Analysis::builder`]; prefer the
-    /// builder when any option differs from the default.
     ///
     /// # Errors
     ///
     /// Returns frontend or lowering diagnostics.
     pub fn of_source(src: &str) -> Result<Analysis, AnalysisError> {
-        Self::builder(src).run()
+        let program = cfront::compile(src)?;
+        let graph = vdg::lower(&program, &vdg::BuildOptions::default())?;
+        let ci = analyze_ci(&graph, &CiConfig::default());
+        Ok(Analysis { program, graph, ci })
     }
 
     /// Runs the context-sensitive analysis on top of this CI result.
@@ -186,55 +176,6 @@ impl Analysis {
     /// Returns [`StepLimitExceeded`] if `cfg.max_steps` is exhausted.
     pub fn run_cs(&self, cfg: &CsConfig) -> Result<CsResult, StepLimitExceeded> {
         analyze_cs(&self.graph, &self.ci, cfg)
-    }
-}
-
-/// Options for the source → [`Analysis`] pipeline.
-///
-/// ```
-/// use alias::{Analysis, CiConfig, WorklistOrder};
-///
-/// # fn main() -> Result<(), alias::AnalysisError> {
-/// let a = Analysis::builder("int g; int main(void) { int *p; p = &g; return *p; }")
-///     .ci_config(CiConfig {
-///         order: WorklistOrder::Lifo,
-///         ..CiConfig::default()
-///     })
-///     .run()?;
-/// assert!(a.ci.total_pairs() > 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct AnalysisBuilder<'a> {
-    src: &'a str,
-    build: vdg::BuildOptions,
-    ci: CiConfig,
-}
-
-impl AnalysisBuilder<'_> {
-    /// Sets the VDG lowering options.
-    pub fn build_options(mut self, build: vdg::BuildOptions) -> Self {
-        self.build = build;
-        self
-    }
-
-    /// Sets the context-insensitive solver options.
-    pub fn ci_config(mut self, ci: CiConfig) -> Self {
-        self.ci = ci;
-        self
-    }
-
-    /// Compiles, lowers, and runs the CI analysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns frontend or lowering diagnostics.
-    pub fn run(self) -> Result<Analysis, AnalysisError> {
-        let program = cfront::compile(self.src)?;
-        let graph = vdg::lower(&program, &self.build)?;
-        let ci = analyze_ci(&graph, &self.ci);
-        Ok(Analysis { program, graph, ci })
     }
 }
 

@@ -11,7 +11,6 @@ use crate::fxhash::HashMap;
 use crate::path::PathId;
 use crate::reach::close_over_calls;
 use crate::solver::Solution;
-use crate::stats::PointsToSolution;
 use std::collections::BTreeSet;
 use vdg::graph::{BaseId, Graph, NodeId, VFuncId};
 
@@ -60,21 +59,21 @@ pub type ModRefBases = ModRef<BaseId>;
 /// Base-granular mod/ref summaries for every function.
 pub type ModRefBasesSummary = ModRefSummary<BaseId>;
 
-/// Computes mod/ref summaries from a points-to solution.
+/// Computes path-granular mod/ref summaries from a points-to solution;
+/// `None` when `sol` has no per-output pairs ([`Solution::pairs_at`]).
 ///
 /// `callees` is the call graph discovered by the solver
 /// ([`crate::ci::CiResult::callees`]).
 pub fn mod_ref(
     graph: &Graph,
-    sol: &dyn PointsToSolution,
+    sol: &dyn Solution,
     callees: &HashMap<NodeId, Vec<VFuncId>>,
-) -> ModRefSummary {
-    summarize(graph, callees, |node| {
-        sol.pairs_at(graph.input_src(node, 0))
-            .iter()
-            .map(|p| p.referent)
-            .collect()
-    })
+) -> Option<ModRefSummary> {
+    // A pair-based solution answers `referents_at` at every node.
+    sol.path_universe()?;
+    Some(summarize(graph, callees, |node| {
+        sol.referents_at(graph, node).unwrap_or_default()
+    }))
 }
 
 /// Maps each node to its owning function (delegates to
@@ -135,7 +134,7 @@ mod tests {
         let p = cfront::compile(src).expect("compiles");
         let g = lower(&p, &BuildOptions::default()).expect("lowers");
         let ci = analyze_ci(&g, &CiConfig::default());
-        let s = mod_ref(&g, &ci, &ci.callees);
+        let s = mod_ref(&g, &ci, &ci.callees).expect("ci has pairs");
         (g, ci, s)
     }
 

@@ -1,68 +1,41 @@
-//! A uniform driver-facing API over the five analyses.
+//! One driver-facing API over the five analyses and the demand view.
 //!
-//! Historically each analysis had its own free-function entry point with
-//! its own shape (`analyze_ci`, `analyze_cs`, `analyze_weihl_from`,
-//! `analyze_steensgaard`, `analyze_callstring_from`), which forced every
-//! harness — the CLI `spectrum` command, the figure binaries, the
-//! parallel engine — to hard-code all five call sites. The [`Solver`]
-//! trait unifies them:
+//! Each analysis keeps its own free-function entry point and result type
+//! (`analyze_ci`, `analyze_cs`, `analyze_weihl_with`,
+//! `analyze_steensgaard`, `analyze_callstring_from`). Harnesses — the
+//! CLI, the figure code, the engine, the fuzzer — never call those: a
+//! [`SolverSpec`] names the analysis and its knobs, [`SolverSpec::solve`]
+//! runs it, and the boxed [`Solution`] answers every query:
 //!
 //! ```text
 //!                    ┌───────────────┐
-//!  Graph ──────────▶ │  dyn Solver   │ ──▶ SolutionBox (dyn Solution)
+//!  Graph ──────────▶ │  SolverSpec   │ ──▶ SolutionBox (dyn Solution)
 //!  Option<&CiResult> │ ci/cs/weihl/  │       ├─ pairs(), flow counts
 //!       (shared      │ steensgaard/  │       ├─ loc_referent_bases()
-//!        vocabulary) │ k=1 callstring│       └─ as_points_to() / as_ci() / as_cs()
-//!                    └───────────────┘
+//!        vocabulary) │ k1/demand     │       ├─ pairs_at(), referents_at()
+//!                    └───────────────┘       └─ as_ci() / as_cs() / as_k1()
 //! ```
 //!
 //! Passing the CI result is optional but meaningful twice over: the CS
 //! solver *requires* CI facts for its §4.2 pruning (it computes its own
 //! when given `None`), and the pair-based baselines seed their
-//! [`PathTable`] from the CI one so that [`Pair`](crate::path::Pair) ids remain comparable
+//! [`PathTable`] from the CI one so that [`Pair`] ids remain comparable
 //! across solutions of the same graph.
-//!
-//! The concrete result types are still reachable — [`Solution::as_ci`]
-//! and friends downcast without `Any` machinery — so existing
-//! [`crate::stats::PointsToSolution`] consumers keep working on the
-//! boxed solutions of every pair-based solver.
 
 use crate::callstring::{analyze_callstring_from, CallStringConfig, CallStringResult};
 use crate::ci::{analyze_ci, CiConfig, CiResult, Fault, HeapNaming, WorklistOrder};
 use crate::cs::{analyze_cs, CsConfig, CsResult};
+use crate::demand::{DemandConfig, DemandSolution};
 use crate::pairset::Propagation;
-use crate::path::{PathId, PathTable};
-use crate::stats::PointsToSolution;
+use crate::path::{Pair, PathId, PathTable};
 use crate::steensgaard::{analyze_steensgaard, SteensResult};
 use crate::weihl::{analyze_weihl_with, WeihlResult};
 use crate::AnalysisError;
 use std::cell::RefCell;
-use vdg::graph::{BaseId, Graph, NodeId};
+use vdg::graph::{BaseId, Graph, NodeId, OutputId};
 
 /// A solved analysis, boxed behind the uniform [`Solution`] view.
 pub type SolutionBox = Box<dyn Solution>;
-
-/// One of the five analyses, behind a uniform entry point.
-pub trait Solver: Send + Sync {
-    /// Stable machine-readable name (`"ci"`, `"cs"`, `"weihl"`,
-    /// `"steensgaard"`, `"k1"`).
-    fn name(&self) -> &str;
-
-    /// Runs the analysis over `graph`.
-    ///
-    /// `ci` is an optional previously computed context-insensitive
-    /// solution *for the same graph*: the CS solver uses it for the
-    /// §4.2 pruning optimizations (and computes its own if absent), and
-    /// the pair-based baselines adopt its path table so pair ids stay
-    /// comparable across solvers. Passing a CI result from a different
-    /// graph is a logic error.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::StepLimit`] if the solver exhausts its step
-    /// budget; the always-terminating solvers never fail.
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError>;
-}
 
 /// Uniform read-side view of any solver's result.
 ///
@@ -70,7 +43,7 @@ pub trait Solver: Send + Sync {
 /// parallel engine) needs, implementable even by the unification-based
 /// solver that has no per-program-point pair sets.
 pub trait Solution: Send {
-    /// The [`Solver::name`] that produced this solution.
+    /// The [`SolverSpec::name`] that produced this solution.
     fn analysis(&self) -> &'static str;
 
     /// Total points-to pairs, for solvers with a pair representation.
@@ -108,7 +81,9 @@ pub trait Solution: Send {
     /// Distinct base-locations the location input of memory-op `node`
     /// may reference — the coarsest granularity every solver supports,
     /// hence the common precision currency of the spectrum table.
-    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId>;
+    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
+        self.output_referent_bases(graph, graph.input_src(node, 0))
+    }
 
     /// Distinct base-locations the pointer value carried on `out` may
     /// reference, sorted and deduplicated. The output-level counterpart
@@ -116,30 +91,45 @@ pub trait Solution: Send {
     /// memory-safety checkers) that inspect values which are not the
     /// location input of a memory op — a `free`'s pointer argument, a
     /// `return`'s operand, an update's stored value.
-    fn output_referent_bases(&self, graph: &Graph, out: vdg::graph::OutputId) -> Vec<BaseId>;
+    fn output_referent_bases(&self, graph: &Graph, out: OutputId) -> Vec<BaseId>;
 
     /// Path-granular referents of the location input of memory-op
     /// `node`, for solvers with a per-program-point pair
-    /// representation. `None` for the unification baseline, whose
-    /// solution has no per-point sets; callers (the interpreter oracle,
-    /// the fuzz lattice checker) fall back to
-    /// [`Solution::loc_referent_bases`].
-    fn referents_at(&self, _graph: &Graph, _node: NodeId) -> Option<Vec<PathId>> {
+    /// representation. `None` for the unification baseline and the
+    /// demand view; callers (the interpreter oracle, the fuzz lattice
+    /// checker) fall back to [`Solution::loc_referent_bases`].
+    fn referents_at(&self, graph: &Graph, node: NodeId) -> Option<Vec<PathId>> {
+        let pairs = self.pairs_at(graph.input_src(node, 0))?;
+        let mut refs: Vec<PathId> = pairs.iter().map(|p| p.referent).collect();
+        refs.sort_unstable();
+        refs.dedup();
+        Some(refs)
+    }
+
+    /// The pairs on output `o`, sorted, in the ids of
+    /// [`Solution::path_universe`]. The one pair-level read path: the
+    /// path-granular clients ([`crate::defuse::def_use`],
+    /// [`crate::modref::mod_ref`]), the figure tables and
+    /// [`same_fixpoint`] all read through it. `None` for Steensgaard and
+    /// the demand view, which have no per-output pair sets.
+    fn pairs_at(&self, _o: OutputId) -> Option<&[Pair]> {
         None
     }
 
     /// The interned path universe the referents are expressed in, when
-    /// the representation has one. Paired with
-    /// [`Solution::referents_at`]; both are `Some` or both `None`.
+    /// the representation has one. `Some` exactly when
+    /// [`Solution::referents_at`] and [`Solution::pairs_at`] are.
     fn path_universe(&self) -> Option<&PathTable> {
         None
     }
 
     /// Whether this (coarser) solution covers `finer` at every indirect
     /// memory reference: at each node of `graph.indirect_mem_ops()`,
-    /// `finer`'s referent bases must be a subset of ours. This is the
-    /// precision-lattice check (CS ⊆ k=1 ⊆ CI ⊆ Weihl) at the base
-    /// granularity every solver supports. Returns `None` when the two
+    /// `finer`'s referent bases must be a subset of ours, at the base
+    /// granularity every solver supports. The fuzzer checks it on the
+    /// four edges of the precision lattice that hold in general: Weihl
+    /// and Steensgaard each cover CI, and CI covers both k=1 and CS
+    /// (k=1 and CS are incomparable). Returns `None` when the two
     /// solutions cannot be compared (reserved for future
     /// representations; the five built-in solvers always compare).
     fn covers(&self, graph: &Graph, finer: &dyn Solution) -> Option<bool> {
@@ -152,11 +142,6 @@ pub trait Solution: Send {
             }
         }
         Some(true)
-    }
-
-    /// Pair-level view, when the representation has one.
-    fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
-        None
     }
 
     /// Downcast to the concrete CI result.
@@ -177,18 +162,8 @@ pub trait Solution: Send {
         None
     }
 
-    /// Downcast to the concrete Weihl result.
-    fn as_weihl(&self) -> Option<&WeihlResult> {
-        None
-    }
-
     /// Downcast to the concrete k=1 call-string result.
     fn as_k1(&self) -> Option<&CallStringResult> {
-        None
-    }
-
-    /// Downcast to the Steensgaard union-find solution.
-    fn as_steens(&self) -> Option<&SteensSolution> {
         None
     }
 
@@ -306,9 +281,9 @@ pub fn solution_fingerprint(sol: &dyn Solution, graph: &Graph) -> u64 {
 ///
 /// Path ids mean the same in both only when the path universes are
 /// equal, so those are compared first. Pair-level solutions then compare
-/// pairs output by output, and two CI results their discovered call
-/// graphs too; the rest compare referents at every memory operation.
-/// CI (after `finish`) and k=1 canonicalize their
+/// [`Solution::pairs_at`] output by output, and two CI results their
+/// discovered call graphs too; the rest compare referent bases at every
+/// memory operation. CI (after `finish`) and k=1 canonicalize their
 /// tables, so equal answers give equal ids. Weihl does not: its ids
 /// follow the order it interned paths in, so a `false` for two Weihl
 /// solutions can still come with equal [`solution_dump`]s.
@@ -321,44 +296,25 @@ pub fn same_fixpoint(graph: &Graph, a: &dyn Solution, b: &dyn Solution) -> bool 
             return false;
         }
     }
-    if let (Some(pa), Some(pb)) = (a.as_points_to(), b.as_points_to()) {
-        return graph.output_ids().all(|o| pa.pairs_at(o) == pb.pairs_at(o));
+    // Equal universes: both solutions have pairs, or neither has.
+    if a.path_universe().is_some() {
+        return graph.output_ids().all(|o| a.pairs_at(o) == b.pairs_at(o));
     }
-    graph.all_mem_ops().iter().all(|&(node, _)| {
-        match (a.referents_at(graph, node), b.referents_at(graph, node)) {
-            (Some(mut x), Some(mut y)) => {
-                x.sort_unstable();
-                y.sort_unstable();
-                x == y
-            }
-            _ => a.loc_referent_bases(graph, node) == b.loc_referent_bases(graph, node),
-        }
-    })
+    graph
+        .all_mem_ops()
+        .iter()
+        .all(|&(node, _)| a.loc_referent_bases(graph, node) == b.loc_referent_bases(graph, node))
 }
 
-/// Collapses path-granular referents to distinct bases.
-fn bases_of(paths: &PathTable, refs: &[PathId]) -> Vec<BaseId> {
-    let mut b: Vec<BaseId> = refs.iter().filter_map(|&p| paths.base_of(p)).collect();
+/// Distinct bases of the referents of `pairs`, sorted.
+fn referent_bases(paths: &PathTable, pairs: &[Pair]) -> Vec<BaseId> {
+    let mut b: Vec<BaseId> = pairs
+        .iter()
+        .filter_map(|p| paths.base_of(p.referent))
+        .collect();
     b.sort_unstable();
     b.dedup();
     b
-}
-
-/// The context-insensitive analysis (§3) as a [`Solver`].
-#[derive(Debug, Clone, Default)]
-pub struct CiSolver {
-    /// Solver options.
-    pub config: CiConfig,
-}
-
-impl Solver for CiSolver {
-    fn name(&self) -> &str {
-        "ci"
-    }
-
-    fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        Ok(Box::new(analyze_ci(graph, &self.config)))
-    }
 }
 
 impl Solution for CiResult {
@@ -380,21 +336,14 @@ impl Solution for CiResult {
     fn delta_batches(&self) -> Option<u64> {
         self.delta_batches
     }
-    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
-        bases_of(&self.paths, &self.loc_referents(graph, node))
+    fn output_referent_bases(&self, _graph: &Graph, out: OutputId) -> Vec<BaseId> {
+        referent_bases(&self.paths, self.pairs(out))
     }
-    fn output_referent_bases(&self, _graph: &Graph, out: vdg::graph::OutputId) -> Vec<BaseId> {
-        let refs: Vec<PathId> = self.pairs(out).iter().map(|p| p.referent).collect();
-        bases_of(&self.paths, &refs)
-    }
-    fn referents_at(&self, graph: &Graph, node: NodeId) -> Option<Vec<PathId>> {
-        Some(self.loc_referents(graph, node))
+    fn pairs_at(&self, o: OutputId) -> Option<&[Pair]> {
+        Some(self.pairs(o))
     }
     fn path_universe(&self) -> Option<&PathTable> {
         Some(&self.paths)
-    }
-    fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
-        Some(self)
     }
     fn as_ci(&self) -> Option<&CiResult> {
         Some(self)
@@ -404,39 +353,6 @@ impl Solution for CiResult {
     }
     fn clone_box(&self) -> SolutionBox {
         Box::new(self.clone())
-    }
-}
-
-/// The assumption-set context-sensitive analysis (§4) as a [`Solver`].
-#[derive(Debug, Clone, Default)]
-pub struct CsSolver {
-    /// Solver options.
-    pub config: CsConfig,
-}
-
-impl Solver for CsSolver {
-    fn name(&self) -> &str {
-        "cs"
-    }
-
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        let run = |ci: &CiResult| -> Result<SolutionBox, AnalysisError> {
-            let cs = analyze_cs(graph, ci, &self.config)?;
-            Ok(Box::new(cs) as SolutionBox)
-        };
-        match ci {
-            Some(ci) => run(ci),
-            // No shared CI: compute one with matching knobs, since
-            // pruning requires heap naming and strong updates to agree.
-            None => run(&analyze_ci(
-                graph,
-                &CiConfig {
-                    strong_updates: self.config.strong_updates,
-                    heap_naming: self.config.heap_naming,
-                    ..CiConfig::default()
-                },
-            )),
-        }
     }
 }
 
@@ -456,21 +372,14 @@ impl Solution for CsResult {
     fn dedup_hits(&self) -> Option<u64> {
         Some(self.dedup_hits)
     }
-    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
-        bases_of(&self.paths, &self.loc_referents(graph, node))
+    fn output_referent_bases(&self, _graph: &Graph, out: OutputId) -> Vec<BaseId> {
+        referent_bases(&self.paths, self.pairs(out))
     }
-    fn output_referent_bases(&self, _graph: &Graph, out: vdg::graph::OutputId) -> Vec<BaseId> {
-        let refs: Vec<PathId> = self.pairs_at(out).iter().map(|p| p.referent).collect();
-        bases_of(&self.paths, &refs)
-    }
-    fn referents_at(&self, graph: &Graph, node: NodeId) -> Option<Vec<PathId>> {
-        Some(self.loc_referents(graph, node))
+    fn pairs_at(&self, o: OutputId) -> Option<&[Pair]> {
+        Some(self.pairs(o))
     }
     fn path_universe(&self) -> Option<&PathTable> {
         Some(&self.paths)
-    }
-    fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
-        Some(self)
     }
     fn as_cs(&self) -> Option<&CsResult> {
         Some(self)
@@ -480,27 +389,6 @@ impl Solution for CsResult {
     }
     fn clone_box(&self) -> SolutionBox {
         Box::new(self.clone())
-    }
-}
-
-/// Weihl's program-wide flow-insensitive baseline as a [`Solver`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeihlSolver {
-    /// Worklist discipline (delta by default).
-    pub propagation: Propagation,
-}
-
-impl Solver for WeihlSolver {
-    fn name(&self) -> &str {
-        "weihl"
-    }
-
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        Ok(Box::new(analyze_weihl_with(graph, paths, self.propagation)))
     }
 }
 
@@ -523,21 +411,16 @@ impl Solution for WeihlResult {
     fn delta_batches(&self) -> Option<u64> {
         self.delta_batches
     }
-    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
-        bases_of(&self.paths, &self.loc_referents(graph, node))
+    /// A value's referents; a store output has no value pairs (its
+    /// pairs are the program-wide store's).
+    fn output_referent_bases(&self, _graph: &Graph, out: OutputId) -> Vec<BaseId> {
+        referent_bases(&self.paths, self.value_pairs(out))
     }
-    fn output_referent_bases(&self, _graph: &Graph, out: vdg::graph::OutputId) -> Vec<BaseId> {
-        let refs: Vec<PathId> = self.value_pairs(out).iter().map(|p| p.referent).collect();
-        bases_of(&self.paths, &refs)
-    }
-    fn referents_at(&self, graph: &Graph, node: NodeId) -> Option<Vec<PathId>> {
-        Some(self.loc_referents(graph, node))
+    fn pairs_at(&self, o: OutputId) -> Option<&[Pair]> {
+        Some(self.pairs(o))
     }
     fn path_universe(&self) -> Option<&PathTable> {
         Some(&self.paths)
-    }
-    fn as_weihl(&self) -> Option<&WeihlResult> {
-        Some(self)
     }
     fn into_weihl(self: Box<Self>) -> Option<WeihlResult> {
         Some(*self)
@@ -547,35 +430,11 @@ impl Solution for WeihlResult {
     }
 }
 
-/// Steensgaard's unification baseline as a [`Solver`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SteensgaardSolver;
-
-impl Solver for SteensgaardSolver {
-    fn name(&self) -> &str {
-        "steensgaard"
-    }
-
-    fn solve(&self, graph: &Graph, _ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        Ok(Box::new(SteensSolution {
-            inner: RefCell::new(analyze_steensgaard(graph)),
-        }))
-    }
-}
-
 /// [`SteensResult`] behind the uniform view. Union-find queries compress
 /// paths, so the interior is mutable; the `RefCell` keeps the shared
 /// `&self` query API of the other solutions.
 pub struct SteensSolution {
     inner: RefCell<SteensResult>,
-}
-
-impl SteensSolution {
-    /// The wrapped union-find result, cloned out for callers that need
-    /// the concrete query API.
-    pub fn to_steens(&self) -> SteensResult {
-        self.inner.borrow().clone()
-    }
 }
 
 impl Solution for SteensSolution {
@@ -597,14 +456,11 @@ impl Solution for SteensSolution {
         bases.dedup();
         bases
     }
-    fn output_referent_bases(&self, graph: &Graph, out: vdg::graph::OutputId) -> Vec<BaseId> {
+    fn output_referent_bases(&self, graph: &Graph, out: OutputId) -> Vec<BaseId> {
         let mut bases = self.inner.borrow_mut().points_to_bases(out, graph);
         bases.sort_unstable();
         bases.dedup();
         bases
-    }
-    fn as_steens(&self) -> Option<&SteensSolution> {
-        Some(self)
     }
     fn into_steens(self: Box<Self>) -> Option<SteensResult> {
         Some(self.inner.into_inner())
@@ -613,28 +469,6 @@ impl Solution for SteensSolution {
         Box::new(SteensSolution {
             inner: RefCell::new(self.inner.borrow().clone()),
         })
-    }
-}
-
-/// The k=1 call-string analysis as a [`Solver`].
-#[derive(Debug, Clone, Default)]
-pub struct CallStringSolver {
-    /// Solver options.
-    pub config: CallStringConfig,
-}
-
-impl Solver for CallStringSolver {
-    fn name(&self) -> &str {
-        "k1"
-    }
-
-    fn solve(&self, graph: &Graph, ci: Option<&CiResult>) -> Result<SolutionBox, AnalysisError> {
-        let paths = match ci {
-            Some(ci) => ci.paths.clone(),
-            None => PathTable::for_graph(graph),
-        };
-        let k1 = analyze_callstring_from(graph, paths, &self.config)?;
-        Ok(Box::new(k1))
     }
 }
 
@@ -657,21 +491,14 @@ impl Solution for CallStringResult {
     fn delta_batches(&self) -> Option<u64> {
         self.delta_batches
     }
-    fn loc_referent_bases(&self, graph: &Graph, node: NodeId) -> Vec<BaseId> {
-        bases_of(&self.paths, &self.loc_referents(graph, node))
+    fn output_referent_bases(&self, _graph: &Graph, out: OutputId) -> Vec<BaseId> {
+        referent_bases(&self.paths, self.pairs(out))
     }
-    fn output_referent_bases(&self, _graph: &Graph, out: vdg::graph::OutputId) -> Vec<BaseId> {
-        let refs: Vec<PathId> = self.pairs(out).iter().map(|p| p.referent).collect();
-        bases_of(&self.paths, &refs)
-    }
-    fn referents_at(&self, graph: &Graph, node: NodeId) -> Option<Vec<PathId>> {
-        Some(self.loc_referents(graph, node))
+    fn pairs_at(&self, o: OutputId) -> Option<&[Pair]> {
+        Some(self.pairs(o))
     }
     fn path_universe(&self) -> Option<&PathTable> {
         Some(&self.paths)
-    }
-    fn as_points_to(&self) -> Option<&dyn PointsToSolution> {
-        Some(self)
     }
     fn as_k1(&self) -> Option<&CallStringResult> {
         Some(self)
@@ -703,7 +530,7 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Stable machine-readable name, matching [`Solver::name`].
+    /// Stable machine-readable name, matching [`Solution::analysis`].
     pub fn name(self) -> &'static str {
         match self {
             SolverKind::Weihl => "weihl",
@@ -716,20 +543,24 @@ impl SolverKind {
     }
 }
 
-/// One builder-style description of any solver configuration.
+/// One builder-style description of any solver configuration, and the
+/// one way to run it.
 ///
 /// Collapses the per-solver config scatter (`CiConfig`, `CsConfig`,
 /// `CallStringConfig`, the `Propagation` knob, step budgets) into a
 /// single value that every harness — the engine, the CLI `spectrum`,
-/// the figure bins, the fuzzer — constructs solvers from, so no caller
-/// hard-codes five call sites again. Knobs a given analysis does not
-/// have are simply ignored by [`SolverSpec::build`]:
+/// the figure code, the fuzzer — solves with, so no caller hard-codes
+/// five call sites. Knobs a given analysis does not have are ignored by
+/// [`SolverSpec::solve`]:
 ///
 /// ```
 /// use alias::SolverSpec;
+/// # let p = cfront::compile("int g; int main(void) { int *p; p = &g; return *p; }").unwrap();
+/// # let graph = vdg::lower(&p, &vdg::BuildOptions::default()).unwrap();
 /// let spec = SolverSpec::cs().subsumption(false).max_steps(1_000_000);
-/// let solver = spec.build(); // Box<dyn Solver>
-/// assert_eq!(solver.name(), "cs");
+/// let sol = spec.solve(&graph, None)?; // Box<dyn Solution>
+/// assert_eq!(sol.analysis(), "cs");
+/// # Ok::<(), alias::AnalysisError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverSpec {
@@ -791,7 +622,7 @@ impl SolverSpec {
         SolverSpec::new(SolverKind::Demand)
     }
 
-    /// Looks up a default spec by [`Solver::name`].
+    /// Looks up a default spec by [`SolverSpec::name`].
     pub fn by_name(name: &str) -> Option<SolverSpec> {
         let kind = match name {
             "weihl" => SolverKind::Weihl,
@@ -835,7 +666,9 @@ impl SolverSpec {
         self.kind
     }
 
-    /// The spec's [`Solver::name`].
+    /// Stable machine-readable name (`"weihl"`, `"steensgaard"`,
+    /// `"ci"`, `"k1"`, `"cs"`, `"demand"`), the [`Solution::analysis`]
+    /// of what [`SolverSpec::solve`] returns.
     pub fn name(&self) -> &'static str {
         self.kind.name()
     }
@@ -927,34 +760,16 @@ impl SolverSpec {
         }
     }
 
-    /// Constructs the described solver. Knobs the analysis does not
-    /// have are ignored.
-    pub fn build(&self) -> Box<dyn Solver> {
-        match self.kind {
-            SolverKind::Weihl => Box::new(WeihlSolver {
-                propagation: self.propagation,
-            }),
-            SolverKind::Steensgaard => Box::new(SteensgaardSolver),
-            SolverKind::Ci => Box::new(CiSolver {
-                config: self.ci_config(),
-            }),
-            SolverKind::CallString1 => Box::new(CallStringSolver {
-                config: self.callstring_config(),
-            }),
-            SolverKind::Cs => Box::new(CsSolver {
-                config: self.cs_config(),
-            }),
-            SolverKind::Demand => Box::new(crate::demand::DemandSolver {
-                config: crate::demand::DemandConfig {
-                    ci: self.ci_config(),
-                    ..crate::demand::DemandConfig::default()
-                },
-            }),
-        }
-    }
-
-    /// Runs the described solver, like `self.build().solve(..)` but
-    /// without the intermediate box.
+    /// Runs the described analysis over `graph`. Knobs the analysis
+    /// does not have are ignored.
+    ///
+    /// `ci` is an optional previously computed context-insensitive
+    /// solution *for the same graph*: the CS solver uses it for the
+    /// §4.2 pruning optimizations (and computes its own if absent), and
+    /// the pair-based baselines (Weihl, k=1) adopt its path table so
+    /// pair ids stay comparable across solvers. Passing a CI result from
+    /// a different graph is a logic error. The demand view only builds
+    /// an empty [`DemandSolution`]: its queries drive the work.
     ///
     /// # Errors
     ///
@@ -965,48 +780,53 @@ impl SolverSpec {
         graph: &Graph,
         ci: Option<&CiResult>,
     ) -> Result<SolutionBox, AnalysisError> {
-        self.build().solve(graph, ci)
+        let paths = || ci.map_or_else(|| PathTable::for_graph(graph), |ci| ci.paths.clone());
+        Ok(match self.kind {
+            SolverKind::Weihl => Box::new(analyze_weihl_with(graph, paths(), self.propagation)),
+            SolverKind::Steensgaard => Box::new(SteensSolution {
+                inner: RefCell::new(analyze_steensgaard(graph)),
+            }),
+            SolverKind::Ci => Box::new(analyze_ci(graph, &self.ci_config())),
+            SolverKind::CallString1 => Box::new(analyze_callstring_from(
+                graph,
+                paths(),
+                &self.callstring_config(),
+            )?),
+            SolverKind::Cs => Box::new(match ci {
+                Some(ci) => analyze_cs(graph, ci, &self.cs_config())?,
+                // No shared CI: compute one with matching knobs, since
+                // pruning requires heap naming and strong updates to agree.
+                None => {
+                    let ci = analyze_ci(
+                        graph,
+                        &CiConfig {
+                            strong_updates: self.strong_updates,
+                            heap_naming: self.heap_naming,
+                            ..CiConfig::default()
+                        },
+                    );
+                    analyze_cs(graph, &ci, &self.cs_config())?
+                }
+            }),
+            SolverKind::Demand => Box::new(DemandSolution::new(
+                graph,
+                DemandConfig {
+                    ci: self.ci_config(),
+                    ..DemandConfig::default()
+                },
+            )),
+        })
     }
 
-    /// Runs the CI analysis with this spec's knobs through the unified
-    /// solver path and hands back the concrete result — the one typed
-    /// entry point harnesses use to compute the shared vocabulary they
-    /// then pass to [`SolverSpec::solve`]. The spec's
-    /// [`SolverSpec::kind`] is ignored: whatever analysis it names, the
-    /// CI projection of its knobs is what runs.
+    /// Runs the CI analysis with this spec's knobs and hands back the
+    /// concrete result — the one typed entry point harnesses use to
+    /// compute the shared vocabulary they then pass to
+    /// [`SolverSpec::solve`]. The spec's [`SolverSpec::kind`] is
+    /// ignored: whatever analysis it names, the CI projection of its
+    /// knobs is what runs.
     pub fn solve_ci(&self, graph: &Graph) -> CiResult {
-        SolverSpec::new(SolverKind::Ci)
-            .strong_updates(self.strong_updates)
-            .order(self.order)
-            .heap_naming(self.heap_naming)
-            .propagation(self.propagation)
-            .fault(self.fault)
-            .solve(graph, None)
-            .expect("the CI solver has no step budget")
-            .into_ci()
-            .expect("a CI solve yields a CI result")
+        analyze_ci(graph, &self.ci_config())
     }
-}
-
-/// All five solvers with default options, in spectrum order — coarsest
-/// (Weihl) to finest (assumption-set CS).
-pub fn all_solvers() -> Vec<Box<dyn Solver>> {
-    SolverSpec::all().iter().map(SolverSpec::build).collect()
-}
-
-/// All five solvers with difference propagation disabled wherever a
-/// solver has that knob (CI, Weihl, k=1). Steensgaard and the
-/// assumption-set CS analysis have no naive/delta distinction.
-pub fn all_solvers_naive() -> Vec<Box<dyn Solver>> {
-    SolverSpec::all_naive()
-        .iter()
-        .map(SolverSpec::build)
-        .collect()
-}
-
-/// Looks up a solver (default options) by its [`Solver::name`].
-pub fn solver_by_name(name: &str) -> Option<Box<dyn Solver>> {
-    SolverSpec::by_name(name).map(|s| s.build())
 }
 
 #[cfg(test)]
@@ -1024,17 +844,17 @@ mod tests {
 
     #[test]
     fn registry_has_five_distinct_solvers() {
-        let names: Vec<String> = all_solvers().iter().map(|s| s.name().to_string()).collect();
+        let names: Vec<&str> = SolverSpec::all().iter().map(SolverSpec::name).collect();
         assert_eq!(names, ["weihl", "steensgaard", "ci", "k1", "cs"]);
-        assert!(solver_by_name("cs").is_some());
-        assert!(solver_by_name("andersen").is_none());
+        assert!(SolverSpec::by_name("cs").is_some());
+        assert!(SolverSpec::by_name("andersen").is_none());
     }
 
     #[test]
     fn every_solver_produces_a_queryable_solution() {
         let graph = graph_of(SRC);
         let ci = analyze_ci(&graph, &CiConfig::default());
-        for s in all_solvers() {
+        for s in SolverSpec::all() {
             let sol = s.solve(&graph, Some(&ci)).unwrap();
             assert_eq!(sol.analysis(), s.name());
             for (node, _) in graph.indirect_mem_ops() {
@@ -1051,8 +871,8 @@ mod tests {
     fn cs_without_shared_ci_computes_its_own() {
         let graph = graph_of(SRC);
         let ci = analyze_ci(&graph, &CiConfig::default());
-        let with = CsSolver::default().solve(&graph, Some(&ci)).unwrap();
-        let without = CsSolver::default().solve(&graph, None).unwrap();
+        let with = SolverSpec::cs().solve(&graph, Some(&ci)).unwrap();
+        let without = SolverSpec::cs().solve(&graph, None).unwrap();
         assert_eq!(with.pairs(), without.pairs());
     }
 }

@@ -10,84 +10,18 @@ use crate::ci::CiResult;
 use crate::cs::CsResult;
 use crate::fxhash::HashSet;
 use crate::path::{Pair, PathId, PathTable};
+use crate::solver::Solution;
 use vdg::graph::{BaseKind, Graph, NodeId, OutputId, ValueKind};
 
-/// Abstraction over the two solvers' results, letting the table code run
-/// on either.
-pub trait PointsToSolution {
-    /// Pairs on an output, sorted.
-    fn pairs_at(&self, o: OutputId) -> &[Pair];
-    /// The path universe of this solution.
-    fn path_table(&self) -> &PathTable;
-}
-
-impl PointsToSolution for CiResult {
-    fn pairs_at(&self, o: OutputId) -> &[Pair] {
-        self.pairs(o)
-    }
-    fn path_table(&self) -> &PathTable {
-        &self.paths
-    }
-}
-
-impl PointsToSolution for CsResult {
-    fn pairs_at(&self, o: OutputId) -> &[Pair] {
-        self.pairs(o)
-    }
-    fn path_table(&self) -> &PathTable {
-        &self.paths
-    }
-}
-
-/// §4.2-style cost counters of one solver run, extended with the
-/// difference-propagation statistics of the interned-pair-set
-/// representation (see DESIGN.md).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostCounters {
-    /// Pair deliveries consumed (one per `(consumer, pair)`).
-    pub flow_ins: u64,
-    /// Successful meets: emissions that grew a set.
-    pub flow_outs: u64,
-    /// Emission attempts deduplicated by the committed sets.
-    pub dedup_hits: u64,
-    /// Batched delta deliveries; `None` under naive propagation.
-    pub delta_batches: Option<u64>,
-}
-
-impl CostCounters {
-    /// Extracts the counters from a boxed solution; `None` when the
-    /// solver counts nothing (Steensgaard).
-    pub fn of(sol: &dyn crate::solver::Solution) -> Option<CostCounters> {
-        Some(CostCounters {
-            flow_ins: sol.flow_ins()?,
-            flow_outs: sol.flow_outs()?,
-            dedup_hits: sol.dedup_hits().unwrap_or(0),
-            delta_batches: sol.delta_batches(),
-        })
-    }
-
-    /// Total emission attempts — the quantity the paper calls the meet
-    /// count (`flow_outs + dedup_hits`).
-    pub fn meet_attempts(&self) -> u64 {
-        self.flow_outs + self.dedup_hits
-    }
-
-    /// Fraction of emission attempts the committed sets rejected.
-    pub fn dedup_hit_rate(&self) -> f64 {
-        let attempts = self.meet_attempts();
-        if attempts == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / attempts as f64
-        }
-    }
-
-    /// Worklist deliveries the delta batching saved: `flow_ins −
-    /// delta_batches`. `None` under naive propagation.
-    pub fn deliveries_saved(&self) -> Option<u64> {
-        self.delta_batches
-            .map(|db| self.flow_ins.saturating_sub(db))
-    }
+/// The pairs on output `o` of a pair-based solution.
+///
+/// # Panics
+///
+/// Panics on a solution without per-output pairs (Steensgaard, the
+/// demand view): the figure tables count pairs.
+fn pairs_of(sol: &dyn Solution, o: OutputId) -> &[Pair] {
+    sol.pairs_at(o)
+        .expect("the figure tables need a pair-based solution")
 }
 
 /// Pair counts by output type (the columns of Figures 3 and 6).
@@ -110,11 +44,12 @@ impl PairTypeCounts {
     }
 }
 
-/// Computes Figure 3 (or the first columns of Figure 6) for a solution.
-pub fn pair_type_counts(graph: &Graph, sol: &dyn PointsToSolution) -> PairTypeCounts {
+/// Computes Figure 3 (or the first columns of Figure 6) for a
+/// pair-based solution.
+pub fn pair_type_counts(graph: &Graph, sol: &dyn Solution) -> PairTypeCounts {
     let mut c = PairTypeCounts::default();
     for o in graph.output_ids() {
-        let n = sol.pairs_at(o).len();
+        let n = pairs_of(sol, o).len();
         match graph.output(o).kind {
             ValueKind::Ptr => c.pointer += n,
             ValueKind::Func => c.function += n,
@@ -151,19 +86,17 @@ pub struct IndirectRefRow {
 }
 
 /// Per-op indirect-reference counts for one solution.
-fn loc_count(sol: &dyn PointsToSolution, graph: &Graph, node: NodeId) -> usize {
+fn loc_count(sol: &dyn Solution, graph: &Graph, node: NodeId) -> usize {
     let loc_out = graph.input_src(node, 0);
-    let mut refs: Vec<PathId> = sol.pairs_at(loc_out).iter().map(|p| p.referent).collect();
+    let mut refs: Vec<PathId> = pairs_of(sol, loc_out).iter().map(|p| p.referent).collect();
     refs.sort_unstable();
     refs.dedup();
     refs.len()
 }
 
-/// Computes the Figure 4 rows (reads, writes) for a solution.
-pub fn indirect_ref_rows(
-    graph: &Graph,
-    sol: &dyn PointsToSolution,
-) -> (IndirectRefRow, IndirectRefRow) {
+/// Computes the Figure 4 rows (reads, writes) for a pair-based
+/// solution.
+pub fn indirect_ref_rows(graph: &Graph, sol: &dyn Solution) -> (IndirectRefRow, IndirectRefRow) {
     let mut read = IndirectRefRow::default();
     let mut write = IndirectRefRow::default();
     let mut read_sum = 0usize;

@@ -56,6 +56,16 @@ impl WeihlResult {
         &self.store
     }
 
+    /// The pairs on an output, sorted: a value output's own, and for
+    /// every store output the one program-wide store relation.
+    pub fn pairs(&self, o: OutputId) -> &[Pair] {
+        if self.store_outputs.contains(&o.0) {
+            &self.store
+        } else {
+            self.value_pairs(o)
+        }
+    }
+
     /// Distinct referents at a memory operation's location input —
     /// comparable with [`crate::ci::CiResult::loc_referents`].
     pub fn loc_referents(&self, graph: &Graph, node: NodeId) -> Vec<PathId> {
@@ -429,28 +439,6 @@ fn forward_to_formal(g: &Graph, port: usize, pair: Pair, f: VFuncId, em: &mut Ve
     let idx = port - 1;
     if idx < formals.len() {
         em.push((slot_of(g, formals[idx]), pair));
-    }
-}
-
-impl crate::stats::PointsToSolution for WeihlResult {
-    fn pairs_at(&self, o: OutputId) -> &[Pair] {
-        if self.store_kind_probe(o) {
-            &self.store
-        } else {
-            self.value_pairs(o)
-        }
-    }
-    fn path_table(&self) -> &PathTable {
-        &self.paths
-    }
-}
-
-impl WeihlResult {
-    /// Whether `o` was treated as a store output (its per-output value
-    /// set stayed empty and pairs were routed to the global store).
-    /// Recorded at solve time to keep the trait impl graph-free.
-    fn store_kind_probe(&self, o: OutputId) -> bool {
-        self.store_outputs.contains(&o.0)
     }
 }
 

@@ -72,7 +72,7 @@ impl CheckCounts {
 /// One solver's row of the precision table.
 #[derive(Debug, Clone)]
 pub struct PrecisionRow {
-    /// The [`alias::Solver`] name.
+    /// The [`alias::SolverSpec::name`].
     pub solver: String,
     /// Every diagnostic with its oracle verdict.
     pub labeled: Vec<LabeledDiagnostic>,

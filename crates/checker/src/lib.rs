@@ -137,7 +137,7 @@ pub struct Diagnostic {
     pub kind: CheckKind,
     /// Error or warning.
     pub severity: Severity,
-    /// The [`alias::Solver`] name whose solution drove the checker.
+    /// The [`alias::SolverSpec::name`] whose solution drove the checker.
     pub analysis: String,
     /// The VDG node the finding anchors to.
     pub node: NodeId,

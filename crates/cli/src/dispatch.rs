@@ -194,7 +194,9 @@ pub fn cmd_query(cx: &crate::Ctx) -> Result<(), String> {
     let mut transport = Transport::from_flags(&cx.flags)?;
     let jobs = vec![job_spec(&cx.name, &cx.source)];
     let exhaustive = cx.flags.has("exhaustive") || !matches!(analysis.as_str(), "ci" | "demand");
-    if exhaustive {
+    // An unknown analysis goes straight to the service, which rejects
+    // it (listing the accepted names) before it solves or stores.
+    if exhaustive && alias::SolverSpec::by_name(&analysis).is_some() {
         // Make sure the daemon (or local service) has the bench solved:
         // analyzing an unchanged source is a cache replay, so this is
         // near-free on repeat.

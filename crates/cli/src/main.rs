@@ -373,9 +373,7 @@ pub(crate) struct Ctx {
 
 impl Ctx {
     fn analysis(&self) -> Result<Analysis, String> {
-        Analysis::builder(&self.source)
-            .run()
-            .map_err(|e| self.render_err(e))
+        Analysis::of_source(&self.source).map_err(|e| self.render_err(e))
     }
 
     fn file(&self) -> cfront::SourceFile {
@@ -558,7 +556,7 @@ fn cmd_compare(a: &Analysis, file: &cfront::SourceFile) -> Result<(), AnalysisEr
 }
 
 fn cmd_modref(a: &Analysis) -> Result<(), String> {
-    let summary = mod_ref(&a.graph, &a.ci, &a.ci.callees);
+    let summary = mod_ref(&a.graph, &a.ci, &a.ci.callees).expect("ci has pairs");
     for f in a.graph.func_ids() {
         let info = a.graph.func(f);
         if info.name == "<root>" {
@@ -594,7 +592,7 @@ fn cmd_run(a: &Analysis, name: &str) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     print!("{}", out.stdout);
     println!("[exit {} after {} steps]", out.exit, out.steps);
-    let violations = interp::check_solution(&a.program, &a.graph, &a.ci, &out.trace);
+    let violations = interp::check_solution_dyn(&a.program, &a.graph, &a.ci, &out.trace);
     if violations.is_empty() {
         println!("[soundness: every runtime dereference was predicted by the CI analysis]");
         Ok(())
@@ -604,8 +602,8 @@ fn cmd_run(a: &Analysis, name: &str) -> Result<(), String> {
 }
 
 /// The five-analysis spectrum, driven by one engine invocation over the
-/// program: every solver runs through the uniform `alias::Solver` trait
-/// and the table reads back through the `Solution` view.
+/// program: every solver runs through `alias::SolverSpec::solve` and the
+/// table reads back through the `Solution` view.
 fn cmd_spectrum(name: &str, source: &str, json: bool) -> Result<(), AnalysisError> {
     const ORDER: [&str; 5] = ["weihl", "steensgaard", "ci", "k1", "cs"];
     let jobs = vec![job_for(name, source)];

@@ -680,8 +680,8 @@ fn defuse(inputs: &mut Inputs) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut any_diff = 0usize;
     for d in inputs.suite()? {
-        let du_ci = def_use(&d.graph, d.ci.as_ref(), &d.ci.callees);
-        let du_cs = def_use(&d.graph, cs(d)?, &d.ci.callees);
+        let du_ci = def_use(&d.graph, d.ci.as_ref(), &d.ci.callees).expect("ci has pairs");
+        let du_cs = def_use(&d.graph, cs(d)?, &d.ci.callees).expect("cs has pairs");
         let uses = du_ci.uses.len();
         let mut diff = 0usize;
         for (u, defs) in &du_ci.uses {

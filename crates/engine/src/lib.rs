@@ -14,7 +14,7 @@
 //!      [cache] unchanged source hash or graph fingerprint: replay the
 //!              entry's artifacts; changed graph: solve CI fresh
 //!            stage 2: solve (parallel over benchmark × solver jobs)
-//!   (graph, ci) ──▶ weihl │ steensgaard │ k=1 │ cs   (dyn Solver)
+//!   (graph, ci) ──▶ weihl │ steensgaard │ k=1 │ cs   (SolverSpec::solve)
 //!      [cache] skip what replays
 //!            stage 3: assemble in solver order (driver thread)
 //!      [cache] tally replays and fresh solves; fold solved benchmarks back
@@ -68,7 +68,7 @@ pub use report::{BenchmarkReport, CheckMetrics, EngineReport, IncrementalStats, 
 use alias::ci::CiResult;
 use alias::cs::CsResult;
 use alias::fingerprint::GraphIndex;
-use alias::solver::{Solution, SolutionBox, Solver, SolverSpec};
+use alias::solver::{Solution, SolutionBox, SolverSpec};
 use alias::AnalysisError;
 use incremental::Prior;
 use std::sync::Arc;
@@ -149,7 +149,6 @@ impl Job {
 pub struct Engine {
     threads: usize,
     specs: Vec<SolverSpec>,
-    solvers: Vec<Arc<dyn Solver>>,
     build: BuildOptions,
     ci: SolverSpec,
 }
@@ -164,11 +163,9 @@ impl Engine {
     /// An engine over all five solvers with default options and
     /// auto-detected parallelism.
     pub fn new() -> Self {
-        let specs = SolverSpec::all();
         Engine {
             threads: 0,
-            solvers: specs.iter().map(|s| Arc::from(s.build())).collect(),
-            specs,
+            specs: SolverSpec::all(),
             build: BuildOptions::default(),
             ci: SolverSpec::ci(),
         }
@@ -181,16 +178,19 @@ impl Engine {
         self
     }
 
-    /// Replaces the solver list with solvers built from `specs` — the
-    /// single configuration surface (see [`SolverSpec`]): no caller
-    /// constructs a solver stage by hand. The shared CI solution is
+    /// Replaces the solver list with `specs` — the single configuration
+    /// surface (see [`SolverSpec`]). The shared CI solution is
     /// computed in the prepare stage regardless (it is the common
     /// vocabulary the other solvers key their path tables off), and a
     /// listed `"ci"` solver reports that run rather than re-solving.
     pub fn specs(mut self, specs: &[SolverSpec]) -> Self {
-        self.solvers = specs.iter().map(|s| Arc::from(s.build())).collect();
         self.specs = specs.to_vec();
         self
+    }
+
+    /// The configured solvers' [`SolverSpec::name`]s, in solver order.
+    pub fn solver_names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.specs.iter().map(SolverSpec::name)
     }
 
     /// Sets the VDG lowering options.
@@ -336,7 +336,7 @@ impl Engine {
         let (ci, ci_wall) = match replay {
             Some(m) => (Arc::clone(&m.ci), Duration::ZERO),
             None => {
-                let ci = ci_result(self.ci.solve(&graph, None));
+                let ci = self.ci.solve_ci(&graph);
                 (Arc::new(ci), t2.elapsed())
             }
         };
@@ -380,7 +380,7 @@ impl Engine {
                     Tier::Replay => cache.as_deref().and_then(|c| c.get(&p.out.name)),
                     _ => None,
                 };
-                self.solvers
+                self.specs
                     .iter()
                     .enumerate()
                     .filter(move |(_, s)| match entry {
@@ -398,7 +398,7 @@ impl Engine {
         let solved: Vec<Solved> = pool::run_indexed(solve_jobs.len(), threads, |k| {
             let (bi, si) = solve_jobs[k];
             let (bench, graph, ci, tier) = inputs[bi];
-            let s = &*self.solvers[si];
+            let s = &self.specs[si];
             let t = Instant::now();
             let outcome = s.solve(graph, Some(ci));
             let wall = t.elapsed();
@@ -418,7 +418,7 @@ impl Engine {
         });
         let mut slots: Vec<Vec<Option<Solved>>> = preps
             .iter()
-            .map(|_| self.solvers.iter().map(|_| None).collect())
+            .map(|_| self.specs.iter().map(|_| None).collect())
             .collect();
         for (&(bi, si), s) in solve_jobs.iter().zip(solved) {
             slots[bi][si] = Some(s);
@@ -431,7 +431,7 @@ impl Engine {
         let mut outputs = Vec::with_capacity(preps.len());
         let mut tiers = Vec::with_capacity(preps.len());
         for (Prep { mut out, tier }, row) in preps.into_iter().zip(slots) {
-            for (s, slot) in self.solvers.iter().zip(row) {
+            for (s, slot) in self.specs.iter().zip(row) {
                 let solved = match (slot, &tier) {
                     (Some(solved), _) => solved,
                     (None, Tier::Replay) => {
@@ -487,14 +487,6 @@ impl Engine {
     }
 }
 
-/// The CI result of a solve under the engine's CI spec.
-fn ci_result(outcome: Result<SolutionBox, AnalysisError>) -> CiResult {
-    outcome
-        .expect("the CI solver has no step budget")
-        .into_ci()
-        .expect("the engine's ci spec must describe the CI analysis")
-}
-
 /// Stage-1 product for one benchmark: its shared inputs (no solutions
 /// yet) and how stages 2 and 3 obtain its solutions.
 struct Prep {
@@ -536,7 +528,7 @@ impl Tier {
 
 /// One solver's outcome on one benchmark.
 pub struct Solved {
-    /// The solver's [`Solver::name`].
+    /// The solver's [`SolverSpec::name`].
     pub analysis: String,
     /// Wall-clock time of the solve call.
     pub wall: Duration,

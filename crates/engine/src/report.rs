@@ -20,7 +20,7 @@ use std::time::Duration;
 /// Metrics for one solver on one benchmark.
 #[derive(Debug, Clone)]
 pub struct SolverMetrics {
-    /// [`alias::Solver::name`] of the producing solver.
+    /// [`alias::SolverSpec::name`] of the producing solver.
     pub analysis: String,
     /// Wall-clock time of the solve call.
     pub wall: Duration,

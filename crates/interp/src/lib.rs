@@ -3,7 +3,7 @@
 //! Executes checked mini-C programs deterministically while tracing every
 //! memory access, then checks that the `alias` crate's points-to
 //! solutions cover every runtime dereference target
-//! ([`oracle::check_solution`]). This automates the soundness argument
+//! ([`oracle::check_solution_dyn`]). This automates the soundness argument
 //! the paper makes informally and backs the property tests over randomly
 //! generated programs.
 //!
@@ -31,7 +31,7 @@ pub use exec::{
     explore_races, explore_races_recorded, run, run_traced, Config, FaultInfo, FaultKind, Outcome,
     RaceObs, RunError, RunRecord, Trace,
 };
-pub use oracle::{check_solution, check_solution_dyn, Violation};
+pub use oracle::{check_solution_dyn, Violation};
 
 #[cfg(test)]
 mod tests {
@@ -68,9 +68,9 @@ mod tests {
             .into_cs()
             .expect("cs result");
         let out = run(&p, &Config::default()).expect("runs");
-        let v_ci = check_solution(&p, &g, &ci, &out.trace);
+        let v_ci = check_solution_dyn(&p, &g, &ci, &out.trace);
         assert!(v_ci.is_empty(), "CI violations: {v_ci:#?}");
-        let v_cs = check_solution(&p, &g, &cs, &out.trace);
+        let v_cs = check_solution_dyn(&p, &g, &cs, &out.trace);
         assert!(v_cs.is_empty(), "CS violations: {v_cs:#?}");
         out
     }
@@ -318,14 +318,33 @@ mod tests {
     fn oracle_catches_an_unsound_solution() {
         // An empty "solution" must be flagged when the program writes
         // through a pointer.
-        use alias::stats::PointsToSolution;
+        use alias::solver::{Solution, SolutionBox};
+        use vdg::graph::{BaseId, Graph, OutputId};
         struct EmptySol(alias::PathTable);
-        impl PointsToSolution for EmptySol {
-            fn pairs_at(&self, _: vdg::graph::OutputId) -> &[alias::Pair] {
-                &[]
+        impl Solution for EmptySol {
+            fn analysis(&self) -> &'static str {
+                "empty"
             }
-            fn path_table(&self) -> &alias::PathTable {
-                &self.0
+            fn pairs(&self) -> Option<usize> {
+                Some(0)
+            }
+            fn flow_ins(&self) -> Option<u64> {
+                None
+            }
+            fn flow_outs(&self) -> Option<u64> {
+                None
+            }
+            fn output_referent_bases(&self, _: &Graph, _: OutputId) -> Vec<BaseId> {
+                Vec::new()
+            }
+            fn pairs_at(&self, _: OutputId) -> Option<&[alias::Pair]> {
+                Some(&[])
+            }
+            fn path_universe(&self) -> Option<&alias::PathTable> {
+                Some(&self.0)
+            }
+            fn clone_box(&self) -> SolutionBox {
+                Box::new(EmptySol(self.0.clone()))
             }
         }
         let p =
@@ -333,7 +352,7 @@ mod tests {
         let g = lower(&p, &BuildOptions::default()).unwrap();
         let out = run(&p, &Config::default()).unwrap();
         let sol = EmptySol(alias::PathTable::for_graph(&g));
-        let violations = check_solution(&p, &g, &sol, &out.trace);
+        let violations = check_solution_dyn(&p, &g, &sol, &out.trace);
         assert!(!violations.is_empty());
     }
 

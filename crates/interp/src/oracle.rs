@@ -11,7 +11,6 @@ use crate::exec::Trace;
 use crate::memory::{AbsLoc, AbsStep, Origin};
 use alias::path::{AccessOp, PathId, PathTable};
 use alias::solver::Solution;
-use alias::stats::PointsToSolution;
 use cfront::ast::{ExprId, Program};
 use std::collections::{HashMap, HashSet};
 use vdg::graph::{BaseId, Graph, NodeId, VFuncId};
@@ -32,84 +31,12 @@ pub struct Violation {
 /// Checks a solution against an execution trace.
 ///
 /// Returns all violations (empty = the solution is sound for this run).
-pub fn check_solution(
-    prog: &Program,
-    graph: &Graph,
-    sol: &dyn PointsToSolution,
-    trace: &Trace,
-) -> Vec<Violation> {
-    let mut paths = sol.path_table().clone();
-    let mut site_bases: HashMap<ExprId, BaseId> = HashMap::new();
-    for b in graph.base_ids() {
-        if let Some(e) = graph.base(b).site_expr {
-            site_bases.insert(e, b);
-        }
-    }
-    let mut violations = Vec::new();
-    for (node, is_write) in graph.all_mem_ops() {
-        let Some(site) = graph.node(node).site else {
-            continue;
-        };
-        let recorded = if is_write {
-            trace.writes.get(&site)
-        } else {
-            trace.reads.get(&site)
-        };
-        let Some(recorded) = recorded else { continue };
-        let loc_out = graph.input_src(node, 0);
-        // Collapse synthetic heap clones (k=1 heap naming) back to their
-        // allocation sites: the runtime abstraction is site-granular.
-        let referents: HashSet<PathId> = sol
-            .pairs_at(loc_out)
-            .iter()
-            .map(|p| p.referent)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|r| paths.collapse_synthetic(r))
-            .collect();
-        for abs in recorded {
-            let covered = match abs_to_path(&mut paths, graph, prog, abs, &site_bases) {
-                Some(pid) => {
-                    referents.contains(&pid) || {
-                        // Under the Cooper scheme a runtime instance may be
-                        // predicted via the "older instances" base.
-                        match paths.cooper_older_of(pid) {
-                            Some(older) => {
-                                let rebased = paths.rebase(pid, older);
-                                referents.contains(&rebased)
-                            }
-                            None => false,
-                        }
-                    }
-                }
-                None => false,
-            };
-            if !covered {
-                let mut predicted: Vec<String> =
-                    referents.iter().map(|&p| paths.display(p, graph)).collect();
-                predicted.sort();
-                violations.push(Violation {
-                    node,
-                    is_write,
-                    runtime: render_abs(prog, abs),
-                    predicted,
-                });
-            }
-        }
-    }
-    violations
-}
-
-/// Checks any [`alias::Solution`] against an execution trace, through
-/// the uniform trait query surface instead of concrete result types.
-///
 /// Pair-based solutions (CI, CS, Weihl, k=1) expose their path table
 /// and per-point referents ([`alias::Solution::path_universe`],
 /// [`alias::Solution::referents_at`]) and are checked at path
-/// granularity, exactly like [`check_solution`]. Solutions without
-/// per-point pair sets (Steensgaard) are checked at base granularity:
-/// the base-location of every runtime access must appear among
-/// [`alias::Solution::loc_referent_bases`].
+/// granularity. Solutions without per-point pair sets (Steensgaard) are
+/// checked at base granularity: the base-location of every runtime
+/// access must appear among [`alias::Solution::loc_referent_bases`].
 pub fn check_solution_dyn(
     prog: &Program,
     graph: &Graph,

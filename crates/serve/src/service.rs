@@ -228,6 +228,26 @@ impl Service {
         }
     }
 
+    /// Rejects an `analysis` that names no configured solver and is not
+    /// `extra`, the request's own vocabulary (`demand` for queries,
+    /// `all` for checks), before any session or store is touched.
+    #[allow(clippy::result_large_err)]
+    fn known_analysis(
+        &self,
+        verb: &str,
+        analysis: &str,
+        extra: &'static str,
+    ) -> Result<(), Response> {
+        let names: Vec<&str> = self.engine.solver_names().chain([extra]).collect();
+        if names.contains(&analysis) {
+            return Ok(());
+        }
+        Err(err(format!(
+            "{verb}: unknown analysis {analysis:?} (want one of: {})",
+            names.join(", ")
+        )))
+    }
+
     fn count(&mut self, name: &str) {
         match self.request_counts.iter_mut().find(|(k, _)| k == name) {
             Some((_, n)) => *n += 1,
@@ -399,6 +419,9 @@ impl Service {
         analysis: &str,
         want_report: bool,
     ) -> Response {
+        if let Err(e) = self.known_analysis("check", analysis, "all") {
+            return e;
+        }
         self.run_jobs(project, jobs, "check", |session, run| {
             let checks = run.run_checks_cached(&mut session.cache);
             let benches: Vec<BenchCheckInfo> = run
@@ -458,6 +481,9 @@ impl Service {
         query: &QueryKind,
         job: Option<&JobSpec>,
     ) -> Response {
+        if let Err(e) = self.known_analysis("query", analysis, "demand") {
+            return e;
+        }
         if let Err(e) = self.ensure_session(project) {
             return e;
         }
@@ -501,7 +527,7 @@ impl Service {
         let lookup = if analysis == "demand" { "ci" } else { analysis };
         let Some(sol) = e.solution(lookup) else {
             return err(format!(
-                "query: no {lookup:?} solution for {bench:?} (failed solve or unknown analysis)"
+                "query: no {lookup:?} solution for {bench:?} (failed solve)"
             ));
         };
         let file = cfront::SourceFile::new(bench, e.source.as_str());

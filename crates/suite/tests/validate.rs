@@ -4,7 +4,7 @@
 //! in the repository-level integration tests.)
 
 use alias::SolverSpec;
-use interp::{check_solution, run, Config};
+use interp::{check_solution_dyn, run, Config};
 use vdg::build::{lower, BuildOptions};
 
 fn validate(name: &str) {
@@ -31,7 +31,7 @@ fn validate(name: &str) {
         out.exit, b.expected_exit, out.stdout
     );
     let ci = SolverSpec::ci().solve_ci(&graph);
-    let violations = check_solution(&prog, &graph, &ci, &out.trace);
+    let violations = check_solution_dyn(&prog, &graph, &ci, &out.trace);
     assert!(
         violations.is_empty(),
         "{name}: CI soundness violations: {violations:#?}"

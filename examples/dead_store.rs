@@ -38,7 +38,7 @@ const SOURCE: &str = r#"
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = Analysis::of_source(SOURCE)?;
-    let du = def_use(&a.graph, &a.ci, &a.ci.callees);
+    let du = def_use(&a.graph, &a.ci, &a.ci.callees).ok_or("CI has per-output pairs")?;
 
     let live: HashSet<vdg::NodeId> = du.uses.values().flatten().copied().collect();
     let file = cfront::SourceFile::new("dead_store.c", SOURCE);

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = Analysis::of_source(bench.source)?;
     let graph = &analysis.graph;
     let ci = &analysis.ci;
-    let summary = mod_ref(graph, ci, &ci.callees);
+    let summary = mod_ref(graph, ci, &ci.callees).ok_or("CI has per-output pairs")?;
 
     println!("mod/ref summary for `{name}` (transitive, via the CI solution):\n");
     for f in graph.func_ids() {

@@ -135,14 +135,14 @@ fn baselines_are_runtime_sound() {
             .expect("no budget")
             .into_weihl()
             .expect("weihl result");
-        let v = interp::check_solution(&prog, &graph, &w, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &w, &out.trace);
         assert!(v.is_empty(), "{}: Weihl unsound: {v:#?}", b.name);
         let k1 = SolverSpec::k1()
             .solve(&graph, None)
             .unwrap()
             .into_k1()
             .expect("k1 result");
-        let v = interp::check_solution(&prog, &graph, &k1, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &k1, &out.trace);
         assert!(v.is_empty(), "{}: k=1 unsound: {v:#?}", b.name);
     }
 }
@@ -170,7 +170,7 @@ fn steensgaard_is_runtime_sound_at_base_granularity() {
             .into_steens()
             .expect("steensgaard result");
         assert!(ci_within_steensgaard(&graph, &ci, &mut st), "{}", b.name);
-        let v = interp::check_solution(&prog, &graph, &ci, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &ci, &out.trace);
         assert!(v.is_empty(), "{}", b.name);
     }
 }
@@ -241,7 +241,7 @@ fn k1_heap_naming_is_runtime_sound() {
         let k1 = SolverSpec::ci()
             .heap_naming(HeapNaming::CallString1)
             .solve_ci(&graph);
-        let v = interp::check_solution(&prog, &graph, &k1, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &k1, &out.trace);
         assert!(v.is_empty(), "{}: k=1 heap naming unsound: {v:#?}", b.name);
     }
 }

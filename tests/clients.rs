@@ -29,8 +29,9 @@ use alias::fingerprint::fnv64;
 use alias::fxhash::HashMap;
 use alias::modref::{mod_ref, mod_ref_bases, ModRef, ModRefBases};
 use alias::path::PathTable;
-use alias::solver::{all_solvers, Solution};
+use alias::solver::Solution;
 use alias::PathId;
+use alias::SolverSpec;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use vdg::build::{lower, BuildOptions};
@@ -114,11 +115,13 @@ fn row(name: &str, graph: &Graph, sol: &dyn Solution, ci: &alias::CiResult) -> S
         bases(&mr_b.direct),
         bases(&mr_b.transitive),
     ];
-    match sol.as_points_to() {
-        Some(pts) => {
-            let paths = pts.path_table();
-            let du = edges(&def_use(graph, pts, callees));
-            let mr = mod_ref(graph, pts, callees);
+    match (
+        sol.path_universe(),
+        def_use(graph, sol, callees),
+        mod_ref(graph, sol, callees),
+    ) {
+        (Some(paths), Some(du), Some(mr)) => {
+            let du = edges(&du);
             let named = |m: &HashMap<VFuncId, ModRef>| {
                 sets_hash(
                     graph,
@@ -131,7 +134,7 @@ fn row(name: &str, graph: &Graph, sol: &dyn Solution, ci: &alias::CiResult) -> S
             };
             cells.extend([du.0, du.1, named(&mr.direct), named(&mr.transitive)]);
         }
-        None => cells.extend(["-", "-", "-", "-"].map(String::from)),
+        _ => cells.extend(["-", "-", "-", "-"].map(String::from)),
     }
     cells.join("\t")
 }
@@ -141,7 +144,7 @@ fn rows(name: &str, src: &str) -> Vec<String> {
     let g = lower(&prog, &BuildOptions::default())
         .unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
     let ci = alias::ci::analyze_ci(&g, &alias::ci::CiConfig::default());
-    all_solvers()
+    SolverSpec::all()
         .iter()
         .map(|s| {
             let sol = s

@@ -164,7 +164,7 @@ fn planted_fault_is_minimized_to_a_small_repro() {
         .fault(Fault::OverStrongUpdates)
         .solve_ci(&graph);
     assert!(
-        !interp::check_solution(&prog, &graph, &bad, &out.trace).is_empty(),
+        !interp::check_solution_dyn(&prog, &graph, &bad, &out.trace).is_empty(),
         "minimized repro no longer exposes the planted fault"
     );
 }
@@ -271,7 +271,7 @@ fn committed_fixture_regresses_the_fault() {
     let out = interp::run(&prog, &interp::Config::default()).expect("fixture runs");
 
     let good = SolverSpec::ci().solve_ci(&graph);
-    let v = interp::check_solution(&prog, &graph, &good, &out.trace);
+    let v = interp::check_solution_dyn(&prog, &graph, &good, &out.trace);
     assert!(
         v.is_empty(),
         "healthy CI must be sound on the fixture: {v:#?}"
@@ -280,7 +280,7 @@ fn committed_fixture_regresses_the_fault() {
     let bad = SolverSpec::ci()
         .fault(Fault::OverStrongUpdates)
         .solve_ci(&graph);
-    let v = interp::check_solution(&prog, &graph, &bad, &out.trace);
+    let v = interp::check_solution_dyn(&prog, &graph, &bad, &out.trace);
     assert!(
         !v.is_empty(),
         "the over-strong-update fault must be observable on the fixture"

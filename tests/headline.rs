@@ -130,8 +130,8 @@ fn headline_carries_through_the_defuse_client() {
     // every benchmark.
     for b in suite::benchmarks() {
         let (graph, ci, cs) = pipeline(b.source);
-        let du_ci = alias::defuse::def_use(&graph, &ci, &ci.callees);
-        let du_cs = alias::defuse::def_use(&graph, &cs, &ci.callees);
+        let du_ci = alias::defuse::def_use(&graph, &ci, &ci.callees).expect("ci has pairs");
+        let du_cs = alias::defuse::def_use(&graph, &cs, &ci.callees).expect("cs has pairs");
         assert_eq!(
             du_ci.edge_count(),
             du_cs.edge_count(),

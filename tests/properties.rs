@@ -153,14 +153,14 @@ fn runtime_soundness() {
         let out = interp::run(&prog, &interp::Config::default())
             .unwrap_or_else(|e| panic!("seed {seed}: generated program crashed: {e}"));
         let ci = SolverSpec::ci().solve_ci(&graph);
-        let v = interp::check_solution(&prog, &graph, &ci, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &ci, &out.trace);
         assert!(v.is_empty(), "seed {seed}: CI violations: {v:#?}");
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .expect("budget")
             .into_cs()
             .expect("cs result");
-        let v = interp::check_solution(&prog, &graph, &cs, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &cs, &out.trace);
         assert!(v.is_empty(), "seed {seed}: CS violations: {v:#?}");
     }
 }
@@ -216,14 +216,14 @@ fn baselines_runtime_sound_on_random_programs() {
             .expect("no budget")
             .into_weihl()
             .expect("weihl result");
-        let v = interp::check_solution(&prog, &graph, &w, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &w, &out.trace);
         assert!(v.is_empty(), "seed {seed}: Weihl violations: {v:#?}");
         let k1 = SolverSpec::k1()
             .solve(&graph, None)
             .expect("budget")
             .into_k1()
             .expect("k1 result");
-        let v = interp::check_solution(&prog, &graph, &k1, &out.trace);
+        let v = interp::check_solution_dyn(&prog, &graph, &k1, &out.trace);
         assert!(v.is_empty(), "seed {seed}: k=1 violations: {v:#?}");
     }
 }
@@ -400,7 +400,7 @@ mod client_monotonicity {
             .find(|&(_, w)| !w)
             .map(|(n, _)| n)
             .expect("indirect read");
-        let path_du = alias::defuse::def_use(&graph, &ci, &ci.callees);
+        let path_du = alias::defuse::def_use(&graph, &ci, &ci.callees).expect("ci has pairs");
         let base_du = def_use_bases(&graph, &ci, &ci.callees);
         assert_eq!(path_du.defs_of(read).len(), 1, "strong kill applies");
         assert_eq!(

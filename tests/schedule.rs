@@ -31,7 +31,7 @@
 
 mod schedule_programs;
 
-use alias::solver::{all_solvers, Solution};
+use alias::solver::Solution;
 use alias::{Propagation, SolverSpec, WorklistOrder};
 use schedule_programs::programs;
 use std::path::PathBuf;
@@ -71,7 +71,7 @@ fn rows(name: &str, src: &str) -> Vec<String> {
     let g = lower(&prog, &BuildOptions::default())
         .unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
     let ci = alias::ci::analyze_ci(&g, &alias::ci::CiConfig::default());
-    let mut out: Vec<String> = all_solvers()
+    let mut out: Vec<String> = SolverSpec::all()
         .iter()
         .map(|s| {
             let sol = s

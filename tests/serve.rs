@@ -523,6 +523,63 @@ fn project_sessions_are_isolated() {
     }
 }
 
+/// A request naming an unknown analysis is an error that leaves no
+/// trace: no session, no solve, no store file.
+fn assert_rejected_without_work(svc: &mut Service, dir: &Path, resp: &Response, names: &[&str]) {
+    match resp {
+        Response::Error { message } => {
+            assert!(message.contains("unknown analysis"), "{message}");
+            for n in names {
+                assert!(message.contains(n), "{message} should list {n}");
+            }
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let stored = std::fs::read_dir(dir).expect("store dir").count();
+    assert_eq!(stored, 0, "a rejected request must not write the store");
+    match svc.handle(&Request::Stats) {
+        Response::Stats { projects, .. } => {
+            assert!(
+                projects.iter().all(|p| p.benches == 0),
+                "a rejected request must not analyze: {projects:?}"
+            );
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+#[test]
+fn query_with_unknown_analysis_is_rejected_before_solving() {
+    let dir = temp_dir("unknown-query");
+    let mut svc = service(&dir);
+    let job = suite_jobs(1).remove(0);
+    let resp = svc.handle(&Request::Query {
+        project: "proj".into(),
+        bench: job.name.clone(),
+        analysis: "bogus".into(),
+        query: QueryKind::ReferentsAt { site: 0 },
+        job: Some(job),
+    });
+    let names = ["weihl", "steensgaard", "ci", "k1", "cs", "demand"];
+    assert_rejected_without_work(&mut svc, &dir, &resp, &names);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_with_unknown_analysis_is_rejected_before_solving() {
+    let dir = temp_dir("unknown-check");
+    let mut svc = service(&dir);
+    let resp = svc.handle(&Request::Check {
+        project: "proj".into(),
+        jobs: suite_jobs(1),
+        analysis: "cii".into(),
+        want_report: false,
+    });
+    let names = ["weihl", "steensgaard", "ci", "k1", "cs", "all"];
+    assert_rejected_without_work(&mut svc, &dir, &resp, &names);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Session eviction under a tiny memory budget must keep answers
 /// correct (evicted projects transparently restore from disk).
 #[test]

@@ -1,6 +1,5 @@
-//! The unified [`SolverSpec::solve`] path is the only way to construct
-//! a solver stage outside `crates/alias`. These tests pin its two
-//! faces to one another: the dynamic [`Solution`] view every engine
+//! [`SolverSpec::solve`] is the only way to run an analysis outside
+//! `crates/alias`. These tests pin its two faces to one another: the dynamic [`Solution`] view every engine
 //! consumer queries, and the owned concrete results the `into_*`
 //! downcasts hand to typed harnesses — same referent bases at every
 //! indirect memory reference, same pair counts where the notion exists.
@@ -133,13 +132,13 @@ fn by_name_round_trips_and_spectrum_order_is_stable() {
 
 #[test]
 fn typed_and_dynamic_paths_share_one_configuration_space() {
-    // A knob set on the spec flows through both `build()` and the
+    // A knob set on the spec flows through both `solve` and the
     // `solve_ci` projection: turning strong updates off must change
     // both the same way.
     let graph = graph_of("span");
     let weak_spec = SolverSpec::ci().strong_updates(false);
     let weak_typed = weak_spec.solve_ci(&graph);
-    let weak_dyn = weak_spec.build().solve(&graph, None).unwrap();
+    let weak_dyn = weak_spec.solve(&graph, None).unwrap();
     assert_eq!(weak_dyn.pairs(), Some(weak_typed.total_pairs()));
     let strong = SolverSpec::ci().solve_ci(&graph);
     assert!(weak_typed.total_pairs() >= strong.total_pairs());

@@ -5,7 +5,7 @@
 //! against real executions.)
 
 use alias::SolverSpec;
-use interp::{check_solution, run, Config};
+use interp::{check_solution_dyn, run, Config};
 use vdg::build::{lower, BuildOptions};
 use vdg::RecLocalScheme;
 
@@ -30,7 +30,7 @@ fn check_benchmark(name: &str, scheme: RecLocalScheme) {
     assert_eq!(out.exit, b.expected_exit, "{name}: wrong exit status");
 
     let ci = SolverSpec::ci().solve_ci(&graph);
-    let v = check_solution(&prog, &graph, &ci, &out.trace);
+    let v = check_solution_dyn(&prog, &graph, &ci, &out.trace);
     assert!(v.is_empty(), "{name}: CI unsound ({scheme:?}): {v:#?}");
 
     let cs = SolverSpec::cs()
@@ -38,7 +38,7 @@ fn check_benchmark(name: &str, scheme: RecLocalScheme) {
         .unwrap()
         .into_cs()
         .expect("cs result");
-    let v = check_solution(&prog, &graph, &cs, &out.trace);
+    let v = check_solution_dyn(&prog, &graph, &cs, &out.trace);
     assert!(v.is_empty(), "{name}: CS unsound ({scheme:?}): {v:#?}");
 }
 
@@ -71,7 +71,7 @@ fn weak_update_ablation_is_sound_too() {
         )
         .unwrap();
         let ci = SolverSpec::ci().strong_updates(false).solve_ci(&graph);
-        let v = check_solution(&prog, &graph, &ci, &out.trace);
+        let v = check_solution_dyn(&prog, &graph, &ci, &out.trace);
         assert!(v.is_empty(), "{}: weak-update CI unsound: {v:#?}", b.name);
     }
 }
@@ -104,14 +104,14 @@ fn recursive_downward_escape_is_sound_under_both_schemes() {
         )
         .unwrap();
         let ci = SolverSpec::ci().solve_ci(&graph);
-        let v = check_solution(&prog, &graph, &ci, &out.trace);
+        let v = check_solution_dyn(&prog, &graph, &ci, &out.trace);
         assert!(v.is_empty(), "{scheme:?}: {v:#?}");
         let cs = SolverSpec::cs()
             .solve(&graph, Some(&ci))
             .unwrap()
             .into_cs()
             .expect("cs result");
-        let v = check_solution(&prog, &graph, &cs, &out.trace);
+        let v = check_solution_dyn(&prog, &graph, &cs, &out.trace);
         assert!(v.is_empty(), "{scheme:?} CS: {v:#?}");
     }
 }
